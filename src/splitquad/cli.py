@@ -7,16 +7,13 @@ orderings, so identical inputs give byte-identical output.  Exit codes:
 A JSON config file (--config) mirrors the flags; explicit flags win.
 Schema keys: d1, m, L, L_list, weight, eps, cutoffs {primes, q, l},
 quadrature {radial, angular, plane, r_min, r_max}, budget.
-QC_THREADS caps row-level parallelism in verify (default: logical cores).
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import click
@@ -86,6 +83,11 @@ def _quad_config(w, cfg: dict):
     return replace(qc, **kw) if kw else qc
 
 
+def _q_cutoff(cfg: dict) -> int:
+    """Cutoff X of the definitional (Dirichlet) singular series."""
+    return int((cfg.get("cutoffs") or {}).get("q", 10 ** 5))
+
+
 def _build_prediction(d1: int, m: float, L: float, weight_spec: str,
                       cfg: dict) -> PredictionReport:
     d = 2 * d1
@@ -95,9 +97,8 @@ def _build_prediction(d1: int, m: float, L: float, weight_spec: str,
     w = parse_weight(weight_spec, d)
     cuts = cfg.get("cutoffs") or {}
     P = int(cuts.get("primes", 10 ** 4))
-    X = int(cuts.get("q", 10 ** 5))
     sig_inf = sing_integral.sigma_infty(w, m, _quad_config(w, cfg))
-    sig_def = exp_sums.sigma_dirichlet(X, d, spec.t).value
+    sig_def = exp_sums.sigma_dirichlet(_q_cutoff(cfg), d, spec.t).value
     sig_r5 = exp_sums.sigma_remark5_product(P, d1).value
     n1, n2, n3 = PredictionReport.constants_for(d)
     # the full error envelope needs weight norms of derivative order N1;
@@ -211,22 +212,24 @@ def verify(d1, m, weight, L_list, eps, config_path):
         Ls = sorted(float(L) for L in cfg["L_list"])
         base = _build_prediction(d1v, mv, Ls[0], ws, cfg)
         w = parse_weight(ws, 2 * d1v)
+        # the definitional series depends on the level t = m L^2: one per distinct t
+        sig_def = {LatticeSpec(L=Ls[0], m=mv).t: base.sigma_definitional}
 
-        def row(L):
+        rows = []
+        for L in Ls:
             spec = LatticeSpec(L=L, m=mv)
+            if spec.t not in sig_def:
+                sig_def[spec.t] = exp_sums.sigma_dirichlet(_q_cutoff(cfg), base.d,
+                                                           spec.t).value
             res = counter.enumerate_N_L(w, spec, epsv,
                                         int(cfg.get("budget", counter.DEFAULT_BUDGET)))
             scale = L ** (base.d - 2)
-            pd = base.sigma_infty * base.sigma_definitional * scale
+            pd = base.sigma_infty * sig_def[spec.t] * scale
             pr = base.sigma_infty * base.sigma_remark5 * scale
             na = float("nan")
-            return ConvergenceRow(L, res.value, pd, pr,
-                                  res.value / pd if pd else na,
-                                  res.value / pr if pr else na)
-
-        workers = int(os.environ.get("QC_THREADS", os.cpu_count() or 1))
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as ex:
-            rows = list(ex.map(row, Ls))
+            rows.append(ConvergenceRow(L, res.value, pd, pr,
+                                       res.value / pd if pd else na,
+                                       res.value / pr if pr else na))
 
         exp_def = _fit_exponent(Ls, [abs(r.exact - r.predicted_def) for r in rows])
         exp_r5 = _fit_exponent(Ls, [abs(r.exact - r.predicted_r5) for r in rows])

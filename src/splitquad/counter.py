@@ -1,16 +1,27 @@
 """Exact enumeration of the weighted lattice count N_L(w; F0, m).
 
 N_L sums w(z) over z in the scaled lattice (1/L) Z^d lying on the
-quadric x.y = m.  The hot loop works in integer coordinates u = L z,
+quadric x.y = m.  The counter works in integer coordinates u = L z,
 where the constraint reads u_x . u_y = t with t = m L^2 (an integer by
-the LatticeSpec contract).  For each admissible u_x the solution set in
-u_y is a coset of the rank-(d1-1) hyperplane lattice {y : u_x . y = 0},
-produced by unimodular column reduction of u_x and enumerated inside
-the truncation ball through the Gram-inverse bounding box of the coset.
+the LatticeSpec contract).  Truncation uses R = decay_radius(w, eps', d-2)
+with eps' = eps / L^(d-2).  There are two paths:
 
-Truncation: all |u| <= R L with R = decay_radius(w, eps', d-2); the
-reported tail_estimate combines the empirical |value(R) - value(0.8 R)|
-difference with the analytic envelope sup |w| |z|^{d-2} <= eps'.
+* Pair convolution, for weights that factor over the pairs (x_i, y_i)
+  (Gaussians, shifted or not, and ProductBump).  On the box |u_j| <= B
+  with B = ceil(R L) (the support box for ProductBump) the count is
+  coefficient t of P_1 * ... * P_d1, where P_i[r] is the weighted divisor
+  sum over x_i y_i = r.  Each P_i is one bincount; the product is direct
+  convolution.  tail_estimate is the weight's certified bound on the
+  lattice mass outside the box; visited counts the pair-grid products
+  and the convolution multiply-adds.
+* Fibres, for any weight (AppendixExample, and the oracle for the first
+  path).  For each admissible u_x in the ball |u| <= R L the solutions
+  in u_y form a coset of the rank-(d1-1) hyperplane lattice
+  {y : u_x . y = 0}, produced by unimodular column reduction of u_x and
+  enumerated through the Gram-inverse bounding box of the coset.
+  tail_estimate combines the empirical |value(R) - value(0.8 R)|
+  difference with the analytic envelope sup |w| |z|^{d-2} <= eps';
+  visited counts lattice points.
 """
 
 from __future__ import annotations
@@ -24,7 +35,7 @@ import numpy as np
 
 from .errors import ArgumentError, CapabilityError
 from .forms import LatticeSpec
-from .weights import WeightFunction
+from .weights import PairFactors, WeightFunction
 
 DEFAULT_BUDGET = 5 * 10 ** 8
 
@@ -32,7 +43,7 @@ DEFAULT_BUDGET = 5 * 10 ** 8
 @dataclass
 class CountResult:
     value: float
-    lattice_points_visited: int
+    lattice_points_visited: int     # work: lattice points, or pair products + multiply-adds
     truncation_radius: float        # in z-units
     tail_estimate: float
 
@@ -155,16 +166,65 @@ def _fiber_points(sol: HyperplaneLatticeSolution, rho: float) -> np.ndarray:
     return Y[np.sum(Y * Y, axis=1) <= rho * rho]
 
 
+def _over_budget(work: int, budget: int, L: float, growth: float) -> CapabilityError:
+    """The budget error, with the L at which work (growing as L^growth) would fit."""
+    frac = max(1e-9, budget / work)
+    l_max = max(1, int(L * frac ** (1.0 / growth)))
+    return CapabilityError(f"visit budget {budget} exceeded; largest feasible L about {l_max}")
+
+
 def enumerate_N_L(w: WeightFunction, spec: LatticeSpec, eps: float,
                   budget: int = DEFAULT_BUDGET) -> CountResult:
-    """Sum w(u/L) over integer solutions of u_x . u_y = t in the ball |u| <= R L."""
+    """Sum w(u/L) over integer solutions of u_x . u_y = t, truncated at radius R L.
+
+    Weights with a ``pair_factors`` method take the pair-convolution path;
+    the others are enumerated fibre by fibre.
+    """
     if not eps > 0:
         raise ArgumentError("eps must be positive")
     d = w.dim
-    d1 = d // 2
-    L, t = float(spec.L), spec.t
+    L = float(spec.L)
     eps_prime = eps / max(1.0, L ** (d - 2))
     R = w.decay_radius(eps_prime, d - 2)
+    if hasattr(w, "pair_factors"):
+        return _count_pair_convolution(w.pair_factors(L, R), spec.t, L, R, budget)
+    return _count_fibres(w, spec.t, L, R, eps_prime, budget)
+
+
+def _count_pair_convolution(f: PairFactors, t: int, L: float, R: float,
+                            budget: int) -> CountResult:
+    """Coefficient t of P_1 * ... * P_d1, P_i[r] = sum_{x y = r} g_i(x) h_i(y).
+
+    The work count is the pair-grid weight products plus the multiply-adds
+    of the convolutions and of the final dot product.
+    """
+    d1, n = f.g.shape
+    B = f.B
+    m = 2 * B * B + 1                                  # P_i covers r = -B^2..B^2
+    visited = d1 * n * n + sum(1 + k * (m - 1) for k in range(d1 - 1)) * m + m
+    if visited > budget:
+        # a convolution of two length-m arrays, m ~ L^2, costs L^4
+        raise _over_budget(visited, budget, L, 4 if d1 > 2 else 2)
+    u = np.arange(-B, B + 1, dtype=np.int64)
+    r_index = (np.outer(u, u) + B * B).ravel()
+    P = [np.bincount(r_index, weights=np.outer(gi, hi).ravel(), minlength=m)
+         for gi, hi in zip(f.g, f.h)]
+    # convolve all factors but the last, then take coefficient t against it:
+    # A[j] is the coefficient of r = j - offset, and P[-1][::-1][k] that of B^2 - k
+    A, offset = np.ones(1), 0
+    for Pi in P[:-1]:
+        A, offset = np.convolve(A, Pi), offset + B * B
+    s = offset + t - B * B
+    lo, hi = max(0, s), min(len(A), s + m)
+    value = fsum(A[lo:hi] * P[-1][::-1][lo - s:hi - s]) if lo < hi else 0.0
+    return CountResult(value, visited, R, f.tail)
+
+
+def _count_fibres(w: WeightFunction, t: int, L: float, R: float, eps_prime: float,
+                  budget: int) -> CountResult:
+    """Walk the admissible u_x in the ball |u| <= R L; each fibre in u_y is a coset."""
+    d = w.dim
+    d1 = d // 2
     Ru = R * L
     Ru_inner = 0.8 * Ru
 
@@ -175,10 +235,7 @@ def enumerate_N_L(w: WeightFunction, spec: LatticeSpec, eps: float,
         nonlocal visited
         visited += extra
         if visited > budget:
-            frac = max(1e-9, (budget / visited))
-            l_max = max(1, int(L * frac ** (1.0 / (d - 2))))
-            raise CapabilityError(
-                f"visit budget {budget} exceeded; largest feasible L about {l_max}")
+            raise _over_budget(visited, budget, L, d - 2)
 
     # u_x = 0 stratum: present exactly when t = 0, contributing w(0, u_y/L)
     if t == 0:

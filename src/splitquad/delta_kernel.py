@@ -27,7 +27,6 @@ import mpmath
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from sympy import totient
 
 from .errors import AccuracyError, ArgumentError, CapabilityError
 from .exp_sums import ramanujan
@@ -169,6 +168,3 @@ def smear(y_grid: np.ndarray, f_values: np.ndarray, x: float) -> float:
             total.append(-half * float(_GL_WEIGHTS @ vals))
     return fsum(total)
 
-
-def euler_phi(q: int) -> int:
-    return int(totient(q))

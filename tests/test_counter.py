@@ -8,9 +8,11 @@ from splitquad import counter as ct
 from splitquad.errors import ArgumentError, CapabilityError
 from splitquad.exp_sums import remark5_sigma_p
 from splitquad.forms import LatticeSpec
-from splitquad.weights import GaussianWeight, ProductBump
+from splitquad.weights import GaussianWeight, ProductBump, WeightFunction
 
 RNG = np.random.default_rng(7)
+# float64 rounding allowance (relative) when two paths sum in different orders
+ROUNDING = 1e4 * np.finfo(float).eps
 
 
 def test_solve_axis_vector():
@@ -164,3 +166,51 @@ def test_residue_count_matches_density_product(p, d1):
             count += 1
     expected = p ** (2 * d1 - 1) * remark5_sigma_p(p, d1)
     assert count == expected
+
+
+class _FibreOnly(WeightFunction):
+    """The same weight without pair_factors, so enumerate_N_L walks fibres."""
+
+    def __init__(self, w):
+        self.w, self.dim = w, w.dim
+
+    def eval_array(self, Z):
+        return self.w.eval_array(Z)
+
+    def decay_radius(self, eps, n=0):
+        return self.w.decay_radius(eps, n)
+
+
+def _separable(kind, d1):
+    if kind == "gaussian":
+        return GaussianWeight(1.0, 2 * d1)
+    if kind == "shifted":
+        return GaussianWeight(1.0, 2 * d1, shift=0.25 * np.sin(np.arange(2 * d1) + 1.0))
+    return ProductBump(1.5, 2 * d1)
+
+
+@pytest.mark.parametrize("m", [0, 1, 0.25])
+@pytest.mark.parametrize("d1", [1, 2, 3])
+@pytest.mark.parametrize("kind", ["gaussian", "shifted", "bump"])
+def test_pair_convolution_matches_oracles(kind, d1, m):
+    # L = 2 is even, so m = 1/4 gives the integer level t = 1
+    w, spec = _separable(kind, d1), LatticeSpec(L=2, m=m)
+    res = ct.enumerate_N_L(w, spec, eps=1e-10)
+    fib = ct.enumerate_N_L(_FibreOnly(w), spec, eps=1e-10)
+    box = int(math.ceil(res.truncation_radius * spec.L)) + 1
+    ref = ct.brute_force_N_L(w, spec, box)
+    assert abs(res.value - ref) <= res.tail_estimate + ROUNDING * abs(ref)
+    assert abs(res.value - fib.value) <= \
+        res.tail_estimate + fib.tail_estimate + ROUNDING * abs(ref)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "shifted"])
+@pytest.mark.parametrize("R", [0.5, 1.0, 2.0])
+def test_pair_convolution_tail_bounds_box_doubling(kind, R):
+    # growing the box from B to about 2B adds lattice mass, never more than the
+    # tail (ProductBump's box is its support whatever R, so it is left out)
+    w, L, t = _separable(kind, 3), 2.0, 4
+    small = ct._count_pair_convolution(w.pair_factors(L, R), t, L, R, 10 ** 9)
+    large = ct._count_pair_convolution(w.pair_factors(L, 2 * R), t, L, 2 * R, 10 ** 9)
+    assert large.value - small.value >= -ROUNDING * large.value
+    assert large.value - small.value <= small.tail_estimate + ROUNDING * large.value
