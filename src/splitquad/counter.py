@@ -22,6 +22,10 @@ with eps' = eps / L^(d-2).  There are two paths:
   tail_estimate combines the empirical |value(R) - value(0.8 R)|
   difference with the analytic envelope sup |w| |z|^{d-2} <= eps';
   visited counts lattice points.
+
+The budget is counted in multiply-adds of the first path; a lattice point
+of the fibre path is charged FIBRE_POINT_COST of them, so one budget buys
+about the same time on either path.
 """
 
 from __future__ import annotations
@@ -37,7 +41,11 @@ from .errors import ArgumentError, CapabilityError
 from .forms import LatticeSpec
 from .weights import PairFactors, WeightFunction
 
-DEFAULT_BUDGET = 5 * 10 ** 8
+# Measured on a shared 2-core VM: a fibre-path lattice point costs about
+# 3.8 us (5.4 M points of a d = 6 Gaussian in 20.6 s at L = 8), a multiply-add
+# of the pair convolution about 1 ns (6.1e8 in 0.6 s at L = 32).
+FIBRE_POINT_COST = 3800            # multiply-adds charged per fibre-path point
+DEFAULT_BUDGET = 6 * 10 ** 10      # multiply-adds: about a minute of work
 
 
 @dataclass
@@ -170,7 +178,7 @@ def _over_budget(work: int, budget: int, L: float, growth: float) -> CapabilityE
     """The budget error, with the L at which work (growing as L^growth) would fit."""
     frac = max(1e-9, budget / work)
     l_max = max(1, int(L * frac ** (1.0 / growth)))
-    return CapabilityError(f"visit budget {budget} exceeded; largest feasible L about {l_max}")
+    return CapabilityError(f"work budget {budget} exceeded; largest feasible L about {l_max}")
 
 
 def enumerate_N_L(w: WeightFunction, spec: LatticeSpec, eps: float,
@@ -234,8 +242,8 @@ def _count_fibres(w: WeightFunction, t: int, L: float, R: float, eps_prime: floa
     def check_budget(extra: int):
         nonlocal visited
         visited += extra
-        if visited > budget:
-            raise _over_budget(visited, budget, L, d - 2)
+        if visited * FIBRE_POINT_COST > budget:
+            raise _over_budget(visited * FIBRE_POINT_COST, budget, L, d - 2)
 
     # u_x = 0 stratum: present exactly when t = 0, contributing w(0, u_y/L)
     if t == 0:

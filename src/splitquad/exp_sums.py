@@ -26,7 +26,7 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from sympy import divisors, gcd, isprime, mobius, primerange, totient
+from sympy import divisors, isprime, mobius, primerange, totient
 
 from .errors import ArgumentError, CapabilityError
 from .forms import QuadraticFormF0
@@ -45,7 +45,7 @@ def ramanujan(q: int, n: int) -> int:
         raise ArgumentError("q must be >= 1")
     if q == 1:
         return 1
-    g = q if n == 0 else int(gcd(q, abs(int(n))))
+    g = q if n == 0 else math.gcd(q, abs(int(n)))
     return sum(d * int(mobius(q // d)) for d in divisors(g))
 
 
@@ -278,22 +278,17 @@ def sigma_dirichlet(X: int, d: int, t: int) -> SigmaReport:
     d1 = d // 2
     t = abs(int(t))
     phi, mu = _phi_mu_sieves(X)
-
-    def partial(lim: int) -> float:
-        terms = []
-        for q in range(1, lim + 1):
-            g = q if t == 0 else math.gcd(q, t)
-            m = int(mu[q // g])
-            if m == 0:
-                continue
-            cq = m * int(phi[q]) // int(phi[q // g])
-            terms.append(cq / q ** d1)
-        return math.fsum(terms)
-
-    value = partial(X)
+    q = np.arange(1, X + 1, dtype=np.int64)
+    # g = gcd(q, t); a t past int64 is first reduced mod each q
+    tq = t if t < 2 ** 63 else np.array([t % int(v) for v in q], dtype=np.int64)
+    k = q // np.gcd(q, tq)
+    cq = mu[k] * phi[q] // phi[k]          # c_q(t) = mu(q/g) phi(q) / phi(q/g), exact
+    # one correctly rounded division per term while q^d1 < 2^53, as in int / int
+    terms = cq.astype(float) / q.astype(float) ** d1
+    value = math.fsum(terms)
     # |c_q(t)| <= phi(q) < q, so the true tail is below X^{2-d1}/(d1-2);
     # the empirical X vs X/2 fit sharpens nothing but is reported when larger.
     analytic = X ** (2 - d1) / (d1 - 2) if d1 > 2 else float("inf")
-    fitted = abs(value - partial(X // 2)) if X >= 2 else analytic
+    fitted = abs(value - math.fsum(terms[:X // 2])) if X >= 2 else analytic
     tail_bound = max(analytic, min(fitted, 10 * analytic))
     return SigmaReport("dirichlet_sum", int(X), value, tail_bound)

@@ -7,12 +7,21 @@ Lebesgue fiber measure, giving
     I(t; w) = int_{R^{d1}} |x|^{-1} dx int_{x^perp} w(x, u + t x/|x|^2) du
             = int r^{d1-2} dr int_{sphere} dtheta int_{theta^perp} w(...) du.
 
-The engine tensors Gauss-Legendre radial panels, a product sphere rule
-and a tensor fiber rule, with the fiber plane spanned by a deterministic
-Householder frame (reflecting e1 to theta) for reproducibility.  Weights
-that depend only on (|x|, |y|) take a reduced two-radius path in which
-the angular integrals are exact.  The mirror disintegration through
-(x, y) -> y gives an independent evaluation of the same number.
+Gauss-Legendre radial panels carry the r integral.  The inner integrals
+take one of three paths, chosen in _i_projection:
+
+* biradial: weights that depend only on (|x|, |y|) take a reduced
+  two-radius rule in which the angular integrals are exact;
+* closed-form fibres: weights with a ``fiber_integral`` method (the
+  shifted Gaussian) return the exact fiber integral on the radial and
+  sphere nodes, so I(t) is one matrix product;
+* tensor rule: any other weight is sampled on a product sphere rule
+  times a tensor fiber rule, with the fiber plane spanned by a
+  deterministic Householder frame (reflecting e1 to theta); it is also
+  the test oracle of the closed-form path.
+
+The mirror disintegration through (x, y) -> y gives an independent
+evaluation of the same number.
 
 sigma_infty(w, m) is I(m; w): for the split form the measure density
 |A z|^{-1} equals |z|^{-1}, so the leading-term integral and I coincide.
@@ -194,24 +203,37 @@ def _i_projection_generic(w: WeightFunction, t: float, cfg: QuadratureConfig,
     return fsum(partials)
 
 
-def i_x_projection(w: WeightFunction, t: float, cfg: QuadratureConfig | None = None) -> float:
-    """I(t; w) through the x-projection disintegration."""
+def _i_projection_fiber(w: WeightFunction, t: float, cfg: QuadratureConfig,
+                        swap: bool) -> float:
+    """Radial and sphere rules around the weight's closed-form fibre integral."""
+    d1 = w.dim // 2
+    r, wr = _radial_nodes(cfg)
+    thetas, wth = _sphere_nodes(d1, cfg)
+    F = w.fiber_integral(r, thetas, t, swap)                 # (nr, n_theta)
+    return float((wr * r ** (d1 - 2)) @ F @ wth)
+
+
+def _i_projection(w: WeightFunction, t: float, cfg: QuadratureConfig | None,
+                  swap: bool) -> float:
+    """I(t; w) through the x-projection (swap: the y-projection), by path."""
     cfg = cfg or default_config(w)
     if w.dim // 2 < 2:
         raise ArgumentError("projection quadrature needs d1 >= 2")
     if w.is_biradial:
-        return _i_projection_biradial(w, float(t), cfg, swap=False)
-    return _i_projection_generic(w, float(t), cfg, swap=False)
+        return _i_projection_biradial(w, float(t), cfg, swap)
+    if hasattr(w, "fiber_integral"):
+        return _i_projection_fiber(w, float(t), cfg, swap)
+    return _i_projection_generic(w, float(t), cfg, swap)
+
+
+def i_x_projection(w: WeightFunction, t: float, cfg: QuadratureConfig | None = None) -> float:
+    """I(t; w) through the x-projection disintegration."""
+    return _i_projection(w, t, cfg, swap=False)
 
 
 def i_y_projection(w: WeightFunction, t: float, cfg: QuadratureConfig | None = None) -> float:
     """I(t; w) through the mirror y-projection disintegration."""
-    cfg = cfg or default_config(w)
-    if w.dim // 2 < 2:
-        raise ArgumentError("projection quadrature needs d1 >= 2")
-    if w.is_biradial:
-        return _i_projection_biradial(w, float(t), cfg, swap=True)
-    return _i_projection_generic(w, float(t), cfg, swap=True)
+    return _i_projection(w, t, cfg, swap=True)
 
 
 def sigma_infty(w: WeightFunction, m: float, cfg: QuadratureConfig | None = None,

@@ -20,7 +20,9 @@ to order 2; orders 3-4 fall back to central finite differences.
 
 The Gaussians and ProductBump factor over the coordinate pairs (x_i, y_i);
 their ``pair_factors`` method samples the 1-d factors on an integer box for
-the counter's pair-convolution path.
+the counter's pair-convolution path.  The Gaussians also integrate
+themselves in closed form over the affine fibres of the singular-integral
+quadrature (``fiber_integral``).
 """
 
 from __future__ import annotations
@@ -296,6 +298,29 @@ class GaussianWeight(WeightFunction):
         theta = 1.0 + L / math.sqrt(self.a)
         d1 = self.dim // 2
         return PairFactors(F[:d1], F[d1:], outside * theta ** (self.dim - 1))
+
+    def fiber_integral(self, r, thetas, t: float, swap: bool) -> np.ndarray:
+        """Exact integral of w over the fibres of the projection quadrature.
+
+        Entry (i, j) integrates w(r_i theta_j, v) (swap: w(v, r_i theta_j))
+        over v in the affine plane theta_j^perp + (t / r_i) theta_j.  The
+        Gaussian factors over the plane: its in-plane part integrates to
+        a^{-(d1-1)/2}, leaving
+
+            exp(-a pi (|r theta - s_near|^2 + (t/r - theta . s_far)^2)),
+
+        where s_near and s_far are the shift blocks of the projected and
+        the fibre coordinates.
+        """
+        d1 = self.dim // 2
+        r = np.asarray(r, dtype=float)
+        thetas = np.asarray(thetas, dtype=float)
+        s = np.zeros(self.dim) if self.shift is None else self.shift
+        s_near, s_far = (s[d1:], s[:d1]) if swap else (s[:d1], s[d1:])
+        near = r[:, None, None] * thetas[None, :, :] - s_near
+        along = (t / r)[:, None] - (thetas @ s_far)[None, :]
+        exponent = np.sum(near * near, axis=-1) + along * along
+        return np.exp(-self.a * math.pi * exponent) * self.a ** (-(d1 - 1) / 2.0)
 
     def rescaled(self, L):
         shift = None if self.shift is None else L * self.shift

@@ -8,7 +8,7 @@ from splitquad import counter as ct
 from splitquad.errors import ArgumentError, CapabilityError
 from splitquad.exp_sums import remark5_sigma_p
 from splitquad.forms import LatticeSpec
-from splitquad.weights import GaussianWeight, ProductBump, WeightFunction
+from splitquad.weights import AppendixExample, GaussianWeight, ProductBump, WeightFunction
 
 RNG = np.random.default_rng(7)
 # float64 rounding allowance (relative) when two paths sum in different orders
@@ -149,6 +149,16 @@ def test_budget_capability():
     with pytest.raises(CapabilityError) as exc:
         ct.enumerate_N_L(w, LatticeSpec(L=8, m=0), eps=1e-10, budget=10 ** 4)
     assert "feasible L" in str(exc.value)
+
+
+def test_budget_charges_fibre_points():
+    # a fibre-path point costs FIBRE_POINT_COST multiply-adds of the budget
+    w, spec = AppendixExample(6), LatticeSpec(L=6, m=0.25)
+    res = ct.enumerate_N_L(w, spec, eps=1e-8)
+    need = res.lattice_points_visited * ct.FIBRE_POINT_COST
+    assert ct.enumerate_N_L(w, spec, eps=1e-8, budget=need).value == res.value
+    with pytest.raises(CapabilityError):
+        ct.enumerate_N_L(w, spec, eps=1e-8, budget=need - 1)
 
 
 def test_eps_argument_check():

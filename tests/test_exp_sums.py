@@ -137,3 +137,29 @@ def test_sigma_euler_reports_per_prime():
     primes = [pp[0] for pp in rep.per_prime]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19]
     assert rep.per_prime[0][1] == pytest.approx(7 / 6, rel=1e-9)
+
+
+def _dirichlet_literal(X, d, t):
+    """sum_{q <= X} c_q(t) / q^{d1}, one Python term per q."""
+    phi, mu = es._phi_mu_sieves(X)
+    terms = []
+    for q in range(1, X + 1):
+        g = q if t == 0 else math.gcd(q, t)
+        cq = int(mu[q // g]) * int(phi[q]) // int(phi[q // g])
+        if cq:
+            terms.append(cq / q ** (d // 2))
+    return math.fsum(terms)
+
+
+@pytest.mark.parametrize("X,d,t", [(1, 6, 0), (2, 6, 5), (1000, 8, 0), (1000, 8, 360),
+                                   (1000, 6, 1001), (200000, 6, 0), (200000, 6, 36),
+                                   (200000, 6, 144), (1000, 6, 10 ** 20 + 36)])
+def test_sigma_dirichlet_matches_literal_loop(X, d, t):
+    # every term q^{d1} stays below 2^53, so the float division is the same
+    # correctly rounded quotient as the loop's and the sums agree exactly;
+    # the last level does not fit in int64
+    got = es.sigma_dirichlet(X, d, t).value
+    assert got == _dirichlet_literal(X, d, t)
+    if X <= 1000:
+        ref = math.fsum(es.ramanujan(q, t) / q ** (d // 2) for q in range(1, X + 1))
+        assert got == pytest.approx(ref, rel=1e-15)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -108,6 +109,61 @@ def test_shear_invariance():
     direct = si.i_x_projection(w, t)
     via_shear = si.i_x_projection(sheared, 0.0)
     assert via_shear == pytest.approx(direct, abs=5e-6)
+
+
+class _NoHook(WeightFunction):
+    """The same weight without fiber_integral, so the tensor rule takes its fibres."""
+
+    def __init__(self, w):
+        self.w, self.dim = w, w.dim
+
+    def eval_array(self, Z):
+        return self.w.eval_array(Z)
+
+    def decay_radius(self, eps, n=0):
+        return self.w.decay_radius(eps, n)
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0])
+@pytest.mark.parametrize("d1", [2, 3])
+def test_fiber_hook_matches_tensor_rule(d1, t):
+    w = GaussianWeight(1.5, 2 * d1, shift=0.25 * np.sin(np.arange(2 * d1) + 1.0))
+    # both paths share the radial and sphere nodes; a coarse sphere rule
+    # keeps the tensor rule cheap without changing what is compared
+    cfg = replace(si.default_config(w), angular_order=4)
+    hook = si.i_x_projection(w, t, cfg)
+    assert hook == si._i_projection_fiber(w, t, cfg, swap=False)
+    assert hook == pytest.approx(si.i_x_projection(_NoHook(w), t, cfg), abs=1e-8)
+    if d1 == 3:
+        fine = replace(cfg, plane_order=48)
+        assert hook == pytest.approx(si.i_x_projection(_NoHook(w), t, fine), abs=1e-10)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+def test_fiber_integral_matches_plane_rule(swap):
+    # each entry against a Gauss-Legendre rule on its own fibre plane
+    w = GaussianWeight(1.5, 6, shift=[0.2, -0.1, 0.05, 0.15, 0.1, -0.25])
+    cfg = replace(si.default_config(w), plane_order=48)
+    fib, wf = si._fiber_nodes(3, cfg)
+    r = np.array([0.3, 0.8, 1.7])
+    thetas = np.array([[1.0, 0.0, 0.0], [0.6, -0.48, 0.64], [0.0, 0.6, -0.8]])
+    t = 0.4
+    F = w.fiber_integral(r, thetas, t, swap)
+    for i, ri in enumerate(r):
+        for j, theta in enumerate(thetas):
+            v = fib @ si._householder_frame(theta).T + (t / ri) * theta
+            near = np.broadcast_to(ri * theta, v.shape)
+            z = np.concatenate([v, near] if swap else [near, v], axis=1)
+            assert F[i, j] == pytest.approx(float(w.eval_array(z) @ wf), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("t", [0.4, 1.0, -0.7])
+def test_fiber_hook_isotropic_closed_form(t):
+    # the isotropic Gaussian takes the biradial path; call the hook directly
+    w = GaussianWeight(1.0, 6)
+    for swap in (False, True):
+        got = si._i_projection_fiber(w, t, si.default_config(w), swap)
+        assert abs(got - K1_closed_form(t)) <= 1e-10
 
 
 def test_derivative_fd_k1_oracle():
