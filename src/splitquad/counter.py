@@ -12,28 +12,30 @@ with eps' = eps / L^(d-2).  There are two paths:
   coefficient t of P_1 * ... * P_d1, where P_i[r] is the weighted divisor
   sum over x_i y_i = r.  Each P_i is one bincount; the product is direct
   convolution.  tail_estimate is the weight's certified bound on the
-  lattice mass outside the box; visited counts the pair-grid products
-  and the convolution multiply-adds.
+  lattice mass outside the box.
 * Fibres, for any weight (AppendixExample, and the oracle for the first
-  path).  For each admissible u_x in the ball |u| <= R L the solutions
-  in u_y form a coset of the rank-(d1-1) hyperplane lattice
-  {y : u_x . y = 0}, produced by unimodular column reduction of u_x and
-  enumerated through the Gram-inverse bounding box of the coset.
-  tail_estimate combines the empirical |value(R) - value(0.8 R)|
-  difference with the analytic envelope sup |w| |z|^{d-2} <= eps';
-  visited counts lattice points.
+  path).  Each admissible u_x in the ball |u| <= R L is solved for its
+  pivot coordinate k = argmax |x_k|: the other d1 - 1 coordinates of u_y
+  run over the ball of radius R L, y_k = (t - sum_{j != k} x_j y_j) / x_k
+  is kept when the division is exact and |u_x|^2 + |u_y|^2 <= (R L)^2.
+  The u_x are grouped by pivot and processed in blocks of about BLOCK
+  candidates, all in int64.  tail_estimate combines the empirical
+  |value(R) - value(0.8 R)| difference with the analytic envelope
+  sup |w| |z|^{d-2} <= eps' per lattice point.
 
-The budget is counted in multiply-adds of the first path; a lattice point
-of the fibre path is charged FIBRE_POINT_COST of them, so one budget buys
-about the same time on either path.
+Both paths count their work in operations, worked out from the inputs
+before the counting starts: a multiply-add of the convolution (or a weight
+product of the pair grid) is one, and a fibre candidate is d1 (its d1 - 1
+multiply-adds and one division).  That count is checked against the
+budget and reported as lattice_points_visited.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
-from math import fsum, gcd
+from itertools import chain, product
+from math import fsum
 
 import numpy as np
 
@@ -41,17 +43,14 @@ from .errors import ArgumentError, CapabilityError
 from .forms import LatticeSpec
 from .weights import PairFactors, WeightFunction
 
-# Measured on a shared 2-core VM: a fibre-path lattice point costs about
-# 3.8 us (5.4 M points of a d = 6 Gaussian in 20.6 s at L = 8), a multiply-add
-# of the pair convolution about 1 ns (6.1e8 in 0.6 s at L = 32).
-FIBRE_POINT_COST = 3800            # multiply-adds charged per fibre-path point
-DEFAULT_BUDGET = 6 * 10 ** 10      # multiply-adds: about a minute of work
+DEFAULT_BUDGET = 6 * 10 ** 10      # operations (see the module docstring)
+BLOCK = 1 << 16                    # fibre candidates per block
 
 
 @dataclass
 class CountResult:
     value: float
-    lattice_points_visited: int     # work: lattice points, or pair products + multiply-adds
+    lattice_points_visited: int     # work in operations, the unit of the budget
     truncation_radius: float        # in z-units
     tail_estimate: float
 
@@ -66,12 +65,8 @@ class CountResult:
 class HyperplaneLatticeSolution:
     """Integer solutions of x . y = t: particular + Z-span of basis."""
 
-    particular: np.ndarray
-    basis: list
-
-    def __post_init__(self):
-        self.particular = np.asarray(self.particular, dtype=np.int64)
-        self.basis = [np.asarray(b, dtype=np.int64) for b in self.basis]
+    particular: np.ndarray          # int64
+    basis: list                     # int64 rows
 
 
 def _column_reduce(x: np.ndarray):
@@ -111,7 +106,7 @@ def _extgcd(a: int, b: int):
 
 def _reduce_basis(basis: np.ndarray) -> np.ndarray:
     """Pairwise Lagrange-style length reduction (no full LLL machinery)."""
-    B = basis.astype(np.int64).copy()
+    B = np.array(basis, dtype=np.int64)
     k = len(B)
     for _ in range(8):
         changed = False
@@ -142,36 +137,15 @@ def solve_hyperplane_lattice(x, t: int) -> HyperplaneLatticeSolution | None:
     particular = np.array([int(c) * (t // g) for c in U[:, 0]], dtype=np.int64)
     if len(x) == 1:
         return HyperplaneLatticeSolution(particular, [])
-    kernel = U[:, 1:].T.astype(np.int64)
-    return HyperplaneLatticeSolution(particular, list(_reduce_basis(kernel)))
+    return HyperplaneLatticeSolution(particular, list(_reduce_basis(U[:, 1:].T)))
 
 
 def _ball_points(d: int, radius: float) -> np.ndarray:
-    """All integer vectors of length d with |v| <= radius, lexicographic."""
+    """All integer vectors of length d >= 0 with |v| <= radius, lexicographic."""
     n = int(math.floor(radius))
-    axes = [np.arange(-n, n + 1)] * d
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
+    side = 2 * n + 1
+    grid = np.indices((side,) * d).reshape(d, side ** d).T - n
     return grid[np.sum(grid * grid, axis=1) <= radius * radius]
-
-
-def _fiber_points(sol: HyperplaneLatticeSolution, rho: float) -> np.ndarray:
-    """Coset points y = particular + B n with |y| <= rho."""
-    p = sol.particular.astype(float)
-    if not sol.basis:
-        y = sol.particular[None, :]
-        return y if p @ p <= rho * rho else y[:0]
-    B = np.stack(sol.basis).astype(float)          # (k, d1) rows
-    G = B @ B.T
-    Ginv = np.linalg.inv(G)
-    center = -Ginv @ (B @ p)
-    half = rho * np.sqrt(np.diag(Ginv))
-    ranges = [np.arange(math.ceil(c - h), math.floor(c + h) + 1)
-              for c, h in zip(center, half)]
-    if any(len(r) == 0 for r in ranges):
-        return sol.particular[None, :][:0]
-    N = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, len(B))
-    Y = sol.particular[None, :] + N.astype(np.int64) @ np.stack(sol.basis)
-    return Y[np.sum(Y * Y, axis=1) <= rho * rho]
 
 
 def _over_budget(work: int, budget: int, L: float, growth: float) -> CapabilityError:
@@ -230,59 +204,62 @@ def _count_pair_convolution(f: PairFactors, t: int, L: float, R: float,
 
 def _count_fibres(w: WeightFunction, t: int, L: float, R: float, eps_prime: float,
                   budget: int) -> CountResult:
-    """Walk the admissible u_x in the ball |u| <= R L; each fibre in u_y is a coset."""
-    d = w.dim
-    d1 = d // 2
+    """Sum w(u/L) over the solutions the pivot solve finds in the ball |u| <= R L.
+
+    The u_x ball and the ball of free coordinates are enumerated first
+    (L^{d1} work); the budget then counts d1 operations per candidate.
+    """
+    d1 = w.dim // 2
     Ru = R * L
-    Ru_inner = 0.8 * Ru
-
-    visited = 0
-    totals, totals_inner = [], []
-
-    def check_budget(extra: int):
-        nonlocal visited
-        visited += extra
-        if visited * FIBRE_POINT_COST > budget:
-            raise _over_budget(visited * FIBRE_POINT_COST, budget, L, d - 2)
+    ball = _ball_points(d1, Ru)
+    UX = ball[np.any(ball, axis=1)]
+    UX = UX[t % np.gcd.reduce(UX, axis=1) == 0]       # the admissible u_x
+    F = _ball_points(d1 - 1, Ru)                       # free coordinates of u_y
+    visited = d1 * (len(UX) * len(F) + (len(ball) if t == 0 else 0))
+    if visited > budget:
+        raise _over_budget(visited, budget, L, w.dim - 1)
 
     # u_x = 0 stratum: present exactly when t = 0, contributing w(0, u_y/L)
-    if t == 0:
-        Y0 = _ball_points(d1, Ru)
-        check_budget(len(Y0))
-        Z = np.concatenate([np.zeros_like(Y0), Y0], axis=1) / L
-        vals = w.eval_array(Z)
-        totals.append(float(np.sum(vals)))
-        inner = np.sum(Y0 * Y0, axis=1) <= Ru_inner ** 2
-        totals_inner.append(float(np.sum(vals[inner])))
-
-    for ux in _ball_points(d1, Ru):
-        if not np.any(ux):
-            continue
-        g = 0
-        for c in ux:
-            g = gcd(g, int(c))
-        if t % g:
-            continue
-        sx = int(ux @ ux)
-        rho2 = Ru * Ru - sx
-        if rho2 < 0:
-            continue
-        sol = solve_hyperplane_lattice(ux, t)
-        Y = _fiber_points(sol, math.sqrt(rho2))
-        if not len(Y):
-            continue
-        check_budget(len(Y))
-        Z = np.concatenate([np.broadcast_to(ux, Y.shape), Y], axis=1) / L
-        vals = w.eval_array(Z)
-        totals.append(float(np.sum(vals)))
-        inner2 = Ru_inner ** 2 - sx
-        if inner2 >= 0:
-            mask = np.sum(Y * Y, axis=1) <= inner2
-            totals_inner.append(float(np.sum(vals[mask])))
-
+    zero_stratum = [(np.concatenate([np.zeros_like(ball), ball], axis=1),
+                     np.sum(ball * ball, axis=1))] if t == 0 else []
+    totals, totals_inner, points = [], [], 0
+    for U, norm2 in chain(zero_stratum, _pivot_solutions(UX, F, t, Ru * Ru)):
+        vals = w.eval_array(U / L)
+        totals.append(np.sum(vals))
+        totals_inner.append(np.sum(vals[norm2 <= (0.8 * Ru) ** 2]))
+        points += len(U)
     value = fsum(totals)
-    tail = abs(value - fsum(totals_inner)) + eps_prime * max(1, visited)
+    tail = abs(value - fsum(totals_inner)) + eps_prime * max(1, points)
     return CountResult(value, visited, R, tail)
+
+
+def _pivot_solutions(UX: np.ndarray, F: np.ndarray, t: int, radius2: float):
+    """Yield blocks (u, |u|^2) of the solutions of u_x . u_y = t with |u|^2 <= radius2.
+
+    Each u_x is solved for y_k, k = argmax |x_k|, with the other coordinates
+    of u_y running over the rows of F; about BLOCK candidates per block.
+    """
+    d1 = UX.shape[1]
+    sF = np.sum(F * F, axis=1)
+    pivot = np.argmax(np.abs(UX), axis=1)
+    rows = max(1, BLOCK // len(F))
+    for k in range(d1):
+        free = np.arange(d1) != k
+        UXk = UX[pivot == k]
+        for s in range(0, len(UXk), rows):
+            X = UXk[s:s + rows]
+            S = t - X[:, free] @ F.T                   # x_k y_k for each candidate
+            idx = np.flatnonzero(S % X[:, k:k + 1] == 0)
+            i, j = np.divmod(idx, len(F))
+            yk = S.ravel()[idx] // X[i, k]
+            norm2 = np.sum(X * X, axis=1)[i] + sF[j] + yk * yk
+            keep = norm2 <= radius2
+            i, j, yk = i[keep], j[keep], yk[keep]
+            U = np.empty((len(i), 2 * d1), dtype=np.int64)
+            U[:, :d1] = X[i]
+            U[:, d1:][:, free] = F[j]
+            U[:, d1 + k] = yk
+            yield U, norm2[keep]
 
 
 def brute_force_N_L(w: WeightFunction, spec: LatticeSpec, box_radius: int) -> float:

@@ -150,10 +150,23 @@ def sigma_p(p: int, d: int, t: int, rel_tol: float = 1e-12):
     """
     if not isprime(p):
         raise ArgumentError(f"{p} is not prime")
+    return _sigma_prime(int(p), d, t, rel_tol)
+
+
+def _ramanujan_prime_power(p: int, l: int, t: int) -> int:
+    """c_{p^l}(t) for a prime p and l >= 1, in closed form."""
+    pl = p ** l
+    if t % pl == 0:
+        return pl - pl // p
+    return -(pl // p) if t % (pl // p) == 0 else 0
+
+
+def _sigma_prime(p: int, d: int, t: int, rel_tol: float):
+    """sigma_p for a p known to be prime."""
     if d % 2 or d <= 4:
         raise ArgumentError("d must be even and > 4")
     d1 = d // 2
-    p, t = int(p), int(t)
+    t = int(t)
     ratio = Fraction(1, p ** (d1 - 1))   # envelope decay per extra l
 
     value = Fraction(1)   # l = 0 term, S_1 = 1
@@ -164,7 +177,7 @@ def sigma_p(p: int, d: int, t: int, rel_tol: float = 1e-12):
             break
         l += 1
         # S_{p^l}(0) = p^{l d1} c_{p^l}(t)
-        value += Fraction(ramanujan(p ** l, t), p ** (l * d1))
+        value += Fraction(_ramanujan_prime_power(p, l, t), p ** (l * d1))
         if l > 10000:
             raise CapabilityError("sigma_p failed to converge")
     return value, l, float(tail)
@@ -235,7 +248,7 @@ def sigma_euler(P: int, d: int, t: int, rel_tol: float = 1e-12) -> SigmaReport:
     with mpmath.workdps(50):
         prod = mpmath.mpf(1)
         for p in primerange(2, P + 1):
-            val, l_max, tail = sigma_p(p, d, t, rel_tol)
+            val, l_max, tail = _sigma_prime(int(p), d, t, rel_tol)
             per_prime.append((int(p), float(val), l_max, tail))
             prod *= mpmath.mpf(val.numerator) / val.denominator
         value = float(prod)
@@ -259,15 +272,18 @@ def sigma_remark5_product(P: int, d1: int) -> SigmaReport:
 
 
 def _phi_mu_sieves(X: int):
+    """Euler phi and Moebius mu on 0..X, one pass per prime."""
+    is_prime = np.ones(X + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(X) + 1):
+        if is_prime[p]:
+            is_prime[p * p::p] = False
     phi = np.arange(X + 1, dtype=np.int64)
     mu = np.ones(X + 1, dtype=np.int64)
-    for p in range(2, X + 1):
-        if phi[p] == p:          # p prime
-            phi[p::p] -= phi[p::p] // p
-            mu[p::p] *= -1
-            p2 = p * p
-            if p2 <= X:
-                mu[p2::p2] = 0
+    for p in np.flatnonzero(is_prime).tolist():
+        phi[p::p] -= phi[p::p] // p
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
     return phi, mu
 
 

@@ -151,14 +151,36 @@ def test_budget_capability():
     assert "feasible L" in str(exc.value)
 
 
-def test_budget_charges_fibre_points():
-    # a fibre-path point costs FIBRE_POINT_COST multiply-adds of the budget
-    w, spec = AppendixExample(6), LatticeSpec(L=6, m=0.25)
+@pytest.mark.parametrize("kind", ["gaussian", "appendix"])
+def test_budget_equals_visited(kind):
+    # both paths check the budget against the work they report as visited
+    w = GaussianWeight(1.0, 6) if kind == "gaussian" else AppendixExample(6)
+    spec = LatticeSpec(L=6, m=0.25)
     res = ct.enumerate_N_L(w, spec, eps=1e-8)
-    need = res.lattice_points_visited * ct.FIBRE_POINT_COST
+    need = res.lattice_points_visited
     assert ct.enumerate_N_L(w, spec, eps=1e-8, budget=need).value == res.value
     with pytest.raises(CapabilityError):
         ct.enumerate_N_L(w, spec, eps=1e-8, budget=need - 1)
+
+
+def test_appendix_example_matches_brute_force():
+    # the fibre path on a weight that does not factor; its support |z| <= 1
+    # lies inside the box |u|_inf <= L
+    w, spec = AppendixExample(6), LatticeSpec(L=6, m=0.25)
+    res = ct.enumerate_N_L(w, spec, eps=1e-8)
+    ref = ct.brute_force_N_L(w, spec, 6)
+    assert res.value == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("block", [1, 1000])
+def test_fibre_blocks_do_not_change_the_count(monkeypatch, block):
+    # smaller blocks split each pivot group of u_x into many pieces
+    w, spec = AppendixExample(6), LatticeSpec(L=6, m=0.25)
+    whole = ct.enumerate_N_L(w, spec, eps=1e-8)
+    monkeypatch.setattr(ct, "BLOCK", block)
+    split = ct.enumerate_N_L(w, spec, eps=1e-8)
+    assert split.value == pytest.approx(whole.value, rel=1e-14)
+    assert split.tail_estimate == pytest.approx(whole.tail_estimate, rel=1e-12)
 
 
 def test_eps_argument_check():
@@ -199,7 +221,7 @@ def _separable(kind, d1):
     return ProductBump(1.5, 2 * d1)
 
 
-@pytest.mark.parametrize("m", [0, 1, 0.25])
+@pytest.mark.parametrize("m", [0, 1, 0.25, -1])
 @pytest.mark.parametrize("d1", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["gaussian", "shifted", "bump"])
 def test_pair_convolution_matches_oracles(kind, d1, m):

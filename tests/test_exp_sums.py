@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import mobius, totient
 
 from splitquad import exp_sums as es
 from splitquad.errors import ArgumentError, CapabilityError
@@ -92,6 +93,21 @@ def test_sigma_p_values():
         es.sigma_p(4, 6, 0)
     with pytest.raises(ArgumentError):
         es.sigma_p(2, 4, 0)
+
+
+def test_ramanujan_prime_power_closed_form():
+    # the closed form that sigma_p sums agrees with the divisor sum of ramanujan
+    for p in (2, 3, 5, 7, 11):
+        for l in range(1, 7):
+            for t in list(range(-30, 31)) + [2 ** 20, -(2 ** 20), 10 ** 20 + 36]:
+                assert es._ramanujan_prime_power(p, l, t) == es.ramanujan(p ** l, t)
+
+
+@pytest.mark.parametrize("X", [1, 2, 4, 25, 1000])
+def test_phi_mu_sieves_match_sympy(X):
+    phi, mu = es._phi_mu_sieves(X)
+    assert phi[1:].tolist() == [int(totient(n)) for n in range(1, X + 1)]
+    assert mu[1:].tolist() == [int(mobius(n)) for n in range(1, X + 1)]
 
 
 def local_density_exhaustive(p, k, d1, t):
