@@ -148,6 +148,47 @@ def _ball_points(d: int, radius: float) -> np.ndarray:
     return grid[np.sum(grid * grid, axis=1) <= radius * radius]
 
 
+def _square_sum_counts(d: int, radius: float) -> list:
+    """[r_0, ..., r_d], r_k[s] = #{v in Z^k : |v|^2 = s} for s = 0..floor(radius^2).
+
+    Each r_k is r_{k-1} convolved with the 1-d square counts over
+    |v_i| <= floor(radius), so that sum(r_k) == len(_ball_points(k, radius)).
+    """
+    N = math.floor(radius * radius)
+    r = np.zeros(N + 1, dtype=np.int64)
+    r[0] = 1
+    levels = [r]
+    for _ in range(d):
+        nxt = r.copy()
+        for k in range(1, math.floor(radius) + 1):
+            nxt[k * k:] += 2 * r[:N + 1 - k * k]
+        r = nxt
+        levels.append(r)
+    return levels
+
+
+def _fibre_work(d1: int, t: int, radius: float) -> int:
+    """The operations _count_fibres charges, counted without building a ball.
+
+    With B(s) the number of vectors in Z^{d1} with |v|^2 <= s, the nonzero
+    u_x whose gcd is exactly g number E(g) = B(N // g^2) - 1 - sum_{k >= 2} E(k g)
+    (Moebius inversion, from the largest g down); u_x is admissible when g | t.
+    """
+    levels = _square_sum_counts(d1, radius)
+    ball = np.cumsum(levels[d1])                       # ball[s] = B(s)
+    free = int(np.sum(levels[d1 - 1]))
+    N = len(ball) - 1
+    if t == 0:
+        admissible = int(ball[N]) - 1
+    else:
+        n = math.floor(radius)
+        exact = [0] * (n + 1)                          # exact[g] = E(g)
+        for g in range(n, 0, -1):
+            exact[g] = int(ball[N // (g * g)]) - 1 - sum(exact[2 * g::g])
+        admissible = sum(exact[g] for g in range(1, n + 1) if t % g == 0)
+    return d1 * (admissible * free + (int(ball[N]) if t == 0 else 0))
+
+
 def _over_budget(work: int, budget: int, L: float, growth: float) -> CapabilityError:
     """The budget error, with the L at which work (growing as L^growth) would fit."""
     frac = max(1e-9, budget / work)
@@ -206,18 +247,18 @@ def _count_fibres(w: WeightFunction, t: int, L: float, R: float, eps_prime: floa
                   budget: int) -> CountResult:
     """Sum w(u/L) over the solutions the pivot solve finds in the ball |u| <= R L.
 
-    The u_x ball and the ball of free coordinates are enumerated first
-    (L^{d1} work); the budget then counts d1 operations per candidate.
+    The budget counts d1 operations per candidate; it is checked from
+    lattice-point counts before either ball is enumerated.
     """
     d1 = w.dim // 2
     Ru = R * L
+    visited = _fibre_work(d1, t, Ru)
+    if visited > budget:
+        raise _over_budget(visited, budget, L, w.dim - 1)
     ball = _ball_points(d1, Ru)
     UX = ball[np.any(ball, axis=1)]
     UX = UX[t % np.gcd.reduce(UX, axis=1) == 0]       # the admissible u_x
     F = _ball_points(d1 - 1, Ru)                       # free coordinates of u_y
-    visited = d1 * (len(UX) * len(F) + (len(ball) if t == 0 else 0))
-    if visited > budget:
-        raise _over_budget(visited, budget, L, w.dim - 1)
 
     # u_x = 0 stratum: present exactly when t = 0, contributing w(0, u_y/L)
     zero_stratum = [(np.concatenate([np.zeros_like(ball), ball], axis=1),

@@ -287,18 +287,24 @@ def _phi_mu_sieves(X: int):
     return phi, mu
 
 
-def sigma_dirichlet(X: int, d: int, t: int) -> SigmaReport:
-    """sum_{q <= X} q^{-d} S_q(0) = sum_{q <= X} q^{-d1} c_q(t)."""
-    if X < 1:
-        raise ArgumentError("X must be >= 1")
-    d1 = d // 2
+def ramanujan_sums(X: int, t: int) -> np.ndarray:
+    """c_q(t) for q = 1..X as exact int64, from the phi and mu sieves."""
     t = abs(int(t))
     phi, mu = _phi_mu_sieves(X)
     q = np.arange(1, X + 1, dtype=np.int64)
     # g = gcd(q, t); a t past int64 is first reduced mod each q
     tq = t if t < 2 ** 63 else np.array([t % int(v) for v in q], dtype=np.int64)
     k = q // np.gcd(q, tq)
-    cq = mu[k] * phi[q] // phi[k]          # c_q(t) = mu(q/g) phi(q) / phi(q/g), exact
+    return mu[k] * phi[q] // phi[k]        # c_q(t) = mu(q/g) phi(q) / phi(q/g)
+
+
+def sigma_dirichlet(X: int, d: int, t: int) -> SigmaReport:
+    """sum_{q <= X} q^{-d} S_q(0) = sum_{q <= X} q^{-d1} c_q(t)."""
+    if X < 1:
+        raise ArgumentError("X must be >= 1")
+    d1 = d // 2
+    cq = ramanujan_sums(X, t)
+    q = np.arange(1, X + 1, dtype=np.int64)
     # one correctly rounded division per term while q^d1 < 2^53, as in int / int
     terms = cq.astype(float) / q.astype(float) ** d1
     value = math.fsum(terms)

@@ -117,6 +117,21 @@ def test_delta_command():
     assert abs(float(row[4])) < 1e-9
 
 
+def test_delta_command_outputs():
+    # the batched kernel leaves the printed row of a small n unchanged
+    r = run("delta", "--n", "3", "--Q", "10")
+    assert r.exit_code == 0
+    assert r.output == ("n,Q,delta,cQ,residual\n"
+                        "3,1.000000000000e+01,4.381794694098e-17,"
+                        "9.866924475778e-01,4.381794694098e-17\n")
+
+
+def test_delta_term_cap_exit_code():
+    r = RUNNER.invoke(main, ["delta", "--n", "1099511627779", "--Q", "60"])
+    assert r.exit_code == 3
+    assert r.stderr.startswith("error:") and "cap" in r.stderr
+
+
 def test_check_suites():
     r = run("check", "--suite", "kernel")
     assert r.exit_code == 0

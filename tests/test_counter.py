@@ -163,6 +163,28 @@ def test_budget_equals_visited(kind):
         ct.enumerate_N_L(w, spec, eps=1e-8, budget=need - 1)
 
 
+def test_fibre_work_matches_balls():
+    # the counted charge equals the one read off the enumerated balls, for
+    # radii whose square is and is not an integer and levels with square factors
+    for d1, radius in [(2, 6.0), (2, 9.3), (3, 3.7), (3, 7.0710678), (4, 4.5)]:
+        ball = ct._ball_points(d1, radius)
+        F = ct._ball_points(d1 - 1, radius)
+        UX = ball[np.any(ball, axis=1)]
+        g = np.gcd.reduce(UX, axis=1)
+        for t in (0, 1, -2, 9, 12, 72, 144, 360, 1000003):
+            admissible = int(np.sum(t % g == 0))
+            want = d1 * (admissible * len(F) + (len(ball) if t == 0 else 0))
+            assert ct._fibre_work(d1, t, radius) == want, (d1, radius, t)
+
+
+def test_fibre_budget_refusal_builds_no_ball(monkeypatch):
+    def no_ball(d, radius):
+        raise AssertionError("a ball was enumerated before the budget check")
+    monkeypatch.setattr(ct, "_ball_points", no_ball)
+    with pytest.raises(CapabilityError, match="feasible L"):
+        ct.enumerate_N_L(AppendixExample(6), LatticeSpec(L=80, m=0), 1e-8, budget=1)
+
+
 def test_appendix_example_matches_brute_force():
     # the fibre path on a weight that does not factor; its support |z| <= 1
     # lies inside the box |u|_inf <= L
