@@ -21,7 +21,8 @@ omega call for h1 and one for h2, and each window is summed by math.fsum,
 as is the final sum over q.  fsum is correctly rounded, so every value
 equals the literal per-q loop over ramanujan and h bit for bit.  h1 and
 h2 are the one-element case of the same pass.  The windows plus the q
-terms are capped at MAX_TERMS before anything is allocated.
+terms of a delta sum, and the h2 window of a single h, are capped at
+MAX_TERMS before anything is allocated.
 """
 
 from __future__ import annotations
@@ -30,10 +31,7 @@ import math
 from dataclasses import dataclass
 from math import fsum
 
-import mpmath
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import AccuracyError, ArgumentError, CapabilityError
 # nothing here calls ramanujan; the binding is kept because perfbench/tracing.py
@@ -42,23 +40,13 @@ from .exp_sums import ramanujan, ramanujan_sums  # noqa: F401
 from .weights import bump_w0
 
 MIN_X = 1e-6      # caps the h1 term count at ~5e5
-MAX_TERMS = 2 * 10 ** 6   # caps qmax plus the window lengths of one delta sum
+MAX_TERMS = 2 * 10 ** 6   # caps qmax plus the windows of one delta sum, or one h2 window
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
-
-def _compute_c0() -> float:
-    # tanh-sinh handles the flat endpoints; cross-checked against
-    # adaptive Gauss-Kronrod to 1e-12
-    with mpmath.workdps(30):
-        val = float(mpmath.quad(lambda x: mpmath.exp(1 / (x * x - 1)), [-1, 0, 1]))
-    gk, _ = quad(lambda x: bump_w0(x), -1.0, 1.0, epsabs=1e-13, limit=200)
-    if abs(val - gk) > 1e-12:
-        raise AccuracyError(f"c0 quadrature mismatch {val} vs {gk}")
-    return val
-
-
-_C0 = _compute_c0()
+# The bump mass c0 = int_{-1}^{1} exp(1/(x^2-1)) dx: 30-digit mpmath tanh-sinh,
+# rounded to float; tests/test_delta_kernel.py recomputes it with scipy quad.
+_C0 = 0.4439938161680794
 
 
 def w0(x) -> float:
@@ -126,7 +114,12 @@ def h1(x: float) -> float:
 def h2(x: float, y: float) -> float:
     _check_x(x)
     xs, ay = np.array([x], dtype=float), abs(y)
-    return _window_sums(xs, _h2_windows(xs, ay), _h2_term(ay))[0]
+    windows = _h2_windows(xs, ay)
+    if not windows[1][0] <= MAX_TERMS:     # also refuses a nan length
+        raise CapabilityError(
+            f"h2({x:g}, {y:g}) needs {windows[1][0]:.3g} window terms, "
+            f"beyond the cap {MAX_TERMS}")
+    return _window_sums(xs, windows, _h2_term(ay))[0]
 
 
 def h(x: float, y: float) -> float:
@@ -207,6 +200,8 @@ def smear(y_grid: np.ndarray, f_values: np.ndarray, x: float) -> float:
     if dy > (x / 2.0) / 8.0:
         raise AccuracyError(
             f"grid spacing {dy:.3e} too coarse for x = {x} (need <= {x / 16:.3e})")
+    from scipy.interpolate import CubicSpline   # scipy loads only when needed
+
     lo, hi = float(y_grid[0]), float(y_grid[-1])
     spline = CubicSpline(y_grid, f_values)
 

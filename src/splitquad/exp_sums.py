@@ -16,6 +16,10 @@ Local densities sigma_p are partial sums of p^{-dl} S_{p^l}(0) carried
 as exact rationals with a certified geometric tail bound; the singular
 series is assembled both as an Euler product and as the Dirichlet sum
 sum_{q<=X} q^{-d} S_q(0).
+
+Primes, phi and mu come from one numpy sieve; a single q is factored by
+trial division, and a p given from outside is checked by a deterministic
+Miller-Rabin test.
 """
 
 from __future__ import annotations
@@ -26,16 +30,73 @@ from fractions import Fraction
 
 import mpmath
 import numpy as np
-from sympy import divisors, isprime, mobius, primerange, totient
 
 from .errors import ArgumentError, CapabilityError
 from .forms import QuadraticFormF0
 
 NAIVE_Q_CAP = 64
+TRIAL_CAP = 10 ** 6       # trial divisors tried before a cofactor must be prime
+SIEVE_CAP = 10 ** 8       # largest prime, phi and mu sieve (1.6 GB of phi and mu)
+
+# Miller-Rabin to the 13 prime bases up to 41 is exact below MR_EXACT_BELOW
+# (Sorenson and Webster, Math. Comp. 86, 2017); the first 12 bases pass the
+# composite 318665857834031151167461.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_EXACT_BELOW = 3317044064679887385961981
 
 
 def e_q(x, q):
     return np.exp(2j * math.pi * np.asarray(x, dtype=float) / q)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for n < MR_EXACT_BELOW."""
+    n = int(n)
+    if n < 2:
+        return False
+    if n >= MR_EXACT_BELOW:
+        raise CapabilityError(
+            f"{n} is beyond the deterministic prime test bound {MR_EXACT_BELOW}")
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _factor(n: int) -> dict:
+    """{p: e} with n = prod p^e, by trial division up to TRIAL_CAP.
+
+    A cofactor with no prime factor up to TRIAL_CAP is accepted only if it
+    is prime; otherwise CapabilityError.
+    """
+    f = {}
+    p = 2
+    while p * p <= n:
+        if p > TRIAL_CAP:
+            if not is_prime(n):
+                raise CapabilityError(
+                    f"cannot factor {n}: no prime factor up to {TRIAL_CAP}")
+            break
+        while n % p == 0:
+            f[p] = f.get(p, 0) + 1
+            n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        f[n] = f.get(n, 0) + 1
+    return f
 
 
 def ramanujan(q: int, n: int) -> int:
@@ -46,7 +107,16 @@ def ramanujan(q: int, n: int) -> int:
     if q == 1:
         return 1
     g = q if n == 0 else math.gcd(q, abs(int(n)))
-    return sum(d * int(mobius(q // d)) for d in divisors(g))
+    # c_q(n) = mu(k) phi(q) / phi(k) with k = q/g, whose primes divide q
+    k, phi_q, phi_k, mu_k = q // g, 1, 1, 1
+    for p, e in _factor(q).items():
+        phi_q *= p ** (e - 1) * (p - 1)
+        if k % p == 0:
+            k //= p
+            if k % p == 0:
+                return 0
+            mu_k, phi_k = -mu_k, phi_k * (p - 1)
+    return mu_k * (phi_q // phi_k)
 
 
 @dataclass
@@ -135,10 +205,15 @@ def S_q_factored(form: QuadraticFormF0, q: int, c, t: int) -> ExpSumValue:
 
 def remark5_sigma_p(p: int, d1: int) -> Fraction:
     """Closed form 1 + p^{1-d1} - p^{-d1} from the smooth-quadric point count."""
-    if not isprime(p):
+    if not is_prime(p):
         raise ArgumentError(f"{p} is not prime")
     if d1 < 2:
         raise ArgumentError("d1 must be >= 2")
+    return _remark5_prime(int(p), d1)
+
+
+def _remark5_prime(p: int, d1: int) -> Fraction:
+    """remark5_sigma_p for a p known to be prime and d1 >= 2."""
     return 1 + Fraction(1, p ** (d1 - 1)) - Fraction(1, p ** d1)
 
 
@@ -148,7 +223,7 @@ def sigma_p(p: int, d: int, t: int, rel_tol: float = 1e-12):
     Returns (value, l_max, tail) where tail is the certified geometric
     envelope sum_{l > l_max} p^{-dl} p^{l(d/2+1)} <= rel_tol * value.
     """
-    if not isprime(p):
+    if not is_prime(p):
         raise ArgumentError(f"{p} is not prime")
     return _sigma_prime(int(p), d, t, rel_tol)
 
@@ -190,7 +265,7 @@ def local_density(p: int, k: int, d1: int, t: int) -> Fraction:
     valuation of r; the d1-pair total is the (d1)-fold cyclic convolution
     of that single-pair table, all in exact integers.
     """
-    if not isprime(p):
+    if not is_prime(p):
         raise ArgumentError(f"{p} is not prime")
     if k < 1 or d1 < 1:
         raise ArgumentError("k and d1 must be positive")
@@ -198,7 +273,7 @@ def local_density(p: int, k: int, d1: int, t: int) -> Fraction:
     if pk ** 2 * d1 > 10 ** 9:
         raise CapabilityError(f"modulus p^k = {pk} beyond the enumeration cap")
     # single-pair table M[r] = #{(x, y) mod p^k : x y = r mod p^k}
-    cnt = [int(totient(p ** (k - j))) if j < k else 1 for j in range(k + 1)]
+    cnt = [p ** (k - j) - p ** (k - j - 1) if j < k else 1 for j in range(k + 1)]
     M = [0] * pk
     for r in range(pk):
         jmax = k
@@ -247,9 +322,9 @@ def sigma_euler(P: int, d: int, t: int, rel_tol: float = 1e-12) -> SigmaReport:
     per_prime = []
     with mpmath.workdps(50):
         prod = mpmath.mpf(1)
-        for p in primerange(2, P + 1):
-            val, l_max, tail = _sigma_prime(int(p), d, t, rel_tol)
-            per_prime.append((int(p), float(val), l_max, tail))
+        for p in _primes_upto(P):
+            val, l_max, tail = _sigma_prime(p, d, t, rel_tol)
+            per_prime.append((p, float(val), l_max, tail))
             prod *= mpmath.mpf(val.numerator) / val.denominator
         value = float(prod)
     s = _euler_omitted_tail(P, d1) + sum(pp[3] for pp in per_prime)
@@ -259,28 +334,40 @@ def sigma_euler(P: int, d: int, t: int, rel_tol: float = 1e-12) -> SigmaReport:
 
 def sigma_remark5_product(P: int, d1: int) -> SigmaReport:
     """Product of the closed-form factors 1 + p^{1-d1} - p^{-d1} over p <= P."""
+    if d1 < 2:
+        raise ArgumentError("d1 must be >= 2")
     with mpmath.workdps(50):
         prod = mpmath.mpf(1)
         per_prime = []
-        for p in primerange(2, P + 1):
-            v = remark5_sigma_p(int(p), d1)
-            per_prime.append((int(p), float(v), 1, 0.0))
+        for p in _primes_upto(P):
+            v = _remark5_prime(p, d1)
+            per_prime.append((p, float(v), 1, 0.0))
             prod *= mpmath.mpf(v.numerator) / v.denominator
         value = float(prod)
     tail_bound = value * math.expm1(1.2 * _euler_omitted_tail(P, d1))
     return SigmaReport("remark5_product", int(P), value, tail_bound, per_prime)
 
 
+def _primes_upto(P: int) -> list:
+    """The primes p <= P, ascending, as Python ints, by Eratosthenes."""
+    if P < 2:
+        return []
+    if P > SIEVE_CAP:
+        raise CapabilityError(f"sieve to {P} beyond the cap {SIEVE_CAP}")
+    sieve = np.ones(P + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(P) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    return np.flatnonzero(sieve).tolist()
+
+
 def _phi_mu_sieves(X: int):
     """Euler phi and Moebius mu on 0..X, one pass per prime."""
-    is_prime = np.ones(X + 1, dtype=bool)
-    is_prime[:2] = False
-    for p in range(2, math.isqrt(X) + 1):
-        if is_prime[p]:
-            is_prime[p * p::p] = False
+    primes = _primes_upto(X)
     phi = np.arange(X + 1, dtype=np.int64)
     mu = np.ones(X + 1, dtype=np.int64)
-    for p in np.flatnonzero(is_prime).tolist():
+    for p in primes:
         phi[p::p] -= phi[p::p] // p
         mu[p::p] *= -1
         mu[p * p::p * p] = 0

@@ -34,7 +34,6 @@ from dataclasses import dataclass, replace
 from math import fsum
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import delta_kernel
 from .errors import AccuracyError, ArgumentError, CapabilityError
@@ -324,6 +323,8 @@ def coarea_check(w: WeightFunction, phi_grid: np.ndarray, phi_values: np.ndarray
     phi_values = np.asarray(phi_values, dtype=float)
     if phi_grid.shape != phi_values.shape or phi_grid.ndim != 1:
         raise ArgumentError("phi grid and samples must be matching 1-d arrays")
+    from scipy.interpolate import CubicSpline   # scipy loads only when needed
+
     phi = CubicSpline(phi_grid, phi_values)
     lo, hi = float(phi_grid[0]), float(phi_grid[-1])
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -130,6 +134,25 @@ def test_delta_term_cap_exit_code():
     r = RUNNER.invoke(main, ["delta", "--n", "1099511627779", "--Q", "60"])
     assert r.exit_code == 3
     assert r.stderr.startswith("error:") and "cap" in r.stderr
+
+
+def test_sigma_p_prime_test_bound_exit_code():
+    r = RUNNER.invoke(main, ["sigma-p", "--p", "3317044064679887385961981", "--d", "6"])
+    assert r.exit_code == 3
+    assert "prime test bound" in r.stderr
+
+
+def test_cli_import_loads_no_sympy_or_scipy():
+    # scipy is imported inside its two users; sympy only by the tests
+    import splitquad
+    src = str(Path(splitquad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys, splitquad.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_check_suites():

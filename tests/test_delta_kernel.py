@@ -1,6 +1,7 @@
 import functools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -30,7 +31,7 @@ def _h2_literal(x, y):
 
 
 def _raw_delta_literal(n, Q):
-    # the per-q loop: sympy-backed ramanujan times the literal kernel windows
+    # the per-q loop: scalar ramanujan times the literal kernel windows
     qmax = math.floor(Q * max(1.0, 2.0 * abs(n) / Q ** 2))
     y = n / Q ** 2
     return math.fsum(ramanujan(q, n) * (_h1_literal(q / Q) - _h2_literal(q / Q, y))
@@ -42,6 +43,15 @@ def test_c0_value():
     val, err = quad(dk.w0, -1, 1, epsabs=1e-13)
     assert dk.DeltaKernelConfig(Q=10.0).c0 == pytest.approx(val, abs=1e-11)
     assert 0.44 < val < 0.45
+
+
+def test_c0_literal_matches_quadratures():
+    # the literal _C0 against 30-digit tanh-sinh and adaptive Gauss-Kronrod
+    with mpmath.workdps(30):
+        ts = float(mpmath.quad(lambda x: mpmath.exp(1 / (x * x - 1)), [-1, 0, 1]))
+    gk, _ = quad(dk.w0, -1.0, 1.0, epsabs=1e-13, limit=200)
+    assert abs(ts - gk) <= 1e-12
+    assert abs(dk._C0 - ts) <= 1e-12 and abs(dk._C0 - gk) <= 1e-12
 
 
 def test_omega_unit_mass_and_support():
@@ -115,6 +125,19 @@ def test_delta_term_cap():
         dk.delta_sum(1099511627779, cfg)
     with pytest.raises(CapabilityError, match="kernel terms"):
         dk.delta_sum(2 * 10 ** 6, dk.DeltaKernelConfig(Q=10.0))   # qmax 4e5
+
+
+def test_h2_window_cap():
+    # the h2 window has about |y|/x terms; past MAX_TERMS it is refused unallocated
+    with pytest.raises(CapabilityError, match="window terms"):
+        dk.h(0.01, 1e12)
+    with pytest.raises(CapabilityError, match="window terms"):
+        dk.h2(1e-3, 1e15)
+    with pytest.raises(CapabilityError, match="window terms"):
+        dk.h2(1.0, 2.5e6)           # 2.5e6 + 1 terms
+    with pytest.raises(CapabilityError, match="window terms"):
+        dk.h2(0.5, float("nan"))
+    assert dk.h2(0.01, 1000.0) == _h2_literal(0.01, 1000.0)     # 1e5 + 1 terms
 
 
 def test_cQ_approaches_one():

@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from itertools import product
@@ -6,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import mobius, totient
+from sympy import (divisors, factorint, isprime, mobius, nextprime, prevprime, primerange,
+                   totient)
 
 from splitquad import exp_sums as es
 from splitquad.errors import ArgumentError, CapabilityError
@@ -28,6 +30,73 @@ def test_ramanujan_small_values():
     for q in range(1, 30):
         for n in (0, 1, 2, 6, 12):
             assert es.ramanujan(q, n) == ramanujan_direct(q, n)
+
+
+@functools.lru_cache(maxsize=None)
+def ramanujan_divisor_sum(q, g):
+    # c_q(n) = sum_{d | gcd(q, n)} d mu(q/d), the sympy-backed form
+    return sum(d * int(mobius(q // d)) for d in divisors(g))
+
+
+def test_ramanujan_matches_divisor_sum():
+    for q in range(1, 301):
+        for n in range(-30, 31):
+            g = q if n == 0 else math.gcd(q, abs(n))
+            assert es.ramanujan(q, n) == ramanujan_divisor_sum(q, g), (q, n)
+
+
+def test_factor_matches_sympy():
+    for n in list(range(1, 3000)) + [2 ** 40, 3 ** 25 * 7, 999983 * 1000003, 10 ** 18 + 9]:
+        assert es._factor(n) == factorint(n), n
+    with pytest.raises(CapabilityError, match="cannot factor"):
+        es._factor(1000003 * 1000033)     # no prime factor up to TRIAL_CAP
+
+
+def test_is_prime_matches_sympy():
+    assert [es.is_prime(n) for n in range(10 ** 5 + 1)] == \
+        [isprime(n) for n in range(10 ** 5 + 1)]
+    for p in (prevprime(2 ** 60), nextprime(2 ** 60), prevprime(2 ** 61 - 1), 2 ** 61 - 1):
+        assert es.is_prime(p) and not es.is_prime(p + 2 * 3 * 5 * 7)
+    mid = [prevprime(2 ** 40), nextprime(2 ** 40), nextprime(3 * 2 ** 39)]
+    for p, q in zip(mid, mid[1:]):
+        assert es.is_prime(p) and not es.is_prime(p * q) and not es.is_prime(p * p)
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051,
+                               318665857834031151167461])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not isprime(n)
+    assert not es.is_prime(n)
+
+
+def test_is_prime_bound():
+    assert es.is_prime(es.MR_EXACT_BELOW - 1) == isprime(es.MR_EXACT_BELOW - 1)
+    with pytest.raises(CapabilityError, match="deterministic prime test bound"):
+        es.is_prime(3317044064679887385961981)
+    with pytest.raises(CapabilityError):
+        es.sigma_p(3317044064679887385961981, 6, 0)
+
+
+def test_sieve_cap():
+    # refused before any array is allocated: the sieve alone would be 909 TiB
+    for call in (lambda: es.sigma_euler(10 ** 15, 6, 0),
+                 lambda: es.sigma_remark5_product(10 ** 15, 3),
+                 lambda: es.sigma_dirichlet(10 ** 15, 6, 0)):
+        with pytest.raises(CapabilityError, match="sieve"):
+            call()
+
+
+def test_prime_loops_skip_primality_test(monkeypatch):
+    # sieve primes go to the unchecked closed forms; only outside p is tested
+    def refuse(n):
+        raise AssertionError(f"is_prime({n}) called")
+    remark5 = {p: es.remark5_sigma_p(p, 3) for p in es._primes_upto(50)}
+    monkeypatch.setattr(es, "is_prime", refuse)
+    rep = es.sigma_remark5_product(50, 3)
+    assert [pp[1] for pp in rep.per_prime] == [float(v) for v in remark5.values()]
+    assert len(es.sigma_euler(50, 6, 12).per_prime) == len(remark5)
+    with pytest.raises(AssertionError):
+        es.remark5_sigma_p(7, 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -103,8 +172,9 @@ def test_ramanujan_prime_power_closed_form():
                 assert es._ramanujan_prime_power(p, l, t) == es.ramanujan(p ** l, t)
 
 
-@pytest.mark.parametrize("X", [1, 2, 4, 25, 1000])
+@pytest.mark.parametrize("X", [0, 1, 2, 4, 25, 1000])
 def test_phi_mu_sieves_match_sympy(X):
+    assert es._primes_upto(X) == list(primerange(2, X + 1))
     phi, mu = es._phi_mu_sieves(X)
     assert phi[1:].tolist() == [int(totient(n)) for n in range(1, X + 1)]
     assert mu[1:].tolist() == [int(mobius(n)) for n in range(1, X + 1)]
