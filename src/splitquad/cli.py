@@ -273,7 +273,7 @@ def sigma(d, t, method, cutoff):
         elif method == "dirichlet":
             rep = exp_sums.sigma_dirichlet(cutoff, d, t)
         else:
-            rep = exp_sums.sigma_remark5_product(cutoff, d // 2)
+            rep = exp_sums.sigma_remark5_product(cutoff, exp_sums.half_dim(d))
         click.echo("method,cutoff,value,tail_bound")
         click.echo(",".join([rep.method, str(rep.cutoff), _f(rep.value),
                              _f(rep.tail_bound)]))

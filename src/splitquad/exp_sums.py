@@ -12,14 +12,17 @@ Ramanujan sum.  A literal-summation oracle (S_q_naive) retains every
 term of the double sum, grouped per coordinate pair, and never touches
 modular inverses.
 
-Local densities sigma_p are partial sums of p^{-dl} S_{p^l}(0) carried
-as exact rationals with a certified geometric tail bound; the singular
-series is assembled both as an Euler product and as the Dirichlet sum
-sum_{q<=X} q^{-d} S_q(0).
+Local densities sigma_p are partial sums of p^{-dl} S_{p^l}(0), exact
+rationals with a certified geometric tail bound.  The loop carries the
+numerator over p^{l d1} and the tail denominator as Python ints and builds
+one Fraction at the end.  The singular series is assembled both as an
+Euler product and as the Dirichlet sum sum_{q<=X} q^{-d} S_q(0).
 
-Primes, phi and mu come from one numpy sieve; a single q is factored by
-trial division, and a p given from outside is checked by a deterministic
-Miller-Rabin test.
+Primes come from one numpy sieve of Eratosthenes.  The phi and mu sieves
+on 0..X loop only over the primes up to isqrt(X); what is left of each n
+after dividing those out is 1 or its one prime factor above isqrt(X), and
+one vectorised pass applies it.  A single q is factored by trial division,
+and a p given from outside is checked by a deterministic Miller-Rabin test.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .forms import QuadraticFormF0
 
 NAIVE_Q_CAP = 64
 TRIAL_CAP = 10 ** 6       # trial divisors tried before a cofactor must be prime
-SIEVE_CAP = 10 ** 8       # largest prime, phi and mu sieve (1.6 GB of phi and mu)
+SIEVE_CAP = 10 ** 8       # largest sieve: 1.6 GB of int64 phi and mu, 0.4 GB of int32 rest
 
 # Miller-Rabin to the 13 prime bases up to 41 is exact below MR_EXACT_BELOW
 # (Sorenson and Webster, Math. Comp. 86, 2017); the first 12 bases pass the
@@ -236,26 +239,43 @@ def _ramanujan_prime_power(p: int, l: int, t: int) -> int:
     return -(pl // p) if t % (pl // p) == 0 else 0
 
 
-def _sigma_prime(p: int, d: int, t: int, rel_tol: float):
-    """sigma_p for a p known to be prime."""
+def half_dim(d: int) -> int:
+    """d1 = d / 2 for a dimension d the singular series admits (even, > 4)."""
     if d % 2 or d <= 4:
         raise ArgumentError("d must be even and > 4")
-    d1 = d // 2
-    t = int(t)
-    ratio = Fraction(1, p ** (d1 - 1))   # envelope decay per extra l
+    return d // 2
 
-    value = Fraction(1)   # l = 0 term, S_1 = 1
+
+def _sigma_prime(p: int, d: int, t: int, rel_tol: float):
+    """sigma_p for a p known to be prime."""
+    d1 = half_dim(d)
+    t = int(t)
+    s = p ** (d1 - 1)      # the envelope decays by 1/s per extra l
+    pd1 = s * p
+    # value = num / den with den = p^{l d1}; tail = 1 / tden with
+    # tden = s^l (s - 1), the envelope sum_{l' > l} s^{-l'}
+    num = den = 1          # l = 0 term, S_1 = 1
+    tden = s - 1
     l = 0
     while True:
-        tail = ratio ** (l + 1) / (1 - ratio)
-        if tail <= rel_tol * abs(value) and l >= 1:
+        if l >= 1 and _tail_within(tden, rel_tol * (abs(num) / den)):
             break
         l += 1
         # S_{p^l}(0) = p^{l d1} c_{p^l}(t)
-        value += Fraction(_ramanujan_prime_power(p, l, t), p ** (l * d1))
+        num = num * pd1 + _ramanujan_prime_power(p, l, t)
+        den *= pd1
+        tden *= s
         if l > 10000:
             raise CapabilityError("sigma_p failed to converge")
-    return value, l, float(tail)
+    return Fraction(num, den), l, 1 / tden
+
+
+def _tail_within(tden: int, bound: float) -> bool:
+    """1 / tden <= bound, compared exactly as Fraction <= float compares."""
+    if not math.isfinite(bound):
+        return 0.0 <= bound
+    a, b = bound.as_integer_ratio()
+    return b <= a * tden
 
 
 def local_density(p: int, k: int, d1: int, t: int) -> Fraction:
@@ -316,9 +336,9 @@ def _euler_omitted_tail(P: int, d1: int) -> float:
 
 def sigma_euler(P: int, d: int, t: int, rel_tol: float = 1e-12) -> SigmaReport:
     """Product over primes p <= P of sigma_p, in extended precision."""
+    d1 = half_dim(d)
     if P < 2:
         raise ArgumentError("P must be >= 2")
-    d1 = d // 2
     per_prime = []
     with mpmath.workdps(50):
         prod = mpmath.mpf(1)
@@ -334,15 +354,17 @@ def sigma_euler(P: int, d: int, t: int, rel_tol: float = 1e-12) -> SigmaReport:
 
 def sigma_remark5_product(P: int, d1: int) -> SigmaReport:
     """Product of the closed-form factors 1 + p^{1-d1} - p^{-d1} over p <= P."""
-    if d1 < 2:
-        raise ArgumentError("d1 must be >= 2")
+    if d1 < 3:
+        raise ArgumentError("d1 must be >= 3 (d = 2 d1 > 4)")
     with mpmath.workdps(50):
         prod = mpmath.mpf(1)
         per_prime = []
         for p in _primes_upto(P):
-            v = _remark5_prime(p, d1)
-            per_prime.append((p, float(v), 1, 0.0))
-            prod *= mpmath.mpf(v.numerator) / v.denominator
+            # (p^d1 + p - 1) / p^d1 is in lowest terms
+            den = p ** d1
+            num = den + p - 1
+            per_prime.append((p, num / den, 1, 0.0))
+            prod *= mpmath.mpf(num) / den
         value = float(prod)
     tail_bound = value * math.expm1(1.2 * _euler_omitted_tail(P, d1))
     return SigmaReport("remark5_product", int(P), value, tail_bound, per_prime)
@@ -363,14 +385,27 @@ def _primes_upto(P: int) -> list:
 
 
 def _phi_mu_sieves(X: int):
-    """Euler phi and Moebius mu on 0..X, one pass per prime."""
-    primes = _primes_upto(X)
+    """Euler phi and Moebius mu on 0..X, one pass per prime p <= isqrt(X).
+
+    rest[n] starts at n and loses every power of those p; what is left is
+    1 or the one prime factor of n above isqrt(X), applied in one pass.
+    """
+    if X > SIEVE_CAP:
+        raise CapabilityError(f"sieve to {X} beyond the cap {SIEVE_CAP}")
     phi = np.arange(X + 1, dtype=np.int64)
     mu = np.ones(X + 1, dtype=np.int64)
-    for p in primes:
+    rest = np.arange(X + 1, dtype=np.int32)        # SIEVE_CAP < 2^31
+    for p in _primes_upto(math.isqrt(max(X, 0))):
         phi[p::p] -= phi[p::p] // p
         mu[p::p] *= -1
         mu[p * p::p * p] = 0
+        pk = p
+        while pk <= X:
+            rest[pk::pk] //= p
+            pk *= p
+    big = rest > 1
+    phi[big] -= phi[big] // rest[big]
+    mu[big] *= -1
     return phi, mu
 
 
@@ -387,9 +422,9 @@ def ramanujan_sums(X: int, t: int) -> np.ndarray:
 
 def sigma_dirichlet(X: int, d: int, t: int) -> SigmaReport:
     """sum_{q <= X} q^{-d} S_q(0) = sum_{q <= X} q^{-d1} c_q(t)."""
+    d1 = half_dim(d)
     if X < 1:
         raise ArgumentError("X must be >= 1")
-    d1 = d // 2
     cq = ramanujan_sums(X, t)
     q = np.arange(1, X + 1, dtype=np.int64)
     # one correctly rounded division per term while q^d1 < 2^53, as in int / int
@@ -397,7 +432,7 @@ def sigma_dirichlet(X: int, d: int, t: int) -> SigmaReport:
     value = math.fsum(terms)
     # |c_q(t)| <= phi(q) < q, so the true tail is below X^{2-d1}/(d1-2);
     # the empirical X vs X/2 fit sharpens nothing but is reported when larger.
-    analytic = X ** (2 - d1) / (d1 - 2) if d1 > 2 else float("inf")
+    analytic = X ** (2 - d1) / (d1 - 2)
     fitted = abs(value - math.fsum(terms[:X // 2])) if X >= 2 else analytic
     tail_bound = max(analytic, min(fitted, 10 * analytic))
     return SigmaReport("dirichlet_sum", int(X), value, tail_bound)

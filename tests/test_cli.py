@@ -82,6 +82,21 @@ def test_sigma_methods():
     assert abs(outs["remark5"] - 1.3059) < 0.02
 
 
+@pytest.mark.parametrize("method", ["euler", "dirichlet", "remark5"])
+@pytest.mark.parametrize("d", ["4", "7"])
+def test_sigma_bad_dimension_exit_code(method, d):
+    r = RUNNER.invoke(main, ["sigma", "--d", d, "--method", method, "--cutoff", "100"])
+    assert r.exit_code == 2
+    assert "d must be even and > 4" in r.stderr
+
+
+def test_sigma_p_no_convergence_exit_code():
+    # rel_tol = 0 is never met, so the loop hits its l > 10000 refusal
+    r = RUNNER.invoke(main, ["sigma-p", "--p", "2", "--d", "6", "--rel-tol", "0"])
+    assert r.exit_code == 3
+    assert "sigma_p failed to converge" in r.stderr
+
+
 def test_sigma_p_rational_column():
     r = run("sigma-p", "--p", "2", "--d", "6")
     header, row = r.output.strip().splitlines()

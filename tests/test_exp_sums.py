@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -86,6 +87,38 @@ def test_sieve_cap():
             call()
 
 
+def test_phi_mu_sieve_cap_before_allocation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("array allocated")
+    monkeypatch.setattr(np, "arange", refuse)
+    with pytest.raises(CapabilityError, match="sieve"):
+        es._phi_mu_sieves(es.SIEVE_CAP + 1)
+
+
+@pytest.mark.parametrize("X", [0, 1, 3, 4, 48, 49, 50, 10 ** 4, 3 * 10 ** 5])
+def test_phi_mu_sieves_loop_only_to_sqrt(monkeypatch, X):
+    asked = []
+    primes_upto = es._primes_upto
+
+    def record(P):
+        asked.append(P)
+        return primes_upto(P)
+    monkeypatch.setattr(es, "_primes_upto", record)
+    es._phi_mu_sieves(X)
+    assert asked and max(asked) <= math.isqrt(X)
+
+
+@pytest.mark.parametrize("d", [4, 5, 7, 3])
+def test_sigma_rejects_bad_dimension(d):
+    for call in (lambda: es.sigma_euler(100, d, 0),
+                 lambda: es.sigma_dirichlet(100, d, 0),
+                 lambda: es.sigma_remark5_product(100, es.half_dim(d))):
+        with pytest.raises(ArgumentError, match="d must be even and > 4"):
+            call()
+    with pytest.raises(ArgumentError, match="d1 must be >= 3"):
+        es.sigma_remark5_product(100, 2)
+
+
 def test_prime_loops_skip_primality_test(monkeypatch):
     # sieve primes go to the unchecked closed forms; only outside p is tested
     def refuse(n):
@@ -164,6 +197,75 @@ def test_sigma_p_values():
         es.sigma_p(2, 4, 0)
 
 
+def _sigma_prime_literal(p, d, t, rel_tol):
+    """sigma_p summed in Fractions, with the tail tested against the float
+    rel_tol * value, exactly as Fraction <= float compares."""
+    d1 = d // 2
+    ratio = Fraction(1, p ** (d1 - 1))
+    value = Fraction(1)
+    l = 0
+    while True:
+        tail = ratio ** (l + 1) / (1 - ratio)
+        if tail <= rel_tol * abs(value) and l >= 1:
+            break
+        l += 1
+        value += Fraction(es.ramanujan(p ** l, t), p ** (l * d1))
+    return value, l, float(tail)
+
+
+SIGMA_P_LEVELS = (0, 1, -1, 12, 36, 72, 2 ** 20, 3 ** 12 * 5 ** 3, 10 ** 20 + 36)
+
+
+@pytest.mark.parametrize("d", [6, 8, 10])
+@pytest.mark.parametrize("rel_tol", [1e-12, 1e-6, 0.3, 1e-30])
+def test_sigma_prime_matches_fraction_loop(d, rel_tol):
+    # the same rational, the same number of levels and the same tail float
+    for p in primerange(2, 3001):
+        for t in SIGMA_P_LEVELS:
+            assert es._sigma_prime(p, d, t, rel_tol) == \
+                _sigma_prime_literal(p, d, t, rel_tol), (p, t)
+
+
+def test_sigma_prime_stops_on_the_rounded_product():
+    # at p = 3, d = 6, l = 1 the tail 1/72 exceeds rel_tol * 29/27 in exact
+    # rationals but not after the product is rounded to a float, and the
+    # loop stops where the float comparison says
+    rel_tol = float.fromhex("0x1.a7b9611a7b961p-7")
+    assert Fraction(1, 72) > Fraction(rel_tol) * Fraction(29, 27)
+    assert es._sigma_prime(3, 6, 0, rel_tol) == _sigma_prime_literal(3, 6, 0, rel_tol)
+    assert es._sigma_prime(3, 6, 0, rel_tol)[1] == 1
+
+
+def _remark5_product_literal(P, d1):
+    """sigma_remark5_product with each factor built as a Fraction."""
+    with mpmath.workdps(50):
+        prod = mpmath.mpf(1)
+        per_prime = []
+        for p in primerange(2, P + 1):
+            v = 1 + Fraction(1, p ** (d1 - 1)) - Fraction(1, p ** d1)
+            per_prime.append((p, float(v), 1, 0.0))
+            prod *= mpmath.mpf(v.numerator) / v.denominator
+        value = float(prod)
+    return value, per_prime
+
+
+@pytest.mark.parametrize("d1", [3, 4])
+def test_sigma_remark5_product_matches_fraction_loop(d1):
+    rep = es.sigma_remark5_product(20000, d1)
+    value, per_prime = _remark5_product_literal(20000, d1)
+    assert (rep.value, rep.per_prime) == (value, per_prime)
+    assert rep.tail_bound == value * math.expm1(1.2 * es._euler_omitted_tail(20000, d1))
+
+
+@pytest.mark.parametrize("d,t", [(6, 36), (8, 72)])
+def test_sigma_euler_matches_fraction_loop(monkeypatch, d, t):
+    rep = es.sigma_euler(20000, d, t)
+    monkeypatch.setattr(es, "_sigma_prime", _sigma_prime_literal)
+    ref = es.sigma_euler(20000, d, t)
+    assert (rep.value, rep.tail_bound, rep.per_prime) == \
+        (ref.value, ref.tail_bound, ref.per_prime)
+
+
 def test_ramanujan_prime_power_closed_form():
     # the closed form that sigma_p sums agrees with the divisor sum of ramanujan
     for p in (2, 3, 5, 7, 11):
@@ -172,7 +274,7 @@ def test_ramanujan_prime_power_closed_form():
                 assert es._ramanujan_prime_power(p, l, t) == es.ramanujan(p ** l, t)
 
 
-@pytest.mark.parametrize("X", [0, 1, 2, 4, 25, 1000])
+@pytest.mark.parametrize("X", [0, 1, 2, 4, 25, 49, 121, 1000, 5000])
 def test_phi_mu_sieves_match_sympy(X):
     assert es._primes_upto(X) == list(primerange(2, X + 1))
     phi, mu = es._phi_mu_sieves(X)
@@ -225,9 +327,30 @@ def test_sigma_euler_reports_per_prime():
     assert rep.per_prime[0][1] == pytest.approx(7 / 6, rel=1e-9)
 
 
+def _phi_mu_sieves_literal(X):
+    """Euler phi and Moebius mu on 0..X, one slice pass per prime p <= X."""
+    phi = np.arange(X + 1, dtype=np.int64)
+    mu = np.ones(X + 1, dtype=np.int64)
+    for p in primerange(2, X + 1):
+        phi[p::p] -= phi[p::p] // p
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    return phi, mu
+
+
+@pytest.mark.parametrize("X", [0, 1, 2, 3, 4, 48, 49, 50, 120, 121, 4093,
+                               10 ** 5, 3 * 10 ** 5])
+def test_phi_mu_sieves_match_all_primes_loop(X):
+    # squares of primes and their neighbours, where rest[n] is p or 1
+    phi, mu = es._phi_mu_sieves(X)
+    ref_phi, ref_mu = _phi_mu_sieves_literal(X)
+    assert np.array_equal(phi, ref_phi) and np.array_equal(mu, ref_mu)
+    assert phi.dtype == ref_phi.dtype and mu.dtype == ref_mu.dtype
+
+
 def _dirichlet_literal(X, d, t):
     """sum_{q <= X} c_q(t) / q^{d1}, one Python term per q."""
-    phi, mu = es._phi_mu_sieves(X)
+    phi, mu = _phi_mu_sieves_literal(X)
     terms = []
     for q in range(1, X + 1):
         g = q if t == 0 else math.gcd(q, t)
