@@ -89,7 +89,9 @@ def _q_cutoff(cfg: dict) -> int:
 
 
 def _build_prediction(d1: int, m: float, L: float, weight_spec: str,
-                      cfg: dict) -> PredictionReport:
+                      cfg: dict, sig_def: float | None = None) -> PredictionReport:
+    """The prediction at (m, L); sig_def is the definitional series at the
+    level m L^2 when the caller has it already."""
     d = 2 * d1
     if d <= 4:
         raise ArgumentError("predict requires d = 2*d1 > 4")
@@ -98,7 +100,8 @@ def _build_prediction(d1: int, m: float, L: float, weight_spec: str,
     cuts = cfg.get("cutoffs") or {}
     P = int(cuts.get("primes", 10 ** 4))
     sig_inf = sing_integral.sigma_infty(w, m, _quad_config(w, cfg))
-    sig_def = exp_sums.sigma_dirichlet(_q_cutoff(cfg), d, spec.t).value
+    if sig_def is None:
+        sig_def = exp_sums.sigma_dirichlet(_q_cutoff(cfg), d, spec.t).value
     sig_r5 = exp_sums.sigma_remark5_product(P, d1).value
     n1, n2, n3 = PredictionReport.constants_for(d)
     # the full error envelope needs weight norms of derivative order N1;
@@ -209,18 +212,18 @@ def verify(d1, m, weight, L_list, eps, config_path):
         mv = float(cfg.get("m", 0.0))
         ws = cfg["weight"]
         epsv = float(cfg.get("eps", 1e-8))
-        Ls = sorted(float(L) for L in cfg["L_list"])
-        base = _build_prediction(d1v, mv, Ls[0], ws, cfg)
+        specs = [LatticeSpec(L=float(L), m=mv) for L in sorted(cfg["L_list"])]
+        Ls = [spec.L for spec in specs]
+        # the definitional series depends on the level t = m L^2: every
+        # distinct t, from one phi/mu sieve
+        sig_def = {t: rep.value for t, rep in exp_sums.sigma_dirichlet_levels(
+            _q_cutoff(cfg), 2 * d1v, [spec.t for spec in specs]).items()}
+        base = _build_prediction(d1v, mv, Ls[0], ws, cfg, sig_def[specs[0].t])
         w = parse_weight(ws, 2 * d1v)
-        # the definitional series depends on the level t = m L^2: one per distinct t
-        sig_def = {LatticeSpec(L=Ls[0], m=mv).t: base.sigma_definitional}
 
         rows = []
-        for L in Ls:
-            spec = LatticeSpec(L=L, m=mv)
-            if spec.t not in sig_def:
-                sig_def[spec.t] = exp_sums.sigma_dirichlet(_q_cutoff(cfg), base.d,
-                                                           spec.t).value
+        for spec in specs:
+            L = spec.L
             res = counter.enumerate_N_L(w, spec, epsv,
                                         int(cfg.get("budget", counter.DEFAULT_BUDGET)))
             scale = L ** (base.d - 2)

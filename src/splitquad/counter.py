@@ -14,14 +14,19 @@ with eps' = eps / L^(d-2).  There are two paths:
   convolution.  tail_estimate is the weight's certified bound on the
   lattice mass outside the box.
 * Fibres, for any weight (AppendixExample, and the oracle for the first
-  path).  Each admissible u_x in the ball |u| <= R L is solved for its
-  pivot coordinate k = argmax |x_k|: the other d1 - 1 coordinates of u_y
-  run over the ball of radius R L, y_k = (t - sum_{j != k} x_j y_j) / x_k
-  is kept when the division is exact and |u_x|^2 + |u_y|^2 <= (R L)^2.
-  The u_x are grouped by pivot and processed in blocks of about BLOCK
-  candidates, all in int64.  tail_estimate combines the empirical
-  |value(R) - value(0.8 R)| difference with the analytic envelope
-  sup |w| |z|^{d-2} <= eps' per lattice point.
+  path).  A weight's block_support (rx, ry) says that w(x, y) = 0 unless
+  |x| <= rx and |y| <= ry; the fibres then run over u_x with
+  |u_x| <= Rx = min(R, rx) L, and u_y is confined to |u_y| <= Ry =
+  min(R, ry) L (Rx = Ry = R L for a weight with no block_support).  Each
+  admissible u_x is solved for its pivot coordinate k = argmax |x_k|: the
+  other d1 - 1 coordinates of u_y run over the ball of radius Ry,
+  y_k = (t - sum_{j != k} x_j y_j) / x_k is kept when the division is
+  exact, |u_y| <= Ry and |u_x|^2 + |u_y|^2 <= (R L)^2.  The u_x = 0
+  stratum (t = 0 only) is the u_y ball of radius Ry.  The u_x are grouped
+  by pivot and processed in blocks of about BLOCK candidates, all in
+  int64.  tail_estimate combines the empirical |value(R) - value(0.8 R)|
+  difference with the analytic envelope sup |w| |z|^{d-2} <= eps' per
+  lattice point.
 
 Both paths count their work in operations, worked out from the inputs
 before the counting starts: a multiply-add of the convolution (or a weight
@@ -167,26 +172,29 @@ def _square_sum_counts(d: int, radius: float) -> list:
     return levels
 
 
-def _fibre_work(d1: int, t: int, radius: float) -> int:
+def _fibre_work(d1: int, t: int, rx: float, ry: float) -> int:
     """The operations _count_fibres charges, counted without building a ball.
 
-    With B(s) the number of vectors in Z^{d1} with |v|^2 <= s, the nonzero
-    u_x whose gcd is exactly g number E(g) = B(N // g^2) - 1 - sum_{k >= 2} E(k g)
-    (Moebius inversion, from the largest g down); u_x is admissible when g | t.
+    u_x runs over the ball of radius rx and the free coordinates of u_y over
+    the (d1 - 1)-ball of radius ry.  With B(s) the number of vectors in
+    Z^{d1} with |v|^2 <= s, the nonzero u_x whose gcd is exactly g number
+    E(g) = B(N // g^2) - 1 - sum_{k >= 2} E(k g) (Moebius inversion, from the
+    largest g down); u_x is admissible when g | t.  When t = 0 the u_x = 0
+    stratum adds the d1-ball of radius ry.
     """
-    levels = _square_sum_counts(d1, radius)
-    ball = np.cumsum(levels[d1])                       # ball[s] = B(s)
-    free = int(np.sum(levels[d1 - 1]))
+    ball = np.cumsum(_square_sum_counts(d1, rx)[d1])   # ball[s] = B(s)
+    y_levels = _square_sum_counts(d1, ry)
+    free = int(np.sum(y_levels[d1 - 1]))
     N = len(ball) - 1
     if t == 0:
         admissible = int(ball[N]) - 1
     else:
-        n = math.floor(radius)
+        n = math.floor(rx)
         exact = [0] * (n + 1)                          # exact[g] = E(g)
         for g in range(n, 0, -1):
             exact[g] = int(ball[N // (g * g)]) - 1 - sum(exact[2 * g::g])
         admissible = sum(exact[g] for g in range(1, n + 1) if t % g == 0)
-    return d1 * (admissible * free + (int(ball[N]) if t == 0 else 0))
+    return d1 * (admissible * free + (int(np.sum(y_levels[d1])) if t == 0 else 0))
 
 
 def _over_budget(work: int, budget: int, L: float, growth: float) -> CapabilityError:
@@ -247,24 +255,31 @@ def _count_fibres(w: WeightFunction, t: int, L: float, R: float, eps_prime: floa
                   budget: int) -> CountResult:
     """Sum w(u/L) over the solutions the pivot solve finds in the ball |u| <= R L.
 
-    The budget counts d1 operations per candidate; it is checked from
-    lattice-point counts before either ball is enumerated.
+    u_x runs over |u_x| <= Rx and u_y over |u_y| <= Ry, the ball radius cut
+    down to the weight's block support.  The budget counts d1 operations per
+    candidate; it is checked from lattice-point counts before any ball is
+    enumerated.
     """
     d1 = w.dim // 2
     Ru = R * L
-    visited = _fibre_work(d1, t, Ru)
+    rx, ry = w.block_support or (R, R)
+    Rx, Ry = min(R, rx) * L, min(R, ry) * L
+    visited = _fibre_work(d1, t, Rx, Ry)
     if visited > budget:
         raise _over_budget(visited, budget, L, w.dim - 1)
-    ball = _ball_points(d1, Ru)
-    UX = ball[np.any(ball, axis=1)]
+    UX = _ball_points(d1, Rx)
+    UX = UX[np.any(UX, axis=1)]
     UX = UX[t % np.gcd.reduce(UX, axis=1) == 0]       # the admissible u_x
-    F = _ball_points(d1 - 1, Ru)                       # free coordinates of u_y
+    F = _ball_points(d1 - 1, Ry)                       # free coordinates of u_y
 
     # u_x = 0 stratum: present exactly when t = 0, contributing w(0, u_y/L)
-    zero_stratum = [(np.concatenate([np.zeros_like(ball), ball], axis=1),
-                     np.sum(ball * ball, axis=1))] if t == 0 else []
+    zero_stratum = []
+    if t == 0:
+        Y = _ball_points(d1, Ry)
+        zero_stratum = [(np.concatenate([np.zeros_like(Y), Y], axis=1),
+                         np.sum(Y * Y, axis=1))]
     totals, totals_inner, points = [], [], 0
-    for U, norm2 in chain(zero_stratum, _pivot_solutions(UX, F, t, Ru * Ru)):
+    for U, norm2 in chain(zero_stratum, _pivot_solutions(UX, F, t, Ru * Ru, Ry * Ry)):
         vals = w.eval_array(U / L)
         totals.append(np.sum(vals))
         totals_inner.append(np.sum(vals[norm2 <= (0.8 * Ru) ** 2]))
@@ -274,8 +289,10 @@ def _count_fibres(w: WeightFunction, t: int, L: float, R: float, eps_prime: floa
     return CountResult(value, visited, R, tail)
 
 
-def _pivot_solutions(UX: np.ndarray, F: np.ndarray, t: int, radius2: float):
-    """Yield blocks (u, |u|^2) of the solutions of u_x . u_y = t with |u|^2 <= radius2.
+def _pivot_solutions(UX: np.ndarray, F: np.ndarray, t: int, radius2: float,
+                     y_radius2: float):
+    """Yield blocks (u, |u|^2) of the solutions of u_x . u_y = t with
+    |u|^2 <= radius2 and |u_y|^2 <= y_radius2.
 
     Each u_x is solved for y_k, k = argmax |x_k|, with the other coordinates
     of u_y running over the rows of F; about BLOCK candidates per block.
@@ -293,8 +310,9 @@ def _pivot_solutions(UX: np.ndarray, F: np.ndarray, t: int, radius2: float):
             idx = np.flatnonzero(S % X[:, k:k + 1] == 0)
             i, j = np.divmod(idx, len(F))
             yk = S.ravel()[idx] // X[i, k]
-            norm2 = np.sum(X * X, axis=1)[i] + sF[j] + yk * yk
-            keep = norm2 <= radius2
+            y2 = sF[j] + yk * yk
+            norm2 = np.sum(X * X, axis=1)[i] + y2
+            keep = (norm2 <= radius2) & (y2 <= y_radius2)
             i, j, yk = i[keep], j[keep], yk[keep]
             U = np.empty((len(i), 2 * d1), dtype=np.int64)
             U[:, :d1] = X[i]

@@ -411,9 +411,13 @@ def _phi_mu_sieves(X: int):
 
 def ramanujan_sums(X: int, t: int) -> np.ndarray:
     """c_q(t) for q = 1..X as exact int64, from the phi and mu sieves."""
+    return _ramanujan_from_sieves(*_phi_mu_sieves(X), t)
+
+
+def _ramanujan_from_sieves(phi: np.ndarray, mu: np.ndarray, t: int) -> np.ndarray:
+    """c_q(t) for q = 1..X, given the phi and mu sieves on 0..X: one gcd pass."""
     t = abs(int(t))
-    phi, mu = _phi_mu_sieves(X)
-    q = np.arange(1, X + 1, dtype=np.int64)
+    q = np.arange(1, len(phi), dtype=np.int64)
     # g = gcd(q, t); a t past int64 is first reduced mod each q
     tq = t if t < 2 ** 63 else np.array([t % int(v) for v in q], dtype=np.int64)
     k = q // np.gcd(q, tq)
@@ -422,17 +426,25 @@ def ramanujan_sums(X: int, t: int) -> np.ndarray:
 
 def sigma_dirichlet(X: int, d: int, t: int) -> SigmaReport:
     """sum_{q <= X} q^{-d} S_q(0) = sum_{q <= X} q^{-d1} c_q(t)."""
+    return sigma_dirichlet_levels(X, d, [t])[t]
+
+
+def sigma_dirichlet_levels(X: int, d: int, levels) -> dict:
+    """{t: sigma_dirichlet(X, d, t)} for each distinct t in levels, from one sieve.
+
+    The phi and mu sieves on 0..X do not depend on t; each level costs one
+    gcd pass and one sum.
+    """
     d1 = half_dim(d)
     if X < 1:
         raise ArgumentError("X must be >= 1")
-    cq = ramanujan_sums(X, t)
+    phi, mu = _phi_mu_sieves(X)
+    cq = {t: _ramanujan_from_sieves(phi, mu, t) for t in dict.fromkeys(levels)}
+    del phi, mu             # so that the float pass below adds nothing to peak memory
     q = np.arange(1, X + 1, dtype=np.int64)
+    # |c_q(t)| <= phi(q) < q, so the tail past X is below X^{2-d1}/(d1-2)
+    tail_bound = X ** (2 - d1) / (d1 - 2)
     # one correctly rounded division per term while q^d1 < 2^53, as in int / int
-    terms = cq.astype(float) / q.astype(float) ** d1
-    value = math.fsum(terms)
-    # |c_q(t)| <= phi(q) < q, so the true tail is below X^{2-d1}/(d1-2);
-    # the empirical X vs X/2 fit sharpens nothing but is reported when larger.
-    analytic = X ** (2 - d1) / (d1 - 2)
-    fitted = abs(value - math.fsum(terms[:X // 2])) if X >= 2 else analytic
-    tail_bound = max(analytic, min(fitted, 10 * analytic))
-    return SigmaReport("dirichlet_sum", int(X), value, tail_bound)
+    return {t: SigmaReport("dirichlet_sum", int(X),
+                           math.fsum(c.astype(float) / q.astype(float) ** d1), tail_bound)
+            for t, c in cq.items()}

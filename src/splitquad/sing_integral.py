@@ -11,10 +11,13 @@ Gauss-Legendre radial panels carry the r integral.  The inner integrals
 take one of three paths, chosen in _i_projection:
 
 * biradial: weights that depend only on (|x|, |y|) take a reduced
-  two-radius rule in which the angular integrals are exact;
-* closed-form fibres: weights with a ``fiber_integral`` method (the
-  shifted Gaussian) return the exact fiber integral on the radial and
-  sphere nodes, so I(t) is one matrix product;
+  two-radius rule in which the angular integrals are exact; the inner
+  fibre integral is the weight's closed form (``fiber_integral``, the
+  isotropic Gaussian) when it has one, and otherwise a rule over the
+  fibre radius rho (AppendixExample);
+* closed-form fibres: other weights with a ``fiber_integral`` method
+  (the shifted Gaussian) return the exact fiber integral on the radial
+  and sphere nodes, so I(t) is one matrix product;
 * tensor rule: any other weight is sampled on a product sphere rule
   times a tensor fiber rule, with the fiber plane spanned by a
   deterministic Householder frame (reflecting e1 to theta); it is also
@@ -168,18 +171,22 @@ def _i_projection_biradial(w: WeightFunction, t: float, cfg: QuadratureConfig,
                            swap: bool) -> float:
     d1 = w.dim // 2
     r, wr = _radial_nodes(cfg, dense=True)
-    edges = np.linspace(0.0, cfg.fiber_radius, 33)
-    rho, wrho = _panel_nodes(edges, cfg.plane_order)
-    RR, PP = np.meshgrid(r, rho, indexing="ij")
-    r_near = RR                                  # radius in the projected block
-    r_far = np.sqrt(PP ** 2 + (t / RR) ** 2)     # radius in the fiber block
-    if swap:
-        vals = w.eval_biradial(r_far, r_near)
+    if hasattr(w, "fiber_integral"):
+        # the fibre integral of a biradial weight is the same in every direction
+        inner = w.fiber_integral(r, np.eye(d1)[:1], t, swap)[:, 0]
     else:
-        vals = w.eval_biradial(r_near, r_far)
-    fiber_dim = d1 - 1
-    fiber_const = _sphere_area(fiber_dim) if fiber_dim > 1 else 2.0
-    inner = fiber_const * (vals * PP ** (fiber_dim - 1)) @ wrho
+        edges = np.linspace(0.0, cfg.fiber_radius, 33)
+        rho, wrho = _panel_nodes(edges, cfg.plane_order)
+        RR, PP = np.meshgrid(r, rho, indexing="ij")
+        r_near = RR                                  # radius in the projected block
+        r_far = np.sqrt(PP ** 2 + (t / RR) ** 2)     # radius in the fiber block
+        if swap:
+            vals = w.eval_biradial(r_far, r_near)
+        else:
+            vals = w.eval_biradial(r_near, r_far)
+        fiber_dim = d1 - 1
+        fiber_const = _sphere_area(fiber_dim) if fiber_dim > 1 else 2.0
+        inner = fiber_const * (vals * PP ** (fiber_dim - 1)) @ wrho
     return _sphere_area(d1) * float((wr * r ** (d1 - 2)) @ inner)
 
 

@@ -22,7 +22,9 @@ The Gaussians and ProductBump factor over the coordinate pairs (x_i, y_i);
 their ``pair_factors`` method samples the 1-d factors on an integer box for
 the counter's pair-convolution path.  The Gaussians also integrate
 themselves in closed form over the affine fibres of the singular-integral
-quadrature (``fiber_integral``).
+quadrature (``fiber_integral``).  AppendixExample declares a
+``block_support`` (rx, ry), outside of which it vanishes, so that the
+counter's fibre path enumerates only that block.
 """
 
 from __future__ import annotations
@@ -94,6 +96,8 @@ class WeightFunction:
     gamma: float = 1.0        # regularity exponent of eq-style decay metadata
     is_biradial = False       # w depends on (|x|, |y|) only
     support_radius: float | None = None   # None = unbounded support
+    # (rx, ry) with w(x, y) = 0 unless |x| <= rx and |y| <= ry; None = no such block
+    block_support: tuple | None = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -223,12 +227,6 @@ class GaussianWeight(WeightFunction):
     def eval_array(self, Z):
         U = Z if self.shift is None else Z - self.shift
         return np.exp(-self.a * math.pi * np.sum(U * U, axis=-1))
-
-    def eval_biradial(self, rx, ry):
-        if self.shift is not None:
-            raise CapabilityError("shifted Gaussian is not biradial")
-        rx, ry = np.asarray(rx, dtype=float), np.asarray(ry, dtype=float)
-        return np.exp(-self.a * math.pi * (rx * rx + ry * ry))
 
     def _partial_analytic(self, z, alpha):
         u = z if self.shift is None else z - self.shift
@@ -422,6 +420,8 @@ class AppendixExample(WeightFunction):
     dim: int
     generic: bool = False
     is_biradial = True
+    # F(|x|^2) and g(|y|^2) vanish unless |x|^2 < 1/2 and |y|^2 < 1/2
+    block_support = (math.sqrt(0.5), math.sqrt(0.5))
     G_SUPPORT_LOWER = 0.25   # default g(s) = 0 for s <= 1/4
 
     def __post_init__(self):

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from splitquad import exp_sums
 from splitquad.cli import main
 
 RUNNER = CliRunner()
@@ -111,6 +113,13 @@ def test_sigma_infty_command():
     assert r.exit_code == 0
     val = float(r.output.strip().splitlines()[1].split(",")[1])
     assert abs(val - 2.0) < 1e-5
+
+
+def test_sigma_infty_d1_4_isotropic_gaussian():
+    # the isotropic Gaussian stays on the biradial path, which needs no sphere rule
+    r = run("sigma-infty", "--d1", "4", "--weight", "gaussian:a=1.0")
+    assert r.exit_code == 0
+    assert abs(float(r.output.strip().splitlines()[1].split(",")[1]) - math.pi / 2) < 1e-9
 
 
 def test_i_grid_rows():
@@ -225,6 +234,23 @@ def test_verify_sigma_per_level():
     ratios = _verify_ratios("--m", "1", "--L-list", "1,2,3,4")
     assert abs(ratios[2.0][0] - 1.0) <= 0.02
     assert abs(ratios[4.0][0] - 1.0) <= 0.003
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "--d1", "3", "--m", "1", "--weight", "gaussian:a=1.0", "--L-list", "1,2,3,4"),
+    ("predict", "--d1", "3", "--L", "8", "--m", "0.5", "--weight", "gaussian:a=1.0"),
+])
+def test_one_phi_mu_sieve_per_command(monkeypatch, args):
+    # the sieves do not depend on the level t, so verify's four levels share one
+    calls = []
+    sieves = exp_sums._phi_mu_sieves
+
+    def counted(X):
+        calls.append(X)
+        return sieves(X)
+    monkeypatch.setattr(exp_sums, "_phi_mu_sieves", counted)
+    assert run(*args).exit_code == 0
+    assert calls == [10 ** 5]
 
 
 def test_verify_large_L_convergence():

@@ -174,7 +174,23 @@ def test_fibre_work_matches_balls():
         for t in (0, 1, -2, 9, 12, 72, 144, 360, 1000003):
             admissible = int(np.sum(t % g == 0))
             want = d1 * (admissible * len(F) + (len(ball) if t == 0 else 0))
-            assert ct._fibre_work(d1, t, radius) == want, (d1, radius, t)
+            assert ct._fibre_work(d1, t, radius, radius) == want, (d1, radius, t)
+
+
+def test_fibre_work_two_radii_matches_balls():
+    # u_x over the rx-ball, the free coordinates of u_y and the u_x = 0
+    # stratum over the ry-balls, with rx < ry and rx > ry
+    for d1, rx, ry in [(2, 4.2, 7.0), (2, 9.3, 3.0), (3, 3.7, 5.5), (3, 7.0710678, 2.5),
+                       (4, 2.9, 4.5)]:
+        UX = ct._ball_points(d1, rx)
+        UX = UX[np.any(UX, axis=1)]
+        g = np.gcd.reduce(UX, axis=1)
+        F = ct._ball_points(d1 - 1, ry)
+        Y = ct._ball_points(d1, ry)
+        for t in (0, 1, -2, 9, 12, 72, 144, 360, 1000003):
+            admissible = int(np.sum(t % g == 0))
+            want = d1 * (admissible * len(F) + (len(Y) if t == 0 else 0))
+            assert ct._fibre_work(d1, t, rx, ry) == want, (d1, rx, ry, t)
 
 
 def test_fibre_budget_refusal_builds_no_ball(monkeypatch):
@@ -268,3 +284,65 @@ def test_pair_convolution_tail_bounds_box_doubling(kind, R):
     large = ct._count_pair_convolution(w.pair_factors(L, 2 * R), t, L, 2 * R, 10 ** 9)
     assert large.value - small.value >= -ROUNDING * large.value
     assert large.value - small.value <= small.tail_estimate + ROUNDING * large.value
+
+
+@pytest.mark.parametrize("generic", [False, True])
+@pytest.mark.parametrize("d", [4, 6])
+def test_block_support_matches_whole_ball_and_brute_force(d, generic):
+    # the fibres inside the weight's block against the fibres of the whole
+    # ball |u| <= R L (the same weight without block_support) and the literal
+    # scan of the box |u|_inf <= L that holds the support |z| <= 1
+    w = AppendixExample(d, generic=generic)
+    for m in (0, 0.25, 1, -0.25):
+        for L in (4, 8, 12):
+            spec = LatticeSpec(L=L, m=m)
+            block = ct.enumerate_N_L(w, spec, eps=1e-8)
+            whole = ct.enumerate_N_L(_FibreOnly(w), spec, eps=1e-8)
+            ref = ct.brute_force_N_L(w, spec, L)
+            for other in (whole.value, ref):
+                assert abs(block.value - other) <= 1e-14 * abs(other), (m, L)
+            assert block.lattice_points_visited < whole.lattice_points_visited
+
+
+def test_block_support_cuts_the_fibre_work():
+    # d = 6, m = 1/4, L = 10: 612,444 operations inside the block against
+    # 3,313,284 for the whole ball
+    w, spec = AppendixExample(6), LatticeSpec(L=10, m=0.25)
+    res = ct.enumerate_N_L(w, spec, eps=1e-8)
+    whole = ct._fibre_work(3, spec.t, res.truncation_radius * 10, res.truncation_radius * 10)
+    assert res.lattice_points_visited <= 0.25 * whole
+
+
+class _Stretched(WeightFunction):
+    """AppendixExample(x / sx, y / sy): a block support with rx != ry."""
+
+    def __init__(self, dim, sx, sy):
+        self.w, self.dim, self.s = AppendixExample(dim), dim, (sx, sy)
+        r = math.sqrt(0.5)
+        self.block_support = (sx * r, sy * r)
+        self.support_radius = math.hypot(sx * r, sy * r)
+        self.seen = []
+
+    def eval_array(self, Z):
+        self.seen.append(Z)
+        d1 = self.dim // 2
+        return self.w.eval_array(np.concatenate([Z[:, :d1] / self.s[0],
+                                                 Z[:, d1:] / self.s[1]], axis=1))
+
+
+@pytest.mark.parametrize("sx,sy", [(1.2, 0.6), (0.5, 1.3)])
+def test_block_support_unequal_radii(sx, sy):
+    # every point handed to the weight lies in the block, and the count is the
+    # whole ball's
+    w = _Stretched(6, sx, sy)
+    rx, ry = w.block_support
+    for m in (0, 0.25, -0.25):
+        spec = LatticeSpec(L=8, m=m)
+        w.seen.clear()
+        block = ct.enumerate_N_L(w, spec, eps=1e-8)
+        Z = np.concatenate(w.seen)
+        assert np.all(np.sum(Z[:, :3] ** 2, axis=1) <= rx * rx * (1 + 1e-12))
+        assert np.all(np.sum(Z[:, 3:] ** 2, axis=1) <= ry * ry * (1 + 1e-12))
+        whole = ct.enumerate_N_L(_FibreOnly(w), spec, eps=1e-8)
+        assert block.value > 0
+        assert abs(block.value - whole.value) <= 1e-14 * whole.value, m

@@ -372,3 +372,22 @@ def test_sigma_dirichlet_matches_literal_loop(X, d, t):
     if X <= 1000:
         ref = math.fsum(es.ramanujan(q, t) / q ** (d // 2) for q in range(1, X + 1))
         assert got == pytest.approx(ref, rel=1e-15)
+
+
+@pytest.mark.parametrize("t", [0, 1, 72])
+@pytest.mark.parametrize("d", [6, 8])
+def test_sigma_dirichlet_tail_bound_covers_4x_cutoff(d, t):
+    X = 10 ** 4
+    small = es.sigma_dirichlet(X, d, t)
+    assert small.tail_bound == X ** (2 - d // 2) / (d // 2 - 2)
+    assert abs(es.sigma_dirichlet(4 * X, d, t).value - small.value) <= small.tail_bound
+
+
+def test_sigma_dirichlet_levels_match_one_level_calls():
+    levels = [0, 36, 1, 36, 1048576, 0]
+    got = es.sigma_dirichlet_levels(3000, 8, levels)
+    assert list(got) == [0, 36, 1, 1048576]
+    for t, rep in got.items():
+        one = es.sigma_dirichlet(3000, 8, t)
+        assert (rep.method, rep.cutoff, rep.value, rep.tail_bound) == \
+            (one.method, one.cutoff, one.value, one.tail_bound)

@@ -166,6 +166,40 @@ def test_fiber_hook_isotropic_closed_form(t):
         assert abs(got - K1_closed_form(t)) <= 1e-10
 
 
+class _RhoGridGaussian(WeightFunction):
+    """The isotropic Gaussian without fiber_integral: the biradial path takes
+    its inner integral from the rule over the fibre radius rho."""
+
+    is_biradial = True
+
+    def __init__(self, a, dim):
+        self.w, self.dim = GaussianWeight(a, dim), dim
+
+    def eval_array(self, Z):
+        return self.w.eval_array(Z)
+
+    def eval_biradial(self, rx, ry):
+        return np.exp(-self.w.a * math.pi * (rx * rx + ry * ry))
+
+    def decay_radius(self, eps, n=0):
+        return self.w.decay_radius(eps, n)
+
+
+@pytest.mark.parametrize("swap", [False, True])
+@pytest.mark.parametrize("a", [1.0, 2.0])
+@pytest.mark.parametrize("d1", [2, 3, 4])
+def test_biradial_closed_form_fibre_matches_rho_grid(d1, a, swap):
+    w = GaussianWeight(a, 2 * d1)
+    oracle = _RhoGridGaussian(a, 2 * d1)
+    cfg = si.default_config(w)
+    assert si.default_config(oracle) == cfg
+    for t in (0.0, 0.5, -0.5, 1.0, 2.0):
+        got = si._i_projection(w, t, None, swap)
+        ref = si._i_projection_biradial(oracle, t, cfg, swap)
+        assert got == si._i_projection_biradial(w, t, cfg, swap)
+        assert abs(got - ref) <= 1e-13 * abs(ref), t
+
+
 def test_derivative_fd_k1_oracle():
     w = GaussianWeight(1.0, 6)
     z = 2 * math.pi

@@ -113,6 +113,30 @@ def test_appendix_zero_below_g_support():
     assert wg.eval(np.zeros(6)) > 0.0
 
 
+@pytest.mark.parametrize("generic", [False, True])
+@pytest.mark.parametrize("dim", [4, 6])
+def test_appendix_zero_outside_block_support(dim, generic):
+    # the counter enumerates only |x| <= rx, |y| <= ry; outside that block w = 0
+    w = AppendixExample(dim, generic=generic)
+    rx, ry = w.block_support
+    d1 = dim // 2
+
+    def scaled(V, radius):
+        return V * (radius / np.linalg.norm(V, axis=1))[:, None]
+
+    Z = RNG.uniform(-1.0, 1.0, size=(4000, dim))
+    nx, ny = np.linalg.norm(Z[:, :d1], axis=1), np.linalg.norm(Z[:, d1:], axis=1)
+    outside = (nx > rx) | (ny > ry)
+    assert 100 < np.sum(outside) < len(Z)
+    assert np.all(w.eval_array(Z[outside]) == 0.0)
+    # points with |x| = rx or |y| = ry exactly (to rounding), and just past it
+    V = RNG.normal(size=(500, dim))
+    for fx, fy in ((1.0, 0.99), (0.99, 1.0), (1.0, 1.0), (1 + 1e-12, 0.5), (0.5, 1 + 1e-12)):
+        B = np.concatenate([scaled(V[:, :d1], fx * rx), scaled(V[:, d1:], fy * ry)], axis=1)
+        assert np.all(w.eval_array(B) == 0.0), (fx, fy)
+    assert np.any(w.eval_array(Z[~outside]) > 0.0)
+
+
 def test_rescaled_matches_composition():
     for w in (GaussianWeight(2.0, 4, shift=[1.0, 0, 0, 0]), ProductBump(1.0, 4)):
         wL = w.rescaled(3.0)
