@@ -15,32 +15,41 @@ delta(n) on integers equals
 where c_q is the Ramanujan sum; c_Q is calibrated so the identity is
 exact at n = 0 and is then validated at every other n.
 
-One delta sum is one numpy pass: c_q(n) for all q comes from the phi and
-mu sieves, the windows of every q are laid end to end and go through one
-omega call for h1 and one for h2, and each window is summed by math.fsum,
-as is the final sum over q.  fsum is correctly rounded, so every value
-equals the literal per-q loop over ramanujan and h bit for bit.  h1 and
-h2 are the one-element case of the same pass.  The windows plus the q
-terms of a delta sum, and the h2 window of a single h, are capped at
-MAX_TERMS before anything is allocated.
+h1, h2 and h take a scalar x, or an array x with a scalar y: the windows
+of every x are laid end to end and go through one omega call, and each
+window is summed by math.fsum.  A scalar x gives a float.  The windows of
+one call are capped at MAX_TERMS in total before anything is allocated.
+
+A DeltaKernelConfig holds Q, the calibrated c_Q and the half of a delta sum
+that does not depend on n: the grid x = q/Q, the row h1(x) and the phi and
+mu sieves, for q up to the largest qmax asked for so far.  A call with a
+larger qmax, or after Q has changed, rebuilds them; a smaller qmax takes a
+prefix, since each entry depends only on its own q.  A delta sum is then
+the h2 windows, one gcd pass for the Ramanujan sums c_q(n) and one fsum
+over q.  qmax plus every window of a delta sum is capped at MAX_TERMS
+before the tables grow, so the memory a config keeps is that of the tables
+for the largest qmax asked for, which is at most the cap.  fsum is
+correctly rounded, so every value equals the literal per-q loop over
+ramanujan and h bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import fsum
 
 import numpy as np
 
 from .errors import AccuracyError, ArgumentError, CapabilityError
+from .exp_sums import _phi_mu_sieves, _ramanujan_from_sieves
 # nothing here calls ramanujan; the binding is kept because perfbench/tracing.py
 # patches delta_kernel.ramanujan and delta_kernel.h by name
-from .exp_sums import ramanujan, ramanujan_sums  # noqa: F401
+from .exp_sums import ramanujan  # noqa: F401
 from .weights import bump_w0
 
-MIN_X = 1e-6      # caps the h1 term count at ~5e5
-MAX_TERMS = 2 * 10 ** 6   # caps qmax plus the windows of one delta sum, or one h2 window
+MIN_X = 1e-6      # caps the h1 window of one x at ~5e5 terms
+MAX_TERMS = 2 * 10 ** 6   # caps the windows of one h call, or qmax plus the windows of one delta sum
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 
@@ -66,6 +75,19 @@ def _check_x(x: float):
         raise CapabilityError(f"x = {x} below minimum {MIN_X} (term count cap)")
 
 
+def _flat_x(x) -> np.ndarray:
+    """x as a flat float array, every element checked by _check_x."""
+    xs = np.asarray(x, dtype=float).ravel()
+    if xs.size:
+        _check_x(float(xs.min()))
+    return xs
+
+
+def _shaped(x, row: np.ndarray):
+    """row in the shape of x; a float when x is a scalar."""
+    return float(row[0]) if np.ndim(x) == 0 else row.reshape(np.shape(x))
+
+
 def _h1_windows(x: np.ndarray):
     """First j and length of each h1 window, as floats."""
     first, last = np.maximum(1.0, np.floor(1.0 / (2 * x))), np.floor(1.0 / x)
@@ -78,7 +100,15 @@ def _h2_windows(x: np.ndarray, ay: float):
     return first, np.maximum(0.0, last - first + 1)
 
 
-def _window_sums(x: np.ndarray, windows, term) -> list:
+def _cap_windows(what: str, *windows):
+    """Refuse a call whose windows hold more than MAX_TERMS terms in all."""
+    total = sum(float(np.sum(w[1])) for w in windows)
+    if not total <= MAX_TERMS:     # also refuses a nan length
+        raise CapabilityError(
+            f"{what} needs {total:.3g} window terms, beyond the cap {MAX_TERMS}")
+
+
+def _window_sums(x: np.ndarray, windows, term) -> np.ndarray:
     """fsum over j in window i of term(x_i, j), one sum per x_i, in one pass.
 
     The windows are laid end to end (np.repeat); term sees the flat arrays
@@ -86,10 +116,10 @@ def _window_sums(x: np.ndarray, windows, term) -> list:
     """
     first, counts = (w.astype(np.int64) for w in windows)
     ends = np.cumsum(counts)
-    j = np.arange(int(ends[-1]), dtype=np.int64) + np.repeat(first - (ends - counts), counts)
+    j = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(first - (ends - counts), counts)
     vals = term(np.repeat(x, counts), j).tolist()
     bounds = [0] + ends.tolist()
-    return [fsum(vals[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return np.array([fsum(vals[a:b]) for a, b in zip(bounds, bounds[1:])])
 
 
 def _h1_term(x: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -105,34 +135,57 @@ def _h2_term(ay: float):
     return term
 
 
-def h1(x: float) -> float:
-    _check_x(x)
-    xs = np.array([x], dtype=float)
-    return _window_sums(xs, _h1_windows(xs), _h1_term)[0]
+def _kernel(x: np.ndarray, ay: float, h1_row: np.ndarray, w2) -> np.ndarray:
+    """h(x, y) = h1(x) - h2(x, y) on a flat array x at |y| = ay, given h1(x)
+    and the h2 windows."""
+    return h1_row - _window_sums(x, w2, _h2_term(ay))
 
 
-def h2(x: float, y: float) -> float:
-    _check_x(x)
-    xs, ay = np.array([x], dtype=float), abs(y)
-    windows = _h2_windows(xs, ay)
-    if not windows[1][0] <= MAX_TERMS:     # also refuses a nan length
-        raise CapabilityError(
-            f"h2({x:g}, {y:g}) needs {windows[1][0]:.3g} window terms, "
-            f"beyond the cap {MAX_TERMS}")
-    return _window_sums(xs, windows, _h2_term(ay))[0]
+def h1(x):
+    """h1 at each x; a float for a scalar x."""
+    xs = _flat_x(x)
+    w1 = _h1_windows(xs)
+    _cap_windows(f"h1 at {xs.size} x", w1)
+    return _shaped(x, _window_sums(xs, w1, _h1_term))
 
 
-def h(x: float, y: float) -> float:
-    """The kernel h1(x) - h2(x, y); vanishes for x > max(1, 2|y|)."""
-    return h1(x) - h2(x, y)
+def h2(x, y):
+    """h2 at each x and the scalar y; a float for a scalar x."""
+    xs, ay = _flat_x(x), abs(float(y))
+    w2 = _h2_windows(xs, ay)
+    _cap_windows(f"h2 at {xs.size} x, |y| = {ay:g}", w2)
+    return _shaped(x, _window_sums(xs, w2, _h2_term(ay)))
+
+
+def h(x, y):
+    """The kernel h1(x) - h2(x, y) at each x and the scalar y; a float for a
+    scalar x.  Vanishes for x > max(1, 2|y|)."""
+    xs, ay = _flat_x(x), abs(float(y))
+    w1, w2 = _h1_windows(xs), _h2_windows(xs, ay)
+    _cap_windows(f"h at {xs.size} x, |y| = {ay:g}", w1, w2)
+    return _shaped(x, _kernel(xs, ay, _window_sums(xs, w1, _h1_term), w2))
+
+
+@dataclass
+class _KernelTables:
+    """The n-independent half of a delta sum for q = 1..qmax at one Q."""
+
+    Q: float
+    x: np.ndarray       # q / Q
+    h1: np.ndarray      # h1(q / Q)
+    h1_terms: float     # window terms of h1; all lie at q <= Q, so any qmax gives the same
+    phi: np.ndarray     # Euler phi on 0..qmax
+    mu: np.ndarray      # Moebius mu on 0..qmax
 
 
 @dataclass
 class DeltaKernelConfig:
-    """Holds Q, the bump mass c0 and the calibrated constant c_Q."""
+    """Holds Q, the bump mass c0, the calibrated constant c_Q and the
+    n-independent tables of a delta sum."""
 
     Q: float
     cQ: float | None = None
+    tables: _KernelTables | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.Q > 1:
@@ -145,28 +198,44 @@ class DeltaKernelConfig:
         return _C0
 
 
-def _raw_delta_sum(n: int, Q: float) -> float:
-    """Q^2 / c_Q times delta_sum: the sum over q <= qmax in one numpy pass."""
+def _raw_delta_sum(n: int, cfg: DeltaKernelConfig) -> float:
+    """Q^2 / c_Q times delta_sum: fsum over q <= qmax of c_q(n) h(q/Q, n/Q^2).
+
+    The grid, the h1 row and the sieves come from cfg.tables, which are
+    rebuilt for this qmax when they are shorter or were built for another Q,
+    and only after the cap has passed.
+    """
+    Q = cfg.Q
     qmax = math.floor(Q * max(1.0, 2.0 * abs(n) / Q ** 2))
     _check_x(1 / Q)
     if qmax > MAX_TERMS:
         raise CapabilityError(f"n = {n} needs {qmax} q terms, beyond the cap {MAX_TERMS}")
-    x = np.arange(1, qmax + 1) / Q
+    tab = cfg.tables
+    rebuild = tab is None or tab.Q != Q or tab.x.size < qmax
+    if rebuild:
+        x = np.arange(1, qmax + 1) / Q
+        w1 = _h1_windows(x)
+        h1_terms = float(np.sum(w1[1]))
+    else:
+        x, h1_terms = tab.x[:qmax], tab.h1_terms
     ay = abs(n / Q ** 2)
-    w1, w2 = _h1_windows(x), _h2_windows(x, ay)
-    terms = qmax + float(np.sum(w1[1]) + np.sum(w2[1]))
+    w2 = _h2_windows(x, ay)
+    terms = qmax + h1_terms + float(np.sum(w2[1]))
     if terms > MAX_TERMS:
         raise CapabilityError(
             f"n = {n}, Q = {Q:g} needs {terms:.3g} kernel terms, beyond the cap {MAX_TERMS}")
-    hq = (np.array(_window_sums(x, w1, _h1_term))
-          - np.array(_window_sums(x, w2, _h2_term(ay))))
-    cq = ramanujan_sums(qmax, n).astype(float)    # exact: |c_q(n)| <= q < 2^53
+    if rebuild:
+        tab = cfg.tables = _KernelTables(Q, x, _window_sums(x, w1, _h1_term), h1_terms,
+                                         *_phi_mu_sieves(qmax))
+    hq = _kernel(x, ay, tab.h1[:qmax], w2)
+    # exact: |c_q(n)| <= q < 2^53
+    cq = _ramanujan_from_sieves(tab.phi[:qmax + 1], tab.mu[:qmax + 1], n).astype(float)
     return fsum((cq * hq).tolist()) / Q ** 2
 
 
 def calibrate_cQ(cfg: DeltaKernelConfig) -> float:
     """Fix c_Q so the identity is exact at n = 0; store it on the config."""
-    r0 = _raw_delta_sum(0, cfg.Q)
+    r0 = _raw_delta_sum(0, cfg)
     if r0 <= 0:
         raise AccuracyError(f"calibration sum R(0) = {r0} is not positive")
     cfg.cQ = 1.0 / r0
@@ -176,10 +245,15 @@ def calibrate_cQ(cfg: DeltaKernelConfig) -> float:
 
 
 def delta_sum(n: int, cfg: DeltaKernelConfig) -> float:
-    """c_Q Q^{-2} sum_q c_q(n) h(q/Q, n/Q^2); equals delta(n) up to rounding."""
+    """c_Q Q^{-2} sum_q c_q(n) h(q/Q, n/Q^2); equals delta(n) up to rounding.
+
+    n is an integer: a Python or numpy int, or an integral float.
+    """
+    if not isinstance(n, (int, np.integer)) and not float(n).is_integer():
+        raise ArgumentError(f"delta_sum needs an integer n, not {n!r}")
     if cfg.cQ is None:
         calibrate_cQ(cfg)
-    return cfg.cQ * _raw_delta_sum(int(n), cfg.Q)
+    return cfg.cQ * _raw_delta_sum(int(n), cfg)
 
 
 def smear(y_grid: np.ndarray, f_values: np.ndarray, x: float) -> float:
@@ -194,8 +268,7 @@ def smear(y_grid: np.ndarray, f_values: np.ndarray, x: float) -> float:
     f_values = np.asarray(f_values, dtype=float)
     if y_grid.ndim != 1 or y_grid.shape != f_values.shape or y_grid.size < 4:
         raise ArgumentError("grid and samples must be matching 1-d arrays")
-    if x <= MIN_X:
-        raise CapabilityError(f"x = {x} below minimum {MIN_X}")
+    _check_x(x)
     dy = float(np.max(np.diff(y_grid)))
     if dy > (x / 2.0) / 8.0:
         raise AccuracyError(

@@ -403,19 +403,16 @@ def _phi_mu_sieves(X: int):
         while pk <= X:
             rest[pk::pk] //= p
             pk *= p
+    rest[:1] = 1                # rest[0] = 1, so the dense pass below divides by no zero
     big = rest > 1
-    phi[big] -= phi[big] // rest[big]
-    mu[big] *= -1
+    phi -= phi // rest * big
+    np.negative(mu, out=mu, where=big)
     return phi, mu
 
 
-def ramanujan_sums(X: int, t: int) -> np.ndarray:
-    """c_q(t) for q = 1..X as exact int64, from the phi and mu sieves."""
-    return _ramanujan_from_sieves(*_phi_mu_sieves(X), t)
-
-
 def _ramanujan_from_sieves(phi: np.ndarray, mu: np.ndarray, t: int) -> np.ndarray:
-    """c_q(t) for q = 1..X, given the phi and mu sieves on 0..X: one gcd pass."""
+    """c_q(t) for q = 1..X as exact int64, given the phi and mu sieves on
+    0..X: one gcd pass."""
     t = abs(int(t))
     q = np.arange(1, len(phi), dtype=np.int64)
     # g = gcd(q, t); a t past int64 is first reduced mod each q

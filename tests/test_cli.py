@@ -154,6 +154,31 @@ def test_delta_command_outputs():
                         "9.866924475778e-01,4.381794694098e-17\n")
 
 
+_DELTA_Q60 = {
+    "0": "0,6.000000000000e+01,1.000000000000e+00,1.000002254478e+00,0.000000000000e+00\n",
+    "7": "7,6.000000000000e+01,1.765566984862e-18,1.000002254478e+00,1.765566984862e-18\n",
+    "5000": "5000,6.000000000000e+01,-7.340793309618e-18,1.000002254478e+00,"
+            "7.340793309618e-18\n",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_DELTA_Q60))
+def test_delta_golden_stdout(n):
+    # the exact rows printed before the kernel tables existed
+    r = run("delta", "--n", n, "--Q", "60")
+    assert r.exit_code == 0
+    assert r.output == "n,Q,delta,cQ,residual\n" + _DELTA_Q60[n]
+
+
+def test_check_kernel_golden_stdout():
+    r = run("check", "--suite", "kernel")
+    assert r.exit_code == 0
+    assert r.output == (
+        "PASS [kernel] delta sweep |n|<=50 at Q=20, max residual: 1.841290781222e-16\n"
+        "PASS [kernel] calibration constant |c_Q - 1| at Q=20: 2.413656999505e-03\n"
+        "# all checks passed\n")
+
+
 def test_delta_term_cap_exit_code():
     r = RUNNER.invoke(main, ["delta", "--n", "1099511627779", "--Q", "60"])
     assert r.exit_code == 3

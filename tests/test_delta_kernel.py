@@ -85,11 +85,54 @@ def test_h1_h2_match_literal_windows():
 
 
 def test_h_scale_bound():
-    # |h(x, y)| <= C / x on a coarse grid
+    # |h(x, y)| <= C / x on a coarse grid, one row call per y
     xs = np.linspace(0.01, 1.0, 50)
     ys = np.linspace(-3, 3, 50)
-    worst = max(x * abs(dk.h(x, y)) for x in xs for y in ys)
+    worst = max(float(np.max(xs * np.abs(dk.h(xs, y)))) for y in ys)
     assert worst < 4.0
+
+
+def test_array_h_equals_scalar_h():
+    # rows of criterion 2's two grids, the first and last y among them
+    for n, step in ((200, 11), (400, 21)):
+        xs = np.linspace(0.01, 1.0, n)
+        for y in np.linspace(-3.0, 3.0, n)[::-step]:
+            row = dk.h(xs, y)
+            assert row.dtype == float and row.shape == xs.shape
+            assert row.tolist() == [dk.h(x, y) for x in xs], y
+    xs = np.array([0.003, 0.05, 1 / 7.5, 0.7, 1.0, 1.3, 2.0])
+    for y in (0.0, 0.01, -1.1, 7.0):
+        assert dk.h1(xs).tolist() == [_h1_literal(x) for x in xs]
+        assert dk.h2(xs, y).tolist() == [_h2_literal(x, y) for x in xs]
+    # the shape of x is kept, a scalar x gives a float, and no x gives no value
+    grid = xs[:6].reshape(2, 3)
+    assert dk.h(grid, 0.4).tolist() == dk.h(grid.ravel(), 0.4).reshape(2, 3).tolist()
+    assert type(dk.h(0.2, 0.3)) is float and type(dk.h1(np.float64(0.2))) is float
+    assert dk.h(np.array([]), 1.0).shape == (0,)
+
+
+def test_array_h_checks_every_x():
+    with pytest.raises(ArgumentError):
+        dk.h(np.array([0.5, 0.0, 0.2]), 0.1)
+    with pytest.raises(CapabilityError, match="below minimum"):
+        dk.h1(np.array([0.5, 1e-8]))
+
+
+def test_array_h_window_cap_before_allocation(monkeypatch):
+    # one total over every window of a call, checked before the windows are laid out
+    def refuse(*args, **kwargs):
+        raise AssertionError("windows laid out")
+    xs = np.full(4, dk.MIN_X)              # 4 x 500001 h1 window terms
+    with monkeypatch.context() as m:
+        m.setattr(np, "repeat", refuse)
+        with pytest.raises(CapabilityError, match="window terms"):
+            dk.h1(xs)
+        with pytest.raises(CapabilityError, match="window terms"):
+            dk.h(xs[:2], 0.5)              # about 1e6 h1 and 1e6 h2 terms: each under the cap
+        with pytest.raises(CapabilityError, match="window terms"):
+            dk.h2(np.ones(2), 1e6)         # 2 x (1e6 + 1) terms
+        with pytest.raises(CapabilityError, match="window terms"):
+            dk.h1(np.array([0.5, np.nan]))
 
 
 def test_min_x_capability():
@@ -109,22 +152,65 @@ def test_delta_identity_sweep_small():
 
 @pytest.mark.parametrize("Q", [7.5, 10.0, 20.0, 60.0])
 def test_delta_sum_matches_literal_sum(Q):
-    # fsum is correctly rounded, so the batched pass equals the loop bit for bit
-    for n in range(-300, 301):
-        assert dk._raw_delta_sum(n, Q) == _raw_delta_literal(n, Q), n
-    # qmax > Q (|n| > Q^2/2) and levels with square factors
-    for n in (5000, -12345, 72, 144, 3600) + ((99991,) if Q == 60 else ()):
-        assert dk._raw_delta_sum(n, Q) == _raw_delta_literal(n, Q), n
+    # fsum is correctly rounded, so the batched pass equals the loop bit for bit.
+    # One config throughout: qmax > Q (|n| > Q^2/2) grows its tables, and the
+    # small n after them take a prefix; some levels have square factors
+    cfg = dk.DeltaKernelConfig(Q=Q)
+    big = (5000, -12345, 3600, 72, 144) + ((99991,) if Q == 60 else ())
+    for n in [*range(-300, 301), *big, *range(-40, 41)]:
+        assert dk._raw_delta_sum(n, cfg) == _raw_delta_literal(n, Q), n
+    assert cfg.tables.x.size == max(math.floor(Q * 2 * abs(n) / Q ** 2) for n in big)
     assert dk.calibrate_cQ(dk.DeltaKernelConfig(Q=Q)) == 1.0 / _raw_delta_literal(0, Q)
 
 
-def test_delta_term_cap():
-    # qmax alone past the cap, and the h2 windows past it with qmax below
+def test_delta_tables_follow_Q():
+    # a config whose Q changes rebuilds its tables, even for a smaller qmax
+    cfg = dk.DeltaKernelConfig(Q=20.0)
+    assert dk._raw_delta_sum(5000, cfg) == _raw_delta_literal(5000, 20.0)
+    cfg.Q = 10.0
+    for n in (0, 7, -30):
+        assert dk._raw_delta_sum(n, cfg) == _raw_delta_literal(n, 10.0), n
+    assert cfg.tables.Q == 10.0 and cfg.tables.x.size == 10
+
+
+def test_delta_sweep_builds_one_sieve(monkeypatch):
+    # the n-independent tables are built once for a sweep whose qmax never grows
+    calls = []
+
+    def counted(X):
+        calls.append(X)
+        return sieves(X)
+    sieves = dk._phi_mu_sieves
+    monkeypatch.setattr(dk, "_phi_mu_sieves", counted)
     cfg = dk.DeltaKernelConfig(Q=60.0)
-    with pytest.raises(CapabilityError, match="q terms"):
-        dk.delta_sum(1099511627779, cfg)
-    with pytest.raises(CapabilityError, match="kernel terms"):
-        dk.delta_sum(2 * 10 ** 6, dk.DeltaKernelConfig(Q=10.0))   # qmax 4e5
+    for n in range(-200, 201):
+        dk.delta_sum(n, cfg)
+    assert calls == [60]
+
+
+def test_delta_term_cap():
+    # qmax alone past the cap, and the h2 windows past it with qmax below,
+    # each on a fresh config and on one whose tables are built
+    for built in (False, True):
+        cfg, cfg10 = dk.DeltaKernelConfig(Q=60.0), dk.DeltaKernelConfig(Q=10.0)
+        if built:
+            dk.delta_sum(3, cfg)
+            dk.delta_sum(-700, cfg10)      # qmax 140
+        with pytest.raises(CapabilityError, match="q terms"):
+            dk.delta_sum(1099511627779, cfg)
+        with pytest.raises(CapabilityError, match="kernel terms"):
+            dk.delta_sum(2 * 10 ** 6, cfg10)   # qmax 4e5
+        # a refused call leaves the tables as calibration or the first call built them
+        assert [c.tables.x.size for c in (cfg, cfg10)] == ([60, 140] if built else [60, 10])
+
+
+def test_delta_sum_needs_integral_n():
+    cfg = dk.DeltaKernelConfig(Q=10.0)
+    for bad in (2.5, -0.5, np.float64(7.25), float("nan"), float("inf")):
+        with pytest.raises(ArgumentError, match="integer n"):
+            dk.delta_sum(bad, cfg)
+    for n in (np.int64(7), np.int32(-3), 7.0, np.float64(-3.0)):
+        assert dk.delta_sum(n, cfg) == dk.delta_sum(int(n), cfg)
 
 
 def test_h2_window_cap():
@@ -160,6 +246,12 @@ def test_smear_grid_contracts():
         dk.smear(y, f, 1e-8)
     with pytest.raises(ArgumentError):
         dk.smear(y[:10], f, 0.1)
+    # x <= 0 is a usage error, as in h, and x = MIN_X is accepted, as in h1
+    for x in (0.0, -0.1):
+        with pytest.raises(ArgumentError, match="x > 0"):
+            dk.smear(y, f, x)
+    fine = np.linspace(-dk.MIN_X, dk.MIN_X, 41)       # spacing MIN_X / 20
+    assert math.isfinite(dk.smear(fine, np.ones_like(fine), dk.MIN_X))
 
 
 def test_smear_window_mass_near_one():
