@@ -17,8 +17,9 @@ exact at n = 0 and is then validated at every other n.
 
 h1, h2 and h take a scalar x, or an array x with a scalar y: the windows
 of every x are laid end to end and go through one omega call, and each
-window is summed by math.fsum.  A scalar x gives a float.  The windows of
-one call are capped at MAX_TERMS in total before anything is allocated.
+non-empty window is summed by math.fsum.  A scalar x gives a float.  The
+windows of one call are capped at MAX_TERMS in total before anything is
+allocated.
 
 A DeltaKernelConfig holds Q, the calibrated c_Q and the half of a delta sum
 that does not depend on n: the grid x = q/Q, the row h1(x) and the phi and
@@ -42,7 +43,7 @@ from math import fsum
 import numpy as np
 
 from .errors import AccuracyError, ArgumentError, CapabilityError
-from .exp_sums import _phi_mu_sieves, _ramanujan_from_sieves
+from .exp_sums import _mu_sieve, _phi_sieve
 # nothing here calls ramanujan; the binding is kept because perfbench/tracing.py
 # patches delta_kernel.ramanujan and delta_kernel.h by name
 from .exp_sums import ramanujan  # noqa: F401
@@ -116,10 +117,14 @@ def _window_sums(x: np.ndarray, windows, term) -> np.ndarray:
     """
     first, counts = (w.astype(np.int64) for w in windows)
     ends = np.cumsum(counts)
-    j = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(first - (ends - counts), counts)
+    starts = ends - counts
+    j = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(first - starts, counts)
     vals = term(np.repeat(x, counts), j).tolist()
-    bounds = [0] + ends.tolist()
-    return np.array([fsum(vals[a:b]) for a, b in zip(bounds, bounds[1:])])
+    sums = np.zeros(x.size)         # an empty window sums to 0.0, as fsum([]) does
+    nz = np.flatnonzero(counts)
+    for i, a, b in zip(nz.tolist(), starts[nz].tolist(), ends[nz].tolist()):
+        sums[i] = fsum(vals[a:b])
+    return sums
 
 
 def _h1_term(x: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -166,6 +171,17 @@ def h(x, y):
     return _shaped(x, _kernel(xs, ay, _window_sums(xs, w1, _h1_term), w2))
 
 
+def _ramanujan_from_sieves(phi: np.ndarray, mu: np.ndarray, t: int) -> np.ndarray:
+    """c_q(t) for q = 1..X as exact integers, given the phi and mu sieves on
+    0..X: one gcd pass."""
+    t = abs(int(t))
+    q = np.arange(1, len(phi), dtype=np.int64)
+    # g = gcd(q, t); a t past int64 is first reduced mod each q
+    tq = t if t < 2 ** 63 else np.array([t % int(v) for v in q], dtype=np.int64)
+    k = q // np.gcd(q, tq)
+    return mu[k] * phi[q] // phi[k]        # c_q(t) = mu(q/g) phi(q) / phi(q/g)
+
+
 @dataclass
 class _KernelTables:
     """The n-independent half of a delta sum for q = 1..qmax at one Q."""
@@ -181,11 +197,16 @@ class _KernelTables:
 @dataclass
 class DeltaKernelConfig:
     """Holds Q, the bump mass c0, the calibrated constant c_Q and the
-    n-independent tables of a delta sum."""
+    n-independent tables of a delta sum.
+
+    A c_Q that calibrate_cQ set is recalibrated once Q changes; one given to
+    the constructor is kept as given.
+    """
 
     Q: float
     cQ: float | None = None
     tables: _KernelTables | None = field(default=None, init=False, repr=False, compare=False)
+    cQ_at: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.Q > 1:
@@ -226,7 +247,7 @@ def _raw_delta_sum(n: int, cfg: DeltaKernelConfig) -> float:
             f"n = {n}, Q = {Q:g} needs {terms:.3g} kernel terms, beyond the cap {MAX_TERMS}")
     if rebuild:
         tab = cfg.tables = _KernelTables(Q, x, _window_sums(x, w1, _h1_term), h1_terms,
-                                         *_phi_mu_sieves(qmax))
+                                         _phi_sieve(qmax), _mu_sieve(qmax))
     hq = _kernel(x, ay, tab.h1[:qmax], w2)
     # exact: |c_q(n)| <= q < 2^53
     cq = _ramanujan_from_sieves(tab.phi[:qmax + 1], tab.mu[:qmax + 1], n).astype(float)
@@ -238,7 +259,7 @@ def calibrate_cQ(cfg: DeltaKernelConfig) -> float:
     r0 = _raw_delta_sum(0, cfg)
     if r0 <= 0:
         raise AccuracyError(f"calibration sum R(0) = {r0} is not positive")
-    cfg.cQ = 1.0 / r0
+    cfg.cQ, cfg.cQ_at = 1.0 / r0, cfg.Q
     if cfg.Q >= 4 and abs(cfg.cQ - 1.0) > 0.5:
         raise AccuracyError(f"c_Q = {cfg.cQ} outside the loose envelope |c_Q-1| <= 0.5")
     return cfg.cQ
@@ -251,7 +272,7 @@ def delta_sum(n: int, cfg: DeltaKernelConfig) -> float:
     """
     if not isinstance(n, (int, np.integer)) and not float(n).is_integer():
         raise ArgumentError(f"delta_sum needs an integer n, not {n!r}")
-    if cfg.cQ is None:
+    if cfg.cQ is None or cfg.cQ_at not in (None, cfg.Q):
         calibrate_cQ(cfg)
     return cfg.cQ * _raw_delta_sum(int(n), cfg)
 

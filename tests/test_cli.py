@@ -92,6 +92,42 @@ def test_sigma_bad_dimension_exit_code(method, d):
     assert "d must be even and > 4" in r.stderr
 
 
+@pytest.mark.parametrize("method", ["euler", "dirichlet", "remark5"])
+@pytest.mark.parametrize("cutoff", ["0", "-3"])
+def test_sigma_cutoff_below_range_exit_code(method, cutoff):
+    r = RUNNER.invoke(main, ["sigma", "--d", "6", "--method", method, "--cutoff", cutoff])
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    assert ("X must be >= 1" if method == "dirichlet" else "P must be >= 2") in r.stderr
+
+
+_SIGMA_GOLDEN = {
+    "--d 6 --t 36 --method euler --cutoff 20000":
+        "euler_product,20000,1.226678232402e+00,9.813826283836e-05",
+    "--d 6 --t 36 --method dirichlet --cutoff 300000":
+        "dirichlet_sum,300000,1.226678232254e+00,3.333333333333e-06",
+    "--d 6 --t 36 --method remark5":
+        "remark5_product,10000,1.305955455905e+00,2.089695900661e-04",
+    "--d 6 --t 100 --method euler --cutoff 20000":
+        "euler_product,20000,1.137300569192e+00,9.098775802602e-05",
+    "--d 6 --t 100 --method dirichlet --cutoff 300000":
+        "dirichlet_sum,300000,1.137300569055e+00,3.333333333333e-06",
+    "--d 6 --t 100 --method remark5":
+        "remark5_product,10000,1.305955455905e+00,2.089695900661e-04",
+    "--d 10 --t 0 --method dirichlet --cutoff 100000":
+        "dirichlet_sum,100000,1.043778824843e+00,3.333333333333e-16",
+}
+
+
+@pytest.mark.parametrize("args", sorted(_SIGMA_GOLDEN))
+def test_sigma_golden_stdout(args):
+    # the rows printed while the products ran in 50-digit mpmath and the
+    # Dirichlet sum took c_q(t) from a gcd pass
+    r = run("sigma", *args.split())
+    assert r.exit_code == 0
+    assert r.output == "method,cutoff,value,tail_bound\n" + _SIGMA_GOLDEN[args] + "\n"
+
+
 def test_sigma_p_no_convergence_exit_code():
     # rel_tol = 0 is never met, so the loop hits its l > 10000 refusal
     r = RUNNER.invoke(main, ["sigma-p", "--p", "2", "--d", "6", "--rel-tol", "0"])
@@ -192,16 +228,18 @@ def test_sigma_p_prime_test_bound_exit_code():
 
 
 def test_cli_import_loads_no_sympy_or_scipy():
-    # scipy is imported inside its two users; sympy only by the tests
+    # scipy is imported inside its two users and mpmath inside qc check's
+    # integral suite; sympy only by the tests
     import splitquad
     src = str(Path(splitquad.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    code = ("import sys, splitquad.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'scipy')))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    for module in ("splitquad", "splitquad.cli"):
+        code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] in ('sympy', 'scipy', 'mpmath')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "[]", module
 
 
 def test_check_suites():
@@ -261,21 +299,25 @@ def test_verify_sigma_per_level():
     assert abs(ratios[4.0][0] - 1.0) <= 0.003
 
 
-@pytest.mark.parametrize("args", [
-    ("verify", "--d1", "3", "--m", "1", "--weight", "gaussian:a=1.0", "--L-list", "1,2,3,4"),
-    ("predict", "--d1", "3", "--L", "8", "--m", "0.5", "--weight", "gaussian:a=1.0"),
-])
-def test_one_phi_mu_sieve_per_command(monkeypatch, args):
-    # the sieves do not depend on the level t, so verify's four levels share one
-    calls = []
-    sieves = exp_sums._phi_mu_sieves
-
-    def counted(X):
-        calls.append(X)
-        return sieves(X)
-    monkeypatch.setattr(exp_sums, "_phi_mu_sieves", counted)
+@pytest.mark.parametrize("args,phi_calls,mu_calls", [
+    (("verify", "--d1", "3", "--m", "1", "--weight", "gaussian:a=1.0", "--L-list", "1,2,3,4"),
+     [], [10 ** 5]),
+    (("predict", "--d1", "3", "--L", "8", "--m", "0.5", "--weight", "gaussian:a=1.0"),
+     [], [10 ** 5]),
+    (("verify", "--d1", "3", "--m", "0", "--weight", "gaussian:a=1.0", "--L-list", "2,3"),
+     [10 ** 5], []),
+], ids=["args0", "args1", "args2"])
+def test_one_phi_mu_sieve_per_command(monkeypatch, args, phi_calls, mu_calls):
+    # the sieves do not depend on the level t, so verify's four levels share
+    # one mu sieve; phi serves only t = 0 and mu only t != 0
+    calls = {"_phi_sieve": [], "_mu_sieve": []}
+    for name in calls:
+        def counted(X, sieve=getattr(exp_sums, name), name=name):
+            calls[name].append(X)
+            return sieve(X)
+        monkeypatch.setattr(exp_sums, name, counted)
     assert run(*args).exit_code == 0
-    assert calls == [10 ** 5]
+    assert calls == {"_phi_sieve": phi_calls, "_mu_sieve": mu_calls}
 
 
 def test_verify_large_L_convergence():

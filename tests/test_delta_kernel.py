@@ -175,17 +175,30 @@ def test_delta_tables_follow_Q():
 
 def test_delta_sweep_builds_one_sieve(monkeypatch):
     # the n-independent tables are built once for a sweep whose qmax never grows
-    calls = []
-
-    def counted(X):
-        calls.append(X)
-        return sieves(X)
-    sieves = dk._phi_mu_sieves
-    monkeypatch.setattr(dk, "_phi_mu_sieves", counted)
+    calls = {"_phi_sieve": [], "_mu_sieve": []}
+    for name in calls:
+        def counted(X, sieve=getattr(dk, name), name=name):
+            calls[name].append(X)
+            return sieve(X)
+        monkeypatch.setattr(dk, name, counted)
     cfg = dk.DeltaKernelConfig(Q=60.0)
     for n in range(-200, 201):
         dk.delta_sum(n, cfg)
-    assert calls == [60]
+    assert calls == {"_phi_sieve": [60], "_mu_sieve": [60]}
+
+
+def test_cQ_recalibrated_when_Q_changes():
+    cfg = dk.DeltaKernelConfig(Q=20.0)
+    dk.delta_sum(0, cfg)
+    cfg.Q = 10.0
+    assert dk.delta_sum(0, cfg) == 1.0 == dk.delta_sum(0, dk.DeltaKernelConfig(Q=10.0))
+    assert cfg.cQ == dk.calibrate_cQ(dk.DeltaKernelConfig(Q=10.0))
+    # a c_Q given to the constructor is kept whatever Q becomes
+    given = dk.DeltaKernelConfig(Q=20.0, cQ=1.25)
+    dk.delta_sum(0, given)
+    given.Q = 10.0
+    assert dk.delta_sum(3, given) == 1.25 * dk._raw_delta_sum(3, given)
+    assert given.cQ == 1.25
 
 
 def test_delta_term_cap():

@@ -1,3 +1,4 @@
+import bisect
 import functools
 import math
 from fractions import Fraction
@@ -12,6 +13,7 @@ from sympy import (divisors, factorint, isprime, mobius, nextprime, prevprime, p
                    totient)
 
 from splitquad import exp_sums as es
+from splitquad.delta_kernel import _ramanujan_from_sieves
 from splitquad.errors import ArgumentError, CapabilityError
 from splitquad.forms import QuadraticFormF0
 
@@ -91,8 +93,10 @@ def test_phi_mu_sieve_cap_before_allocation(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("array allocated")
     monkeypatch.setattr(np, "arange", refuse)
-    with pytest.raises(CapabilityError, match="sieve"):
-        es._phi_mu_sieves(es.SIEVE_CAP + 1)
+    monkeypatch.setattr(np, "ones", refuse)
+    for sieve in (es._phi_sieve, es._mu_sieve):
+        with pytest.raises(CapabilityError, match="sieve"):
+            sieve(es.SIEVE_CAP + 1)
 
 
 @pytest.mark.parametrize("X", [0, 1, 3, 4, 48, 49, 50, 10 ** 4, 3 * 10 ** 5])
@@ -104,8 +108,10 @@ def test_phi_mu_sieves_loop_only_to_sqrt(monkeypatch, X):
         asked.append(P)
         return primes_upto(P)
     monkeypatch.setattr(es, "_primes_upto", record)
-    es._phi_mu_sieves(X)
-    assert asked and max(asked) <= math.isqrt(X)
+    for sieve in (es._phi_sieve, es._mu_sieve):
+        asked.clear()
+        sieve(X)
+        assert asked and max(asked) <= math.isqrt(X)
 
 
 @pytest.mark.parametrize("d", [4, 5, 7, 3])
@@ -257,6 +263,40 @@ def test_sigma_remark5_product_matches_fraction_loop(d1):
     assert rep.tail_bound == value * math.expm1(1.2 * es._euler_omitted_tail(20000, d1))
 
 
+FIXED_LEVELS = (*range(41), 72, 100, 144, 3600, 10 ** 6)
+FIXED_CUTOFFS = (2, 3, 50, 997, 20000)
+
+
+def _prefix_products(primes, factors):
+    """{P: (exact product rounded once, 50-digit mpmath product)} over the
+    factors of the primes p <= P, for each P in FIXED_CUTOFFS."""
+    out = {}
+    for P in FIXED_CUTOFFS:
+        nums, dens = zip(*factors[:bisect.bisect_right(primes, P)])
+        with mpmath.workdps(50):
+            prod = mpmath.mpf(1)
+            for num, den in zip(nums, dens):
+                prod *= mpmath.mpf(num) / den
+            out[P] = (math.prod(nums) / math.prod(dens), float(prod))
+    return out
+
+
+@pytest.mark.parametrize("d", [6, 8, 10])
+def test_fixed_point_products_round_once(d):
+    # int / int is correctly rounded, so the exact product rounded once is
+    # the oracle; the fixed-point error is far below half an ulp
+    d1 = d // 2
+    primes = es._primes_upto(max(FIXED_CUTOFFS))
+    want = _prefix_products(primes, [(p ** d1 + p - 1, p ** d1) for p in primes])
+    for P, (exact, mp) in want.items():
+        assert es.sigma_remark5_product(P, d1).value == exact == mp, P
+    for t in FIXED_LEVELS:
+        vals = [es._sigma_prime(p, d, t, 1e-12)[0] for p in primes]
+        want = _prefix_products(primes, [(v.numerator, v.denominator) for v in vals])
+        for P, (exact, mp) in want.items():
+            assert es.sigma_euler(P, d, t).value == exact == mp, (t, P)
+
+
 @pytest.mark.parametrize("d,t", [(6, 36), (8, 72)])
 def test_sigma_euler_matches_fraction_loop(monkeypatch, d, t):
     rep = es.sigma_euler(20000, d, t)
@@ -277,7 +317,7 @@ def test_ramanujan_prime_power_closed_form():
 @pytest.mark.parametrize("X", [0, 1, 2, 4, 25, 49, 121, 1000, 5000])
 def test_phi_mu_sieves_match_sympy(X):
     assert es._primes_upto(X) == list(primerange(2, X + 1))
-    phi, mu = es._phi_mu_sieves(X)
+    phi, mu = es._phi_sieve(X), es._mu_sieve(X)
     assert phi[1:].tolist() == [int(totient(n)) for n in range(1, X + 1)]
     assert mu[1:].tolist() == [int(mobius(n)) for n in range(1, X + 1)]
 
@@ -341,11 +381,56 @@ def _phi_mu_sieves_literal(X):
 @pytest.mark.parametrize("X", [0, 1, 2, 3, 4, 48, 49, 50, 120, 121, 4093,
                                10 ** 5, 3 * 10 ** 5])
 def test_phi_mu_sieves_match_all_primes_loop(X):
-    # squares of primes and their neighbours, where rest[n] is p or 1
-    phi, mu = es._phi_mu_sieves(X)
+    # squares of primes and their neighbours, where n // s[n] is p or 1
+    phi, mu = es._phi_sieve(X), es._mu_sieve(X)
     ref_phi, ref_mu = _phi_mu_sieves_literal(X)
     assert np.array_equal(phi, ref_phi) and np.array_equal(mu, ref_mu)
-    assert phi.dtype == ref_phi.dtype and mu.dtype == ref_mu.dtype
+    assert phi.dtype == mu.dtype == np.int32
+
+
+def _phi_mu_sieves_rest(X):
+    """The one-call phi and mu sieve the two int32 sieves replaced: int64,
+    dividing rest[n] by every power of each p <= isqrt(X)."""
+    phi = np.arange(X + 1, dtype=np.int64)
+    mu = np.ones(X + 1, dtype=np.int64)
+    rest = np.arange(X + 1, dtype=np.int32)
+    for p in es._primes_upto(math.isqrt(max(X, 0))):
+        phi[p::p] -= phi[p::p] // p
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+        pk = p
+        while pk <= X:
+            rest[pk::pk] //= p
+            pk *= p
+    rest[:1] = 1
+    big = rest > 1
+    phi -= phi // rest * big
+    np.negative(mu, out=mu, where=big)
+    return phi, mu
+
+
+@pytest.mark.parametrize("X", [0, 1, 2, 3, 4, 48, 49, 50, 120, 121, 4093, 99991,
+                               10 ** 5, 3 * 10 ** 5])
+def test_phi_and_mu_sieves_match_rest_sieve(X):
+    ref_phi, ref_mu = _phi_mu_sieves_rest(X)
+    assert np.array_equal(es._phi_sieve(X), ref_phi)
+    assert np.array_equal(es._mu_sieve(X), ref_mu)
+
+
+@pytest.mark.parametrize("t", [0, 1, -1, 12, 32, 36, 100, 144, 720720])
+def test_divisor_row_matches_gcd_pass(t):
+    # c_q(t) = sum_{d | (q, t)} d mu(q/d) against mu(q/g) phi(q) / phi(q/g)
+    X = 5000
+    phi, mu = es._phi_sieve(X), es._mu_sieve(X)
+    assert np.array_equal(es._ramanujan_row(phi, mu, t, X), _ramanujan_from_sieves(phi, mu, t))
+
+
+def test_divisor_row_matches_gcd_pass_past_int64():
+    X, t = 300, 2 ** 64 * 720720 + 2 ** 64
+    phi, mu = es._phi_sieve(X), es._mu_sieve(X)
+    row = es._ramanujan_row(phi, mu, t, X)
+    assert np.array_equal(row, _ramanujan_from_sieves(phi, mu, t))
+    assert row.tolist() == [es.ramanujan(q, t) for q in range(1, X + 1)]
 
 
 def _dirichlet_literal(X, d, t):
