@@ -5,7 +5,7 @@ orderings, so identical inputs give byte-identical output.  Exit codes:
 0 success, 1 check failure, 2 usage error, 3 capability/accuracy error.
 
 A JSON config file (--config) mirrors the flags; explicit flags win.
-Schema keys: d1, m, L, L_list, weight, eps, cutoffs {primes, q, l},
+Schema keys: d1, m, L, L_list, weight, eps, cutoffs {primes, q},
 quadrature {radial, angular, plane, r_min, r_max}, budget.
 """
 
@@ -33,23 +33,15 @@ def _f(x: float) -> str:
 
 
 @dataclass
-class PredictionReport:
-    d: int
-    m: float
-    L: float
+class MainTerm:
+    """sigma_infty * sigma * L^{d-2} at one (L, m) for both sigma variants,
+    with its factors."""
+    spec: LatticeSpec
     sigma_infty: float
     sigma_remark5: float
     sigma_definitional: float
     main_term_r5: float
     main_term_def: float
-    error_envelope: float
-    epsilon: float
-    error_constants: tuple
-
-    @staticmethod
-    def constants_for(d: int) -> tuple:
-        n1 = 2 * d * d - 2 * d
-        return (n1, 7 * (d + 1), n1 + 3 * d + 4)
 
 
 @dataclass
@@ -63,7 +55,9 @@ class ConvergenceRow:
     fitted_error_exponent: float | None = None
 
 
-def _merge_config(config_path, flags: dict) -> dict:
+def _merge_config(config_path, flags: dict, required=()) -> dict:
+    """The config file's keys overridden by the flags that are set; a key in
+    required must come from one of them."""
     cfg = {}
     if config_path:
         with open(config_path) as fh:
@@ -71,6 +65,9 @@ def _merge_config(config_path, flags: dict) -> dict:
     for k, v in flags.items():
         if v is not None:
             cfg[k] = v
+    missing = [f"--{k.replace('_', '-')}" for k in required if cfg.get(k) is None]
+    if missing:
+        raise click.UsageError(f"missing {', '.join(missing)} (as a flag or a config key)")
     return cfg
 
 
@@ -83,46 +80,42 @@ def _quad_config(w, cfg: dict):
     return replace(qc, **kw) if kw else qc
 
 
-def _q_cutoff(cfg: dict) -> int:
-    """Cutoff X of the definitional (Dirichlet) singular series."""
-    return int((cfg.get("cutoffs") or {}).get("q", 10 ** 5))
-
-
-def _build_prediction(d1: int, m: float, L: float, weight_spec: str,
-                      cfg: dict, sig_def: float | None = None) -> PredictionReport:
-    """The prediction at (m, L); sig_def is the definitional series at the
-    level m L^2 when the caller has it already."""
+def _main_terms(d1: int, m: float, Ls, weight_spec: str, cfg: dict):
+    """The weight and the MainTerm at each L: sigma_infty and the remark5
+    product once each, the definitional series at every level t = m L^2
+    from one sieve."""
     d = 2 * d1
-    if d <= 4:
-        raise ArgumentError("predict requires d = 2*d1 > 4")
-    spec = LatticeSpec(L=L, m=m)
-    w = parse_weight(weight_spec, d)
+    exp_sums.half_dim(d)        # an odd d or d <= 4 exits 2 before any work
+    specs = [LatticeSpec(L=L, m=m) for L in Ls]
     cuts = cfg.get("cutoffs") or {}
-    P = int(cuts.get("primes", 10 ** 4))
+    w = parse_weight(weight_spec, d)
+    # sigma_infty runs before the sieve: the other order leaves the benchmark
+    # process's peak RSS about 0.7 MB higher
     sig_inf = sing_integral.sigma_infty(w, m, _quad_config(w, cfg))
-    if sig_def is None:
-        sig_def = exp_sums.sigma_dirichlet(_q_cutoff(cfg), d, spec.t).value
-    sig_r5 = exp_sums.sigma_remark5_product(P, d1).value
-    n1, n2, n3 = PredictionReport.constants_for(d)
-    # the full error envelope needs weight norms of derivative order N1;
-    # only the n1 <= 2 bounds are certified, so they stand in for both factors
-    envelope = L ** (d / 2 + EPSILON) * (w.norm_bound(2, min(n2, 40))
-                                         + w.norm_bound(0, min(n3, 40)))
-    scale = L ** (d - 2)
-    return PredictionReport(d, m, L, sig_inf, sig_r5, sig_def,
-                            sig_inf * sig_r5 * scale, sig_inf * sig_def * scale,
-                            envelope, EPSILON, (n1, n2, n3))
+    sig_def = exp_sums.sigma_dirichlet_levels(int(cuts.get("q", 10 ** 5)), d,
+                                              [spec.t for spec in specs])
+    sig_r5 = exp_sums.sigma_remark5_product(int(cuts.get("primes", 10 ** 4)), d1).value
+    terms = []
+    for spec in specs:
+        sig = sig_def[spec.t].value
+        terms.append(MainTerm(spec, sig_inf, sig_r5, sig,
+                              *(sig_inf * s * spec.L ** (d - 2) for s in (sig_r5, sig))))
+    return w, terms
 
 
-def _echo_prediction(rep: PredictionReport):
-    click.echo("d,m,L,sigma_infty,sigma_remark5,sigma_definitional,"
-               "main_term_r5,main_term_def,error_envelope,epsilon,N1,N2,N3")
-    n1, n2, n3 = rep.error_constants
-    click.echo(",".join([str(rep.d), _f(rep.m), _f(rep.L), _f(rep.sigma_infty),
-                         _f(rep.sigma_remark5), _f(rep.sigma_definitional),
-                         _f(rep.main_term_r5), _f(rep.main_term_def),
-                         _f(rep.error_envelope), _f(rep.epsilon),
-                         str(n1), str(n2), str(n3)]))
+def _L_values(raw) -> list:
+    """The distinct L values, ascending, of --L-list (comma-separated) or
+    of the config's L_list (a list)."""
+    try:
+        Ls = sorted(float(v) for v in (raw.split(",") if isinstance(raw, str) else raw))
+    except (TypeError, ValueError):
+        raise click.BadParameter(f"{raw!r} is not a list of numbers",
+                                 param_hint="--L-list") from None
+    if not Ls or len(set(Ls)) < len(Ls):
+        # a repeated L would fit the error exponent through fewer points than rows
+        raise click.BadParameter(f"{raw!r} must list distinct L values",
+                                 param_hint="--L-list")
+    return Ls
 
 
 def _exit_mapped(fn):
@@ -152,7 +145,7 @@ def main():
 def count(d1, L, m, weight, eps, budget, config_path):
     """Exact weighted lattice count N_L; CSV: L,m,value,tail_estimate,visited."""
     cfg = _merge_config(config_path, dict(d1=d1, L=L, m=m, weight=weight,
-                                          eps=eps, budget=budget))
+                                          eps=eps, budget=budget), ("d1", "L", "weight"))
 
     def run():
         w = parse_weight(cfg["weight"], 2 * int(cfg["d1"]))
@@ -174,12 +167,25 @@ def count(d1, L, m, weight, eps, budget, config_path):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def predict(d1, L, m, weight, config_path):
     """Main-term prediction sigma_infty * sigma * L^{d-2} for both sigma variants."""
-    cfg = _merge_config(config_path, dict(d1=d1, L=L, m=m, weight=weight))
+    cfg = _merge_config(config_path, dict(d1=d1, L=L, m=m, weight=weight),
+                        ("d1", "L", "weight"))
 
     def run():
-        rep = _build_prediction(int(cfg["d1"]), float(cfg.get("m", 0.0)),
-                                float(cfg["L"]), cfg["weight"], cfg)
-        _echo_prediction(rep)
+        d1v, mv, Lv = int(cfg["d1"]), float(cfg.get("m", 0.0)), float(cfg["L"])
+        w, (term,) = _main_terms(d1v, mv, [Lv], cfg["weight"], cfg)
+        d = 2 * d1v
+        n1 = 2 * d * d - 2 * d
+        n2, n3 = 7 * (d + 1), n1 + 3 * d + 4
+        # the full error envelope needs weight norms of derivative order N1;
+        # only the n1 <= 2 bounds are certified, so they stand in for both factors
+        envelope = Lv ** (d / 2 + EPSILON) * (w.norm_bound(2, min(n2, 40))
+                                              + w.norm_bound(0, min(n3, 40)))
+        click.echo("d,m,L,sigma_infty,sigma_remark5,sigma_definitional,"
+                   "main_term_r5,main_term_def,error_envelope,epsilon,N1,N2,N3")
+        click.echo(",".join([str(d), _f(mv), _f(Lv), _f(term.sigma_infty),
+                             _f(term.sigma_remark5), _f(term.sigma_definitional),
+                             _f(term.main_term_r5), _f(term.main_term_def),
+                             _f(envelope), _f(EPSILON), str(n1), str(n2), str(n3)]))
     _exit_mapped(run)
 
 
@@ -197,40 +203,26 @@ def _fit_exponent(Ls, errs):
 @click.option("--m", type=float, default=None)
 @click.option("--weight", type=str, default=None)
 @click.option("--L-list", "L_list", type=str, default=None,
-              help="comma-separated L values")
+              help="comma-separated distinct L values")
 @click.option("--eps", type=float, default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def verify(d1, m, weight, L_list, eps, config_path):
     """Convergence table N_L vs prediction across L, with error-exponent fit."""
-    flags = dict(d1=d1, m=m, weight=weight, eps=eps)
-    if L_list is not None:
-        flags["L_list"] = [float(s) for s in L_list.split(",")]
-    cfg = _merge_config(config_path, flags)
+    cfg = _merge_config(config_path, dict(d1=d1, m=m, weight=weight, L_list=L_list,
+                                          eps=eps), ("d1", "weight", "L_list"))
 
     def run():
-        d1v = int(cfg["d1"])
-        mv = float(cfg.get("m", 0.0))
-        ws = cfg["weight"]
+        Ls = _L_values(cfg["L_list"])
+        w, terms = _main_terms(int(cfg["d1"]), float(cfg.get("m", 0.0)), Ls,
+                               cfg["weight"], cfg)
         epsv = float(cfg.get("eps", 1e-8))
-        specs = [LatticeSpec(L=float(L), m=mv) for L in sorted(cfg["L_list"])]
-        Ls = [spec.L for spec in specs]
-        # the definitional series depends on the level t = m L^2: every
-        # distinct t, from one phi/mu sieve
-        sig_def = {t: rep.value for t, rep in exp_sums.sigma_dirichlet_levels(
-            _q_cutoff(cfg), 2 * d1v, [spec.t for spec in specs]).items()}
-        base = _build_prediction(d1v, mv, Ls[0], ws, cfg, sig_def[specs[0].t])
-        w = parse_weight(ws, 2 * d1v)
-
+        budget = int(cfg.get("budget", counter.DEFAULT_BUDGET))
         rows = []
-        for spec in specs:
-            L = spec.L
-            res = counter.enumerate_N_L(w, spec, epsv,
-                                        int(cfg.get("budget", counter.DEFAULT_BUDGET)))
-            scale = L ** (base.d - 2)
-            pd = base.sigma_infty * sig_def[spec.t] * scale
-            pr = base.sigma_infty * base.sigma_remark5 * scale
+        for term in terms:
+            res = counter.enumerate_N_L(w, term.spec, epsv, budget)
+            pd, pr = term.main_term_def, term.main_term_r5
             na = float("nan")
-            rows.append(ConvergenceRow(L, res.value, pd, pr,
+            rows.append(ConvergenceRow(term.spec.L, res.value, pd, pr,
                                        res.value / pd if pd else na,
                                        res.value / pr if pr else na))
 

@@ -199,12 +199,11 @@ class DeltaKernelConfig:
     """Holds Q, the bump mass c0, the calibrated constant c_Q and the
     n-independent tables of a delta sum.
 
-    A c_Q that calibrate_cQ set is recalibrated once Q changes; one given to
-    the constructor is kept as given.
+    c_Q is calibrated by the first delta sum, and again once Q changes.
     """
 
     Q: float
-    cQ: float | None = None
+    cQ: float | None = field(default=None, init=False)
     tables: _KernelTables | None = field(default=None, init=False, repr=False, compare=False)
     cQ_at: float | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -272,7 +271,7 @@ def delta_sum(n: int, cfg: DeltaKernelConfig) -> float:
     """
     if not isinstance(n, (int, np.integer)) and not float(n).is_integer():
         raise ArgumentError(f"delta_sum needs an integer n, not {n!r}")
-    if cfg.cQ is None or cfg.cQ_at not in (None, cfg.Q):
+    if cfg.cQ_at != cfg.Q:
         calibrate_cQ(cfg)
     return cfg.cQ * _raw_delta_sum(int(n), cfg)
 

@@ -13,15 +13,17 @@ term of the double sum, grouped per coordinate pair, and never touches
 modular inverses.
 
 Local densities sigma_p are partial sums of p^{-dl} S_{p^l}(0), exact
-rationals with a certified geometric tail bound.  The loop carries the
-numerator over p^{l d1} and the tail denominator as Python ints and builds
-one Fraction at the end.  The singular series is assembled both as an
-Euler product and as the Dirichlet sum sum_{q<=X} q^{-d} S_q(0).
+rationals with a certified geometric tail bound, summed on Python ints.
+Each local factor, sigma_p or the remark-5 closed form, is a pair of ints
+(num, den); only the public sigma_p and remark5_sigma_p build a Fraction.
+The singular series is assembled both as an Euler product and as the
+Dirichlet sum sum_{q<=X} q^{-d} S_q(0).
 
-The Euler products multiply their exact rational factors into one Python
-int in fixed point with FIX_BITS fraction bits; each factor lies in
-(1/2, 2), so n factors carry a relative error below about 2n 2^{1-FIX_BITS},
-far below the final rounding to a float.
+The Euler products multiply those pairs into one Python int in fixed
+point with FIX_BITS fraction bits; each factor lies in (1/2, 2), so n
+factors carry a relative error below about 2n 2^{1-FIX_BITS}, far below
+the final rounding to a float.  Neither floor(num 2^FIX_BITS / den) nor
+the correctly rounded num / den depends on the pair being reduced.
 
 Primes come from one numpy sieve of Eratosthenes.  The phi and mu sieves
 on 0..X loop only over the primes up to isqrt(X) and finish the one prime
@@ -48,6 +50,7 @@ NAIVE_Q_CAP = 64
 TRIAL_CAP = 10 ** 6       # trial divisors tried before a cofactor must be prime
 SIEVE_CAP = 10 ** 8       # largest sieve: two int32 arrays of 0.4 GB
 FIX_BITS = 192            # fraction bits of the Euler-product accumulator
+REL_TOL = 1e-12           # tail of each local factor sigma_p, relative to its value
 FSUM_CHUNK = 2 ** 14      # floats handed to fsum per tolist() chunk
 
 # Miller-Rabin to the 13 prime bases up to 41 is exact below MR_EXACT_BELOW
@@ -221,15 +224,17 @@ def remark5_sigma_p(p: int, d1: int) -> Fraction:
         raise ArgumentError(f"{p} is not prime")
     if d1 < 2:
         raise ArgumentError("d1 must be >= 2")
-    return _remark5_prime(int(p), d1)
+    return Fraction(*_remark5_prime(int(p), d1))
 
 
-def _remark5_prime(p: int, d1: int) -> Fraction:
-    """remark5_sigma_p for a p known to be prime and d1 >= 2."""
-    return 1 + Fraction(1, p ** (d1 - 1)) - Fraction(1, p ** d1)
+def _remark5_prime(p: int, d1: int) -> tuple:
+    """remark5_sigma_p as (num, den) = (p^d1 + p - 1, p^d1), for a p known
+    to be prime and d1 >= 2."""
+    den = p ** d1
+    return den + p - 1, den
 
 
-def sigma_p(p: int, d: int, t: int, rel_tol: float = 1e-12):
+def sigma_p(p: int, d: int, t: int, rel_tol: float = REL_TOL):
     """Partial sum of p^{-dl} S_{p^l}(0) as an exact rational.
 
     Returns (value, l_max, tail) where tail is the certified geometric
@@ -237,7 +242,8 @@ def sigma_p(p: int, d: int, t: int, rel_tol: float = 1e-12):
     """
     if not is_prime(p):
         raise ArgumentError(f"{p} is not prime")
-    return _sigma_prime(int(p), d, t, rel_tol)
+    (num, den), l_max, tail = _sigma_prime(int(p), d, t, rel_tol)
+    return Fraction(num, den), l_max, tail
 
 
 def _ramanujan_prime_power(p: int, l: int, t: int) -> int:
@@ -256,7 +262,7 @@ def half_dim(d: int) -> int:
 
 
 def _sigma_prime(p: int, d: int, t: int, rel_tol: float):
-    """sigma_p for a p known to be prime."""
+    """sigma_p for a p known to be prime, its value as the pair (num, den)."""
     d1 = half_dim(d)
     t = int(t)
     s = p ** (d1 - 1)      # the envelope decays by 1/s per extra l
@@ -276,7 +282,7 @@ def _sigma_prime(p: int, d: int, t: int, rel_tol: float):
         tden *= s
         if l > 10000:
             raise CapabilityError("sigma_p failed to converge")
-    return Fraction(num, den), l, 1 / tden
+    return (num, den), l, 1 / tden
 
 
 def _tail_within(tden: int, bound: float) -> bool:
@@ -353,16 +359,16 @@ def _fixed_product(factors) -> float:
     return acc / one        # int / int is correctly rounded
 
 
-def sigma_euler(P: int, d: int, t: int, rel_tol: float = 1e-12) -> SigmaReport:
+def sigma_euler(P: int, d: int, t: int) -> SigmaReport:
     """Product over primes p <= P of sigma_p, in FIX_BITS-bit fixed point."""
     d1 = half_dim(d)
     if P < 2:
         raise ArgumentError("P must be >= 2")
     per_prime, factors = [], []
     for p in _primes_upto(P):
-        val, l_max, tail = _sigma_prime(p, d, t, rel_tol)
-        per_prime.append((p, float(val), l_max, tail))
-        factors.append((val.numerator, val.denominator))
+        (num, den), l_max, tail = _sigma_prime(p, d, t, REL_TOL)
+        per_prime.append((p, num / den, l_max, tail))
+        factors.append((num, den))
     value = _fixed_product(factors)
     s = _euler_omitted_tail(P, d1) + sum(pp[3] for pp in per_prime)
     tail_bound = abs(value) * math.expm1(1.2 * s)
@@ -377,9 +383,7 @@ def sigma_remark5_product(P: int, d1: int) -> SigmaReport:
         raise ArgumentError("P must be >= 2")
     per_prime, factors = [], []
     for p in _primes_upto(P):
-        # (p^d1 + p - 1) / p^d1 is in lowest terms
-        den = p ** d1
-        num = den + p - 1
+        num, den = _remark5_prime(p, d1)
         per_prime.append((p, num / den, 1, 0.0))
         factors.append((num, den))
     value = _fixed_product(factors)

@@ -243,17 +243,17 @@ def i_y_projection(w: WeightFunction, t: float, cfg: QuadratureConfig | None = N
 
 
 def sigma_infty(w: WeightFunction, m: float, cfg: QuadratureConfig | None = None,
-                check: bool = False, tol: float = 1e-6) -> float:
+                check: bool = False) -> float:
     """The archimedean factor: I(m; w) for the split form.
 
     With check=True a refined configuration is run as well and an
-    AccuracyError is raised when the two differ by more than 10*tol.
+    AccuracyError is raised when the two differ by more than 1e-5.
     """
     cfg = cfg or default_config(w)
     val = i_x_projection(w, m, cfg)
     if check:
         ref = i_x_projection(w, m, cfg.refined())
-        if abs(val - ref) > 10.0 * tol:
+        if abs(val - ref) > 1e-5:
             raise AccuracyError(
                 f"quadrature not converged: {val} vs refined {ref}")
         return ref

@@ -492,6 +492,8 @@ def parse_weight(spec: str, dim: int) -> WeightFunction:
     ``gaussian:a=<float>``, ``gaussian:a=<float>:shift=<v1,...,vd>``,
     ``bump:scale=<float>``, ``appendix-example[:variant=paper|generic]``.
     """
+    if dim < 2 or dim % 2:
+        raise ArgumentError(f"dimension {dim} must be even and >= 2")
     parts = spec.strip().split(":")
     head = parts[0]
     kv = {}

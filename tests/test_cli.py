@@ -14,8 +14,8 @@ from splitquad.cli import main
 RUNNER = CliRunner()
 
 
-def run(*args, env=None):
-    return RUNNER.invoke(main, list(args), env=env, catch_exceptions=False)
+def run(*args):
+    return RUNNER.invoke(main, list(args), catch_exceptions=False)
 
 
 def test_count_csv_shape():
@@ -67,6 +67,36 @@ def test_predict_rejects_small_dimension():
     r = RUNNER.invoke(main, ["predict", "--d1", "2", "--L", "4",
                              "--weight", "gaussian:a=1.0"])
     assert r.exit_code == 2
+    assert "d must be even and > 4" in r.stderr
+
+
+_G = ("--weight", "gaussian:a=1.0")
+_BAD_INPUT = {
+    "count without --d1": ("count", "--L", "2", *_G),
+    "count without --L": ("count", "--d1", "3", *_G),
+    "count without --weight": ("count", "--d1", "3", "--L", "2"),
+    "predict without --d1": ("predict", "--L", "4", *_G),
+    "predict without --L": ("predict", "--d1", "3", *_G),
+    "predict without --weight": ("predict", "--d1", "3", "--L", "4"),
+    "verify without --d1": ("verify", "--L-list", "2,3", *_G),
+    "verify without --weight": ("verify", "--d1", "3", "--L-list", "2,3"),
+    "verify without --L-list": ("verify", "--d1", "3", *_G),
+    "verify --L-list 2,x": ("verify", "--d1", "3", "--L-list", "2,x", *_G),
+    "verify --L-list 2,,4": ("verify", "--d1", "3", "--L-list", "2,,4", *_G),
+    "verify --L-list 2,2": ("verify", "--d1", "3", "--L-list", "2,2", *_G),
+    "count --d1 0": ("count", "--d1", "0", "--L", "2", *_G),
+    "count --d1 -1": ("count", "--d1", "-1", "--L", "2", *_G),
+    "count --d1 0 appendix-example": ("count", "--d1", "0", "--L", "2",
+                                      "--weight", "appendix-example"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUT))
+def test_bad_input_is_a_usage_error(case):
+    r = RUNNER.invoke(main, list(_BAD_INPUT[case]))
+    assert r.exit_code == 2, r.exception
+    assert r.stdout == ""
+    assert "Traceback" not in r.output and r.stderr.lstrip().startswith("Usage:")
 
 
 def test_sigma_methods():
@@ -116,6 +146,10 @@ _SIGMA_GOLDEN = {
         "remark5_product,10000,1.305955455905e+00,2.089695900661e-04",
     "--d 10 --t 0 --method dirichlet --cutoff 100000":
         "dirichlet_sum,100000,1.043778824843e+00,3.333333333333e-16",
+    "--d 8 --t 72 --method euler --cutoff 20000":
+        "euler_product,20000,1.096218873354e+00,1.888122803868e-09",
+    "--d 10 --t 0 --method euler --cutoff 20000":
+        "euler_product,20000,1.043778824842e+00,2.550064451550e-12",
 }
 
 
@@ -133,6 +167,68 @@ def test_sigma_p_no_convergence_exit_code():
     r = RUNNER.invoke(main, ["sigma-p", "--p", "2", "--d", "6", "--rel-tol", "0"])
     assert r.exit_code == 3
     assert "sigma_p failed to converge" in r.stderr
+
+
+def test_sigma_p_golden_stdout():
+    r = run("sigma-p", "--p", "2", "--d", "6", "--t", "12")
+    assert r.exit_code == 0
+    assert r.output == ("p,value,value_rational,l_max,tail_bound,remark5_value\n"
+                        "2,1.148437500000e+00,147/128,20,3.031649005910e-13,"
+                        "1.125000000000e+00\n")
+
+
+_PREDICT_HEAD = ("d,m,L,sigma_infty,sigma_remark5,sigma_definitional,main_term_r5,"
+                 "main_term_def,error_envelope,epsilon,N1,N2,N3\n")
+_VERIFY_HEAD = "L,exact,predicted_def,predicted_r5,ratio_def,ratio_r5,fitted_error_exponent\n"
+_MAIN_TERM_GOLDEN = {
+    "predict --d1 3 --L 8 --m 0.5 --weight gaussian:a=1.0": _PREDICT_HEAD +
+        "6,5.000000000000e-01,8.000000000000e+00,2.130848243871e-01,1.305955455905e+00,"
+        "1.108939026927e+00,1.139831967657e+03,9.678769267042e+02,9.918090059849e+12,"
+        "5.000000000000e-01,60,49,82\n",
+    "predict --d1 3 --L 8 --m 0.5 --weight "
+    "gaussian:a=1.0:shift=0.1,-0.2,0.05,0.0,0.15,-0.1": _PREDICT_HEAD +
+        "6,5.000000000000e-01,8.000000000000e+00,1.975469395518e-01,1.305955455905e+00,"
+        "1.108939026927e+00,1.056716814356e+03,8.973005247235e+02,7.942725619346e+14,"
+        "5.000000000000e-01,60,49,82\n",
+    "verify --d1 3 --m 0 --weight gaussian:a=1.0 --L-list 2,4,6,8": _VERIFY_HEAD +
+        "2.000000000000e+00,3.030680120411e+01,4.378965434601e+01,4.179057458737e+01,"
+        "6.920995759555e-01,7.252066166439e-01,NA\n"
+        "4.000000000000e+00,5.927572409656e+02,7.006344695362e+02,6.686491933979e+02,"
+        "8.460292302746e-01,8.864995977238e-01,NA\n"
+        "6.000000000000e+00,3.182909385673e+03,3.546962002027e+03,3.385036541577e+03,"
+        "8.973621323980e-01,9.402880431508e-01,NA\n"
+        "8.000000000000e+00,1.034724268691e+04,1.121015151258e+04,1.069838709437e+04,"
+        "9.230243387259e-01,9.671778180810e-01,3.000003458351e+00\n"
+        "# verdict: sigma variant converging best = remark5 "
+        "(|ratio-1| = 3.282218191902e-02 at L = 8)\n"
+        "# fitted error exponent (definitional): 3.000003458351e+00\n"
+        "# fitted error exponent (remark5): 2.494699895861e+00\n",
+    "verify --d1 3 --m 1 --weight gaussian:a=1.0 --L-list 1,2,3,4": _VERIFY_HEAD +
+        "1.000000000000e+00,1.541355687339e-02,1.031811241475e-02,1.619771100343e-02,"
+        "1.493834943235e+00,9.515885837279e-01,NA\n"
+        "2.000000000000e+00,2.140188807842e-01,2.166803607098e-01,2.591633760549e-01,"
+        "9.877170228215e-01,8.258068097511e-01,NA\n"
+        "3.000000000000e+00,9.492424294842e-01,9.389482297426e-01,1.312014591278e+00,"
+        "1.010963543479e+00,7.234999029696e-01,NA\n"
+        "4.000000000000e+00,3.526769480130e+00,3.518476333431e+00,4.146614016878e+00,"
+        "1.002357027848e+00,8.505179082921e-01,5.238227230449e-01\n"
+        "# verdict: sigma variant converging best = definitional "
+        "(|ratio-1| = 2.357027847520e-03 at L = 4)\n"
+        "# fitted error exponent (definitional): 5.238227230449e-01\n"
+        "# fitted error exponent (remark5): 4.984396841015e+00\n",
+}
+
+
+@pytest.mark.parametrize("args", sorted(_MAIN_TERM_GOLDEN))
+def test_main_term_golden_stdout(args, tmp_path):
+    # the rows printed while predict and verify each assembled the main term
+    # themselves; the 96-direction quadrature keeps the shifted Gaussian's
+    # sigma_infty under a second, and the isotropic one is closed form
+    cfg = tmp_path / "quadrature.json"
+    cfg.write_text(json.dumps({"quadrature": {"angular": 8}}))
+    r = run(*args.split(), "--config", str(cfg))
+    assert r.exit_code == 0
+    assert r.output == _MAIN_TERM_GOLDEN[args]
 
 
 def test_sigma_p_rational_column():
@@ -266,7 +362,7 @@ def test_config_file_mirrors_flags(tmp_path):
 
 def test_verify_small_table():
     r = run("verify", "--d1", "3", "--m", "0", "--weight", "gaussian:a=1.0",
-            "--L-list", "2,3", "--eps", "1e-8", env={"QC_THREADS": "1"})
+            "--L-list", "2,3", "--eps", "1e-8")
     assert r.exit_code == 0
     lines = r.output.strip().splitlines()
     assert lines[0] == ("L,exact,predicted_def,predicted_r5,ratio_def,"

@@ -193,12 +193,6 @@ def test_cQ_recalibrated_when_Q_changes():
     cfg.Q = 10.0
     assert dk.delta_sum(0, cfg) == 1.0 == dk.delta_sum(0, dk.DeltaKernelConfig(Q=10.0))
     assert cfg.cQ == dk.calibrate_cQ(dk.DeltaKernelConfig(Q=10.0))
-    # a c_Q given to the constructor is kept whatever Q becomes
-    given = dk.DeltaKernelConfig(Q=20.0, cQ=1.25)
-    dk.delta_sum(0, given)
-    given.Q = 10.0
-    assert dk.delta_sum(3, given) == 1.25 * dk._raw_delta_sum(3, given)
-    assert given.cQ == 1.25
 
 
 def test_delta_term_cap():

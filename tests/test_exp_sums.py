@@ -219,6 +219,12 @@ def _sigma_prime_literal(p, d, t, rel_tol):
     return value, l, float(tail)
 
 
+def _sigma_prime_fraction(p, d, t, rel_tol):
+    """es._sigma_prime with its (num, den) pair as a Fraction."""
+    (num, den), l_max, tail = es._sigma_prime(p, d, t, rel_tol)
+    return Fraction(num, den), l_max, tail
+
+
 SIGMA_P_LEVELS = (0, 1, -1, 12, 36, 72, 2 ** 20, 3 ** 12 * 5 ** 3, 10 ** 20 + 36)
 
 
@@ -228,7 +234,7 @@ def test_sigma_prime_matches_fraction_loop(d, rel_tol):
     # the same rational, the same number of levels and the same tail float
     for p in primerange(2, 3001):
         for t in SIGMA_P_LEVELS:
-            assert es._sigma_prime(p, d, t, rel_tol) == \
+            assert _sigma_prime_fraction(p, d, t, rel_tol) == \
                 _sigma_prime_literal(p, d, t, rel_tol), (p, t)
 
 
@@ -238,8 +244,8 @@ def test_sigma_prime_stops_on_the_rounded_product():
     # loop stops where the float comparison says
     rel_tol = float.fromhex("0x1.a7b9611a7b961p-7")
     assert Fraction(1, 72) > Fraction(rel_tol) * Fraction(29, 27)
-    assert es._sigma_prime(3, 6, 0, rel_tol) == _sigma_prime_literal(3, 6, 0, rel_tol)
-    assert es._sigma_prime(3, 6, 0, rel_tol)[1] == 1
+    assert _sigma_prime_fraction(3, 6, 0, rel_tol) == _sigma_prime_literal(3, 6, 0, rel_tol)
+    assert _sigma_prime_fraction(3, 6, 0, rel_tol)[1] == 1
 
 
 def _remark5_product_literal(P, d1):
@@ -291,8 +297,7 @@ def test_fixed_point_products_round_once(d):
     for P, (exact, mp) in want.items():
         assert es.sigma_remark5_product(P, d1).value == exact == mp, P
     for t in FIXED_LEVELS:
-        vals = [es._sigma_prime(p, d, t, 1e-12)[0] for p in primes]
-        want = _prefix_products(primes, [(v.numerator, v.denominator) for v in vals])
+        want = _prefix_products(primes, [es._sigma_prime(p, d, t, 1e-12)[0] for p in primes])
         for P, (exact, mp) in want.items():
             assert es.sigma_euler(P, d, t).value == exact == mp, (t, P)
 
@@ -300,10 +305,24 @@ def test_fixed_point_products_round_once(d):
 @pytest.mark.parametrize("d,t", [(6, 36), (8, 72)])
 def test_sigma_euler_matches_fraction_loop(monkeypatch, d, t):
     rep = es.sigma_euler(20000, d, t)
-    monkeypatch.setattr(es, "_sigma_prime", _sigma_prime_literal)
+
+    def literal_pair(p, d, t, rel_tol):
+        value, l_max, tail = _sigma_prime_literal(p, d, t, rel_tol)
+        return (value.numerator, value.denominator), l_max, tail
+    monkeypatch.setattr(es, "_sigma_prime", literal_pair)
     ref = es.sigma_euler(20000, d, t)
     assert (rep.value, rep.tail_bound, rep.per_prime) == \
         (ref.value, ref.tail_bound, ref.per_prime)
+
+
+def test_euler_products_build_no_fraction(monkeypatch):
+    # the local factors reach the fixed-point product as pairs of ints
+    want = (es.sigma_euler(2000, 6, 36), es.sigma_remark5_product(2000, 3))
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+    monkeypatch.setattr(es, "Fraction", refuse)
+    assert (es.sigma_euler(2000, 6, 36), es.sigma_remark5_product(2000, 3)) == want
 
 
 def test_ramanujan_prime_power_closed_form():

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -93,6 +94,24 @@ def test_norm_bound_dominates_samples(w):
         assert w.norm_bound(0, 0) <= w.norm_bound(1, n2) + 1e-12
 
 
+@pytest.mark.parametrize("w", all_families(4) + all_families(6),
+                         ids=lambda w: f"d{w.dim}-{w.spec_string()}")
+def test_norm_bound_dominates_derivative_samples(w):
+    # max over |alpha| <= n1 of |d^alpha w(z)| <z>^n2 at points z = r theta,
+    # theta uniform on the sphere and r uniform up to where w is negligible;
+    # predict's error envelope uses the n1 = 2 bound
+    alphas = [a for a in product(range(3), repeat=w.dim) if sum(a) <= 2]
+    order = np.array([sum(a) for a in alphas])
+    theta = RNG.normal(size=(400, w.dim))
+    theta /= np.linalg.norm(theta, axis=1)[:, None]
+    Z = theta * RNG.uniform(0.0, w.support_radius or w.decay_radius(1e-30), size=(400, 1))
+    partials = np.array([[abs(w.eval_partial(z, a)) for a in alphas] for z in Z])
+    br = np.array([bracket(z) for z in Z])
+    for n1, n2 in ((1, 0.0), (1, 2.0), (2, 0.0), (2, 3.0), (1, 40.0), (2, 40.0)):
+        sampled = np.max(partials[:, order <= n1].max(axis=1) * br ** n2)
+        assert sampled <= w.norm_bound(n1, n2) * (1 + 1e-9), (n1, n2)
+
+
 @pytest.mark.parametrize("w", all_families(), ids=lambda w: w.spec_string())
 def test_regularity_decay_envelope(w):
     d, gamma = w.dim, w.gamma
@@ -160,3 +179,6 @@ def test_parse_weight_errors():
                 "bump", "appendix-example:variant=unknown"):
         with pytest.raises(ArgumentError):
             parse_weight(bad, 4)
+    for dim in (0, -2, 3):
+        with pytest.raises(ArgumentError, match="even and >= 2"):
+            parse_weight("gaussian:a=1.0", dim)
