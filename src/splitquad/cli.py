@@ -61,10 +61,21 @@ def _merge_config(config_path, flags: dict, required=()) -> dict:
     cfg = {}
     if config_path:
         with open(config_path) as fh:
-            cfg = json.load(fh)
+            try:
+                cfg = json.load(fh)
+            except ValueError as e:
+                raise click.UsageError(f"config file {config_path}: {e}") from None
+        if not isinstance(cfg, dict):
+            raise click.UsageError(f"config file {config_path} must hold a JSON object")
     for k, v in flags.items():
         if v is not None:
             cfg[k] = v
+    d1 = cfg.get("d1")
+    if not (d1 is None or isinstance(d1, int) or isinstance(d1, float) and d1.is_integer()):
+        raise click.UsageError(f"d1 must be an integer, got {d1!r}")
+    for k in ("quadrature", "cutoffs"):
+        if not isinstance(cfg.get(k) or {}, dict):
+            raise click.UsageError(f"config key {k} must be an object, got {cfg[k]!r}")
     missing = [f"--{k.replace('_', '-')}" for k in required if cfg.get(k) is None]
     if missing:
         raise click.UsageError(f"missing {', '.join(missing)} (as a flag or a config key)")

@@ -13,20 +13,19 @@ with eps' = eps / L^(d-2).  There are two paths:
   sum over x_i y_i = r.  Each P_i is one bincount; the product is direct
   convolution.  tail_estimate is the weight's certified bound on the
   lattice mass outside the box.
-* Fibres, for any weight (AppendixExample, and the oracle for the first
-  path).  A weight's block_support (rx, ry) says that w(x, y) = 0 unless
-  |x| <= rx and |y| <= ry; the fibres then run over u_x with
-  |u_x| <= Rx = min(R, rx) L, and u_y is confined to |u_y| <= Ry =
-  min(R, ry) L (Rx = Ry = R L for a weight with no block_support).  Each
-  admissible u_x is solved for its pivot coordinate k = argmax |x_k|: the
-  other d1 - 1 coordinates of u_y run over the ball of radius Ry,
-  y_k = (t - sum_{j != k} x_j y_j) / x_k is kept when the division is
-  exact, |u_y| <= Ry and |u_x|^2 + |u_y|^2 <= (R L)^2.  The u_x = 0
-  stratum (t = 0 only) is the u_y ball of radius Ry.  The u_x are grouped
-  by pivot and processed in blocks of about BLOCK candidates, all in
-  int64.  tail_estimate combines the empirical |value(R) - value(0.8 R)|
-  difference with the analytic envelope sup |w| |z|^{d-2} <= eps' per
-  lattice point.
+* Fibres, for the other weights with a bounded support (AppendixExample),
+  where R is the support radius and nothing is truncated.  A weight's
+  block_support (rx, ry) says that w(x, y) = 0 unless |x| <= rx and
+  |y| <= ry; the fibres then run over u_x with |u_x| <= Rx = min(R, rx) L,
+  and u_y is confined to |u_y| <= Ry = min(R, ry) L (Rx = Ry = R L for a
+  weight with no block_support).  Each admissible u_x is solved for its
+  pivot coordinate k = argmax |x_k|: the other d1 - 1 coordinates of u_y
+  run over the ball of radius Ry, y_k = (t - sum_{j != k} x_j y_j) / x_k is
+  kept when the division is exact, |u_y| <= Ry and |u_x|^2 + |u_y|^2 <=
+  (R L)^2.  The u_x = 0 stratum (t = 0 only) is the u_y ball of radius Ry.
+  The u_x are grouped by pivot and processed in blocks of about BLOCK
+  candidates, all in int64.  tail_estimate bounds the rounding of the sum.
+  A weight with neither pair_factors nor a bounded support is refused.
 
 Both paths count their work in operations, worked out from the inputs
 before the counting starts: a multiply-add of the convolution (or a weight
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import chain
 from math import fsum
 
 import numpy as np
@@ -209,17 +208,19 @@ def enumerate_N_L(w: WeightFunction, spec: LatticeSpec, eps: float,
     """Sum w(u/L) over integer solutions of u_x . u_y = t, truncated at radius R L.
 
     Weights with a ``pair_factors`` method take the pair-convolution path;
-    the others are enumerated fibre by fibre.
+    the others need a bounded support and are enumerated fibre by fibre.
     """
     if not eps > 0:
         raise ArgumentError("eps must be positive")
     d = w.dim
     L = float(spec.L)
-    eps_prime = eps / max(1.0, L ** (d - 2))
-    R = w.decay_radius(eps_prime, d - 2)
+    R = w.decay_radius(eps / max(1.0, L ** (d - 2)), d - 2)
     if hasattr(w, "pair_factors"):
         return _count_pair_convolution(w.pair_factors(L, R), spec.t, L, R, budget)
-    return _count_fibres(w, spec.t, L, R, eps_prime, budget)
+    if w.support_radius is None:
+        raise CapabilityError(f"{type(w).__name__} has neither pair factors nor a "
+                              "bounded support, so no counter path bounds its tail")
+    return _count_fibres(w, spec.t, L, R, budget)
 
 
 def _count_pair_convolution(f: PairFactors, t: int, L: float, R: float,
@@ -251,14 +252,14 @@ def _count_pair_convolution(f: PairFactors, t: int, L: float, R: float,
     return CountResult(value, visited, R, f.tail)
 
 
-def _count_fibres(w: WeightFunction, t: int, L: float, R: float, eps_prime: float,
+def _count_fibres(w: WeightFunction, t: int, L: float, R: float,
                   budget: int) -> CountResult:
     """Sum w(u/L) over the solutions the pivot solve finds in the ball |u| <= R L.
 
-    u_x runs over |u_x| <= Rx and u_y over |u_y| <= Ry, the ball radius cut
-    down to the weight's block support.  The budget counts d1 operations per
-    candidate; it is checked from lattice-point counts before any ball is
-    enumerated.
+    R is w's support radius.  u_x runs over |u_x| <= Rx and u_y over
+    |u_y| <= Ry, the ball radius cut down to the weight's block support.
+    The budget counts d1 operations per candidate; it is checked from
+    lattice-point counts before any ball is enumerated.
     """
     d1 = w.dim // 2
     Ru = R * L
@@ -270,29 +271,25 @@ def _count_fibres(w: WeightFunction, t: int, L: float, R: float, eps_prime: floa
     UX = _ball_points(d1, Rx)
     UX = UX[np.any(UX, axis=1)]
     UX = UX[t % np.gcd.reduce(UX, axis=1) == 0]       # the admissible u_x
-    F = _ball_points(d1 - 1, Ry)                       # free coordinates of u_y
-
-    # u_x = 0 stratum: present exactly when t = 0, contributing w(0, u_y/L)
-    zero_stratum = []
-    if t == 0:
+    blocks = _pivot_solutions(UX, _ball_points(d1 - 1, Ry), t, Ru * Ru, Ry * Ry)
+    if t == 0:                                         # the u_x = 0 stratum: w(0, u_y/L)
         Y = _ball_points(d1, Ry)
-        zero_stratum = [(np.concatenate([np.zeros_like(Y), Y], axis=1),
-                         np.sum(Y * Y, axis=1))]
-    totals, totals_inner, points = [], [], 0
-    for U, norm2 in chain(zero_stratum, _pivot_solutions(UX, F, t, Ru * Ru, Ry * Ry)):
-        vals = w.eval_array(U / L)
-        totals.append(np.sum(vals))
-        totals_inner.append(np.sum(vals[norm2 <= (0.8 * Ru) ** 2]))
+        blocks = chain([np.concatenate([np.zeros_like(Y), Y], axis=1)], blocks)
+    totals, points = [], 0
+    for U in blocks:
+        totals.append(np.sum(w.eval_array(U / L)))
         points += len(U)
     value = fsum(totals)
-    tail = abs(value - fsum(totals_inner)) + eps_prime * max(1, points)
-    return CountResult(value, visited, R, tail)
+    # the block sums and their fsum add n = points terms w >= 0, so the rounding
+    # is at most gamma_n sum w <= n u value / (1 - 2 n u), u = 2^-53 (Higham ch. 4)
+    nu = points * 2.0 ** -53
+    return CountResult(value, visited, R, nu * value / (1 - 2 * nu))
 
 
 def _pivot_solutions(UX: np.ndarray, F: np.ndarray, t: int, radius2: float,
                      y_radius2: float):
-    """Yield blocks (u, |u|^2) of the solutions of u_x . u_y = t with
-    |u|^2 <= radius2 and |u_y|^2 <= y_radius2.
+    """Yield blocks of the solutions u of u_x . u_y = t with |u|^2 <= radius2
+    and |u_y|^2 <= y_radius2.
 
     Each u_x is solved for y_k, k = argmax |x_k|, with the other coordinates
     of u_y running over the rows of F; about BLOCK candidates per block.
@@ -311,33 +308,30 @@ def _pivot_solutions(UX: np.ndarray, F: np.ndarray, t: int, radius2: float,
             i, j = np.divmod(idx, len(F))
             yk = S.ravel()[idx] // X[i, k]
             y2 = sF[j] + yk * yk
-            norm2 = np.sum(X * X, axis=1)[i] + y2
-            keep = (norm2 <= radius2) & (y2 <= y_radius2)
+            keep = (np.sum(X * X, axis=1)[i] + y2 <= radius2) & (y2 <= y_radius2)
             i, j, yk = i[keep], j[keep], yk[keep]
             U = np.empty((len(i), 2 * d1), dtype=np.int64)
             U[:, :d1] = X[i]
             U[:, d1:][:, free] = F[j]
             U[:, d1 + k] = yk
-            yield U, norm2[keep]
+            yield U
 
 
 def brute_force_N_L(w: WeightFunction, spec: LatticeSpec, box_radius: int) -> float:
-    """Literal scan over the |u|_inf <= box_radius box (test oracle)."""
+    """Literal scan over the |u|_inf <= box_radius box (test oracle): every
+    u_x against every u_y, in blocks of u_x, the weight summed by fsum."""
     d1 = w.dim // 2
     B = int(box_radius)
     side = 2 * B + 1
     if side ** d1 * side ** d1 > 10 ** 9:
         raise CapabilityError("brute-force box too large")
     t, L = spec.t, float(spec.L)
-    axes = [np.arange(-B, B + 1)] * d1
-    Ygrid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d1)
-    totals = []
-    for ux in product(range(-B, B + 1), repeat=d1):
-        ux = np.array(ux, dtype=np.int64)
-        mask = Ygrid @ ux == t
-        if not np.any(mask):
-            continue
-        Y = Ygrid[mask]
-        Z = np.concatenate([np.broadcast_to(ux, Y.shape), Y], axis=1) / L
-        totals.append(float(np.sum(w.eval_array(Z))))
-    return fsum(totals)
+    axes = [np.arange(-B, B + 1, dtype=float)] * d1    # |u_x . u_y| <= d1 B^2 < 2^53: exact
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d1)
+    rows = max(1, (1 << 22) // len(grid))             # 2^22 (u_x, u_y) pairs a block
+    vals = []
+    for s in range(0, len(grid), rows):
+        ix, iy = np.divmod(np.flatnonzero(grid[s:s + rows] @ grid.T == t), len(grid))
+        Z = np.concatenate([grid[s + ix], grid[iy]], axis=1) / L
+        vals.extend(w.eval_array(Z).tolist())
+    return fsum(vals)

@@ -74,7 +74,11 @@ class LatticeSpec:
     def __post_init__(self):
         if not self.L >= 1:
             raise ArgumentError(f"L must be >= 1, got {self.L}")
-        t = Fraction(self.L) ** 2 * Fraction(self.m)
+        try:
+            t = Fraction(self.L) ** 2 * Fraction(self.m)
+        except (OverflowError, ValueError):               # inf or nan
+            raise ArgumentError(f"L and m must be finite, got L = {self.L}, "
+                                f"m = {self.m}") from None
         if t.denominator != 1:
             raise ArgumentError(f"m*L^2 = {t} is not an integer")
 

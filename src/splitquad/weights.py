@@ -2,8 +2,8 @@
 
 Four closed families are supported (no arbitrary callables):
 
-* ``GaussianIsotropic(a)``      w(z) = exp(-a*pi*|z|^2)
-* ``ShiftedGaussian(a, shift)`` the same translated by ``shift``
+* ``GaussianWeight(a)``         w(z) = exp(-a*pi*|z|^2)
+* ``GaussianWeight(a, shift)``  the same translated by ``shift``
 * ``ProductBump(scale)``        product of 1-d bumps w0(z_i/scale), compact support
 * ``AppendixExample``           F(|x|^2) g(|y|^2) with smooth bumps F, g and
                                 0 not in supp g

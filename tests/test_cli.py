@@ -88,12 +88,32 @@ _BAD_INPUT = {
     "count --d1 -1": ("count", "--d1", "-1", "--L", "2", *_G),
     "count --d1 0 appendix-example": ("count", "--d1", "0", "--L", "2",
                                       "--weight", "appendix-example"),
+    "count --L inf": ("count", "--d1", "3", "--L", "inf", *_G),
+    "count --m inf": ("count", "--d1", "3", "--L", "2", "--m", "inf", *_G),
+    "count --m nan": ("count", "--d1", "3", "--L", "2", "--m", "nan", *_G),
+    "verify --L-list 2,inf": ("verify", "--d1", "3", "--L-list", "2,inf", *_G),
+}
+# (command, config file text): the file is passed as --config
+_BAD_CONFIG = {
+    "config not JSON": (("count", "--d1", "3", "--L", "2", *_G), "{bad"),
+    "config a list": (("count", "--d1", "3", "--L", "2", *_G), "[1, 2]"),
+    "config d1 a string": (("count", *_G), '{"d1": "x", "L": 2}'),
+    "config quadrature a list": (("predict", "--d1", "3", "--L", "4", *_G),
+                                 '{"quadrature": [1]}'),
+    "config cutoffs a list": (("predict", "--d1", "3", "--L", "4", *_G), '{"cutoffs": [1]}'),
 }
 
 
-@pytest.mark.parametrize("case", list(_BAD_INPUT))
-def test_bad_input_is_a_usage_error(case):
-    r = RUNNER.invoke(main, list(_BAD_INPUT[case]))
+@pytest.mark.parametrize("case", list(_BAD_INPUT) + list(_BAD_CONFIG))
+def test_bad_input_is_a_usage_error(case, tmp_path):
+    if case in _BAD_CONFIG:
+        args, text = _BAD_CONFIG[case]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        args = (*args, "--config", str(cfg))
+    else:
+        args = _BAD_INPUT[case]
+    r = RUNNER.invoke(main, list(args))
     assert r.exit_code == 2, r.exception
     assert r.stdout == ""
     assert "Traceback" not in r.output and r.stderr.lstrip().startswith("Usage:")
@@ -175,6 +195,26 @@ def test_sigma_p_golden_stdout():
     assert r.output == ("p,value,value_rational,l_max,tail_bound,remark5_value\n"
                         "2,1.148437500000e+00,147/128,20,3.031649005910e-13,"
                         "1.125000000000e+00\n")
+
+
+_COUNT_HEAD = "L,m,value,tail_estimate,visited\n"
+# value and visited as printed while the fibre path also summed each block
+# inside 0.8 R; tail_estimate is now the rounding bound of the sum
+_APPENDIX_GOLDEN = {
+    "6": "6.000000000000e+00,2.500000000000e-01,6.120904654844e+01,"
+         "2.271079253158e-11,56364\n",
+    "8": "8.000000000000e+00,2.500000000000e-01,2.537646177142e+02,"
+         "2.638733020439e-10,217554\n",
+    "10": "1.000000000000e+01,2.500000000000e-01,4.729553892925e+02,"
+          "1.017301544358e-09,612444\n",
+}
+
+
+@pytest.mark.parametrize("L", sorted(_APPENDIX_GOLDEN))
+def test_count_appendix_golden_stdout(L):
+    r = run("count", "--d1", "3", "--weight", "appendix-example", "--m", "0.25", "--L", L)
+    assert r.exit_code == 0
+    assert r.output == _COUNT_HEAD + _APPENDIX_GOLDEN[L]
 
 
 _PREDICT_HEAD = ("d,m,L,sigma_infty,sigma_remark5,sigma_definitional,main_term_r5,"

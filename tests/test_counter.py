@@ -221,6 +221,28 @@ def test_fibre_blocks_do_not_change_the_count(monkeypatch, block):
     assert split.tail_estimate == pytest.approx(whole.tail_estimate, rel=1e-12)
 
 
+def _brute_force_loop(w, spec, B):
+    """The box scan with one matrix-vector product per u_x (the reference of
+    brute_force_N_L's blocks)."""
+    grid = np.array(list(product(range(-B, B + 1), repeat=w.dim // 2)))
+    totals = []
+    for ux in grid:
+        Y = grid[grid @ ux == spec.t]
+        Z = np.concatenate([np.broadcast_to(ux, Y.shape), Y], axis=1) / spec.L
+        totals.append(np.sum(w.eval_array(Z)))
+    return math.fsum(totals)
+
+
+def test_brute_force_blocks_match_the_per_u_x_loop():
+    # the d = 6, B = 8 box takes six blocks of u_x
+    for w, spec, B in [(AppendixExample(6), LatticeSpec(L=8, m=0.25), 8),
+                       (GaussianWeight(1.0, 4), LatticeSpec(L=2, m=1), 5),
+                       (ProductBump(1.5, 2), LatticeSpec(L=3, m=0), 6)]:
+        ref = _brute_force_loop(w, spec, B)
+        assert ref > 0
+        assert abs(ct.brute_force_N_L(w, spec, B) - ref) <= ROUNDING * ref
+
+
 def test_eps_argument_check():
     w = GaussianWeight(1.0, 6)
     with pytest.raises(ArgumentError):
@@ -239,10 +261,12 @@ def test_residue_count_matches_density_product(p, d1):
 
 
 class _FibreOnly(WeightFunction):
-    """The same weight without pair_factors, so enumerate_N_L walks fibres."""
+    """The same weight without pair_factors or block_support, so
+    enumerate_N_L walks the fibres of the whole ball (when w has a bounded
+    support)."""
 
     def __init__(self, w):
-        self.w, self.dim = w, w.dim
+        self.w, self.dim, self.support_radius = w, w.dim, w.support_radius
 
     def eval_array(self, Z):
         return self.w.eval_array(Z)
@@ -263,15 +287,40 @@ def _separable(kind, d1):
 @pytest.mark.parametrize("d1", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["gaussian", "shifted", "bump"])
 def test_pair_convolution_matches_oracles(kind, d1, m):
-    # L = 2 is even, so m = 1/4 gives the integer level t = 1
+    # L = 2 is even, so m = 1/4 gives the integer level t = 1; the fibre path
+    # takes only the bump, the one kind with a bounded support
     w, spec = _separable(kind, d1), LatticeSpec(L=2, m=m)
     res = ct.enumerate_N_L(w, spec, eps=1e-10)
-    fib = ct.enumerate_N_L(_FibreOnly(w), spec, eps=1e-10)
     box = int(math.ceil(res.truncation_radius * spec.L)) + 1
     ref = ct.brute_force_N_L(w, spec, box)
     assert abs(res.value - ref) <= res.tail_estimate + ROUNDING * abs(ref)
-    assert abs(res.value - fib.value) <= \
-        res.tail_estimate + fib.tail_estimate + ROUNDING * abs(ref)
+    if kind == "bump":
+        fib = ct.enumerate_N_L(_FibreOnly(w), spec, eps=1e-10)
+        assert abs(res.value - fib.value) <= \
+            res.tail_estimate + fib.tail_estimate + ROUNDING * abs(ref)
+
+
+def test_fibre_path_refuses_unbounded_support(monkeypatch):
+    # a weight with neither pair_factors nor a bounded support has no tail bound
+    def no_ball(d, radius):
+        raise AssertionError("a ball was enumerated before the refusal")
+    monkeypatch.setattr(ct, "_ball_points", no_ball)
+    with pytest.raises(CapabilityError, match="bounded support"):
+        ct.enumerate_N_L(_FibreOnly(GaussianWeight(1.0, 6)), LatticeSpec(L=2, m=0), 1e-10)
+
+
+@pytest.mark.parametrize("generic", [False, True])
+@pytest.mark.parametrize("d", [4, 6])
+def test_fibre_tail_bounds_the_brute_force_gap(d, generic):
+    # the support |z| <= 1 lies in the box |u|_inf <= L, so the brute-force scan
+    # is the exact count up to its own rounding, well inside the tail
+    w = AppendixExample(d, generic=generic)
+    for m in (0, 0.25):
+        for L in (4, 8):
+            spec = LatticeSpec(L=L, m=m)
+            res = ct.enumerate_N_L(w, spec, eps=1e-8)
+            assert res.tail_estimate <= 1e-9 * res.value, (m, L)
+            assert abs(res.value - ct.brute_force_N_L(w, spec, L)) <= res.tail_estimate, (m, L)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "shifted"])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -55,5 +57,6 @@ def test_lattice_spec_integrality():
     assert LatticeSpec(L=3, m=2).t == 18
     with pytest.raises(ArgumentError):
         LatticeSpec(L=2, m=0.1)
-    with pytest.raises(ArgumentError):
-        LatticeSpec(L=0.5, m=0)
+    for L, m in [(0.5, 0), (math.inf, 0), (2, math.inf), (2, -math.inf), (2, math.nan)]:
+        with pytest.raises(ArgumentError):
+            LatticeSpec(L=L, m=m)
