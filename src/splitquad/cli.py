@@ -55,9 +55,40 @@ class ConvergenceRow:
     fitted_error_exponent: float | None = None
 
 
+# schema key -> (type, default); null or absent means the default
+_SCHEMA = {"d1": (int, None), "L": (float, None), "m": (float, 0.0), "weight": (str, None),
+           "eps": (float, 1e-8), "budget": (int, counter.DEFAULT_BUDGET)}
+_CUTOFFS = {"q": (int, 10 ** 5), "primes": (int, 10 ** 4)}
+_QUADRATURE = {"radial": (int, None), "angular": (int, None), "plane": (int, None),
+               "r_min": (float, None), "r_max": (float, None)}
+_QUAD_FIELDS = {"radial": "radial_panels", "angular": "angular_order",
+                "plane": "plane_order", "r_min": "r_min", "r_max": "r_max"}
+_KINDS = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _typed(key: str, v, kind):
+    """v as kind, or a usage error; an integer key takes an integral number
+    (a JSON float such as 3.0 included)."""
+    try:
+        if isinstance(v, bool) or not isinstance(v, str if kind is str else (int, float)):
+            raise TypeError
+        out = kind(v)
+        if kind is int and out != v:
+            raise ValueError
+        return out
+    except (TypeError, ValueError, OverflowError):
+        raise click.UsageError(f"{key} must be {_KINDS[kind]}, got {v!r}") from None
+
+
+def _typed_keys(raw: dict, schema: dict, prefix: str = "") -> dict:
+    return {k: default if raw.get(k) is None else _typed(prefix + k, raw[k], kind)
+            for k, (kind, default) in schema.items()}
+
+
 def _merge_config(config_path, flags: dict, required=()) -> dict:
-    """The config file's keys overridden by the flags that are set; a key in
-    required must come from one of them."""
+    """The config file's keys overridden by the flags that are set, each
+    schema key converted to its type once, with its default filled in; a
+    key in required must come from one of them."""
     cfg = {}
     if config_path:
         with open(config_path) as fh:
@@ -70,25 +101,21 @@ def _merge_config(config_path, flags: dict, required=()) -> dict:
     for k, v in flags.items():
         if v is not None:
             cfg[k] = v
-    d1 = cfg.get("d1")
-    if not (d1 is None or isinstance(d1, int) or isinstance(d1, float) and d1.is_integer()):
-        raise click.UsageError(f"d1 must be an integer, got {d1!r}")
-    for k in ("quadrature", "cutoffs"):
-        if not isinstance(cfg.get(k) or {}, dict):
-            raise click.UsageError(f"config key {k} must be an object, got {cfg[k]!r}")
     missing = [f"--{k.replace('_', '-')}" for k in required if cfg.get(k) is None]
     if missing:
         raise click.UsageError(f"missing {', '.join(missing)} (as a flag or a config key)")
+    cfg.update(_typed_keys(cfg, _SCHEMA))
+    for k, schema in (("cutoffs", _CUTOFFS), ("quadrature", _QUADRATURE)):
+        sub = cfg.get(k) or {}
+        if not isinstance(sub, dict):
+            raise click.UsageError(f"config key {k} must be an object, got {sub!r}")
+        cfg[k] = _typed_keys(sub, schema, f"{k}.")
     return cfg
 
 
 def _quad_config(w, cfg: dict):
-    qc = sing_integral.default_config(w)
-    q = cfg.get("quadrature") or {}
-    fields = {"radial": "radial_panels", "angular": "angular_order",
-              "plane": "plane_order", "r_min": "r_min", "r_max": "r_max"}
-    kw = {fields[k]: v for k, v in q.items() if k in fields}
-    return replace(qc, **kw) if kw else qc
+    kw = {_QUAD_FIELDS[k]: v for k, v in cfg["quadrature"].items() if v is not None}
+    return replace(sing_integral.default_config(w), **kw)
 
 
 def _main_terms(d1: int, m: float, Ls, weight_spec: str, cfg: dict):
@@ -98,14 +125,13 @@ def _main_terms(d1: int, m: float, Ls, weight_spec: str, cfg: dict):
     d = 2 * d1
     exp_sums.half_dim(d)        # an odd d or d <= 4 exits 2 before any work
     specs = [LatticeSpec(L=L, m=m) for L in Ls]
-    cuts = cfg.get("cutoffs") or {}
+    cuts = cfg["cutoffs"]
     w = parse_weight(weight_spec, d)
     # sigma_infty runs before the sieve: the other order leaves the benchmark
     # process's peak RSS about 0.7 MB higher
     sig_inf = sing_integral.sigma_infty(w, m, _quad_config(w, cfg))
-    sig_def = exp_sums.sigma_dirichlet_levels(int(cuts.get("q", 10 ** 5)), d,
-                                              [spec.t for spec in specs])
-    sig_r5 = exp_sums.sigma_remark5_product(int(cuts.get("primes", 10 ** 4)), d1).value
+    sig_def = exp_sums.sigma_dirichlet_levels(cuts["q"], d, [spec.t for spec in specs])
+    sig_r5 = exp_sums.sigma_remark5_product(cuts["primes"], d1).value
     terms = []
     for spec in specs:
         sig = sig_def[spec.t].value
@@ -159,10 +185,9 @@ def count(d1, L, m, weight, eps, budget, config_path):
                                           eps=eps, budget=budget), ("d1", "L", "weight"))
 
     def run():
-        w = parse_weight(cfg["weight"], 2 * int(cfg["d1"]))
-        spec = LatticeSpec(L=cfg["L"], m=cfg.get("m", 0.0))
-        res = counter.enumerate_N_L(w, spec, float(cfg.get("eps", 1e-8)),
-                                    int(cfg.get("budget", counter.DEFAULT_BUDGET)))
+        w = parse_weight(cfg["weight"], 2 * cfg["d1"])
+        spec = LatticeSpec(L=cfg["L"], m=cfg["m"])
+        res = counter.enumerate_N_L(w, spec, cfg["eps"], cfg["budget"])
         click.echo("L,m,value,tail_estimate,visited")
         click.echo(",".join([_f(spec.L), _f(spec.m), _f(res.value),
                              _f(res.tail_estimate),
@@ -182,9 +207,9 @@ def predict(d1, L, m, weight, config_path):
                         ("d1", "L", "weight"))
 
     def run():
-        d1v, mv, Lv = int(cfg["d1"]), float(cfg.get("m", 0.0)), float(cfg["L"])
-        w, (term,) = _main_terms(d1v, mv, [Lv], cfg["weight"], cfg)
-        d = 2 * d1v
+        mv, Lv = cfg["m"], cfg["L"]
+        w, (term,) = _main_terms(cfg["d1"], mv, [Lv], cfg["weight"], cfg)
+        d = 2 * cfg["d1"]
         n1 = 2 * d * d - 2 * d
         n2, n3 = 7 * (d + 1), n1 + 3 * d + 4
         # the full error envelope needs weight norms of derivative order N1;
@@ -224,13 +249,10 @@ def verify(d1, m, weight, L_list, eps, config_path):
 
     def run():
         Ls = _L_values(cfg["L_list"])
-        w, terms = _main_terms(int(cfg["d1"]), float(cfg.get("m", 0.0)), Ls,
-                               cfg["weight"], cfg)
-        epsv = float(cfg.get("eps", 1e-8))
-        budget = int(cfg.get("budget", counter.DEFAULT_BUDGET))
+        w, terms = _main_terms(cfg["d1"], cfg["m"], Ls, cfg["weight"], cfg)
         rows = []
         for term in terms:
-            res = counter.enumerate_N_L(w, term.spec, epsv, budget)
+            res = counter.enumerate_N_L(w, term.spec, cfg["eps"], cfg["budget"])
             pd, pr = term.main_term_def, term.main_term_r5
             na = float("nan")
             rows.append(ConvergenceRow(term.spec.L, res.value, pd, pr,
@@ -349,10 +371,15 @@ def i_grid(d1, weight, t_min, t_max, n, config_path):
               help="comma-separated integer vector of length 2*d1")
 def gauss_sum(d1, q, t, c_str):
     """Complete exponential sum S_q(c) for the split form."""
+    try:
+        c = None if c_str is None else [int(s) for s in c_str.split(",")]
+    except ValueError:
+        raise click.BadParameter(f"{c_str!r} is not a list of integers",
+                                 param_hint="--c") from None
+
     def run():
         form = QuadraticFormF0(d1)
-        c = [0] * form.d if c_str is None else [int(s) for s in c_str.split(",")]
-        val = exp_sums.S_q_factored(form, q, c, t)
+        val = exp_sums.S_q_factored(form, q, [0] * form.d if c is None else c, t)
         exact = "" if val.value_exact is None else str(val.value_exact)
         click.echo("q,t,value,value_exact")
         click.echo(",".join([str(q), str(t), _f(val.value), exact]))

@@ -59,11 +59,6 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
 _C0 = 0.4439938161680794
 
 
-def w0(x) -> float:
-    """exp(1/(x^2-1)) inside (-1, 1), zero outside."""
-    return bump_w0(x)
-
-
 def omega(x):
     """Unit-mass bump (4/c0) w0(4x - 3), supported on (1/2, 1)."""
     return 4.0 / _C0 * bump_w0(4.0 * np.asarray(x, dtype=float) - 3.0)
@@ -208,8 +203,8 @@ class DeltaKernelConfig:
     cQ_at: float | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.Q > 1:
-            raise ArgumentError("Q must be > 1")
+        if not (self.Q > 1 and math.isfinite(self.Q)):
+            raise ArgumentError(f"Q must be finite and > 1, got {self.Q}")
         if not 0.44 < _C0 < 0.45:
             raise AccuracyError(f"c0 = {_C0} outside sanity bracket (0.44, 0.45)")
 

@@ -7,21 +7,24 @@ Lebesgue fiber measure, giving
     I(t; w) = int_{R^{d1}} |x|^{-1} dx int_{x^perp} w(x, u + t x/|x|^2) du
             = int r^{d1-2} dr int_{sphere} dtheta int_{theta^perp} w(...) du.
 
-Gauss-Legendre radial panels carry the r integral.  The inner integrals
-take one of three paths, chosen in _i_projection:
+Every weight takes the one product rule of _i_projection,
 
-* biradial: weights that depend only on (|x|, |y|) take a reduced
-  two-radius rule in which the angular integrals are exact; the inner
-  fibre integral is the weight's closed form (``fiber_integral``, the
-  isotropic Gaussian) when it has one, and otherwise a rule over the
-  fibre radius rho (AppendixExample);
-* closed-form fibres: other weights with a ``fiber_integral`` method
-  (the shifted Gaussian) return the exact fiber integral on the radial
-  and sphere nodes, so I(t) is one matrix product;
-* tensor rule: any other weight is sampled on a product sphere rule
-  times a tensor fiber rule, with the fiber plane spanned by a
-  deterministic Householder frame (reflecting e1 to theta); it is also
-  the test oracle of the closed-form path.
+    I(t; w) ~ sum_ij wr_i r_i^{d1-2} F[i, j] wtheta_j,
+
+with Gauss-Legendre radial panels (r_i, wr_i), sphere nodes (theta_j,
+wtheta_j) and F[i, j] the integral of w over the fibre at r_i theta_j.
+A biradial weight, one that depends only on (|x|, |y|), has the same
+fibre integral in every direction: it takes a denser radial rule and the
+single direction e1 weighted by the sphere's area, so it needs no sphere
+rule and serves every d1.  F has two sources:
+
+* closed form: a weight with a ``fiber_integral`` method (the Gaussians)
+  returns the exact fibre integrals;
+* quadrature (_fibre_rule): a biradial weight (AppendixExample) takes a
+  rule over the fibre radius rho; any other weight (ProductBump) a tensor
+  rule in the fibre plane, spanned by a deterministic Householder frame
+  (reflecting e1 to theta).  The tensor rule is also the test oracle of
+  the closed form.
 
 The mirror disintegration through (x, y) -> y gives an independent
 evaluation of the same number.
@@ -167,69 +170,56 @@ def _sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
-def _i_projection_biradial(w: WeightFunction, t: float, cfg: QuadratureConfig,
-                           swap: bool) -> float:
+def _fibre_rule(w: WeightFunction, cfg: QuadratureConfig, r: np.ndarray,
+                thetas: np.ndarray, t: float, swap: bool) -> np.ndarray:
+    """Fibre integrals by quadrature, laid out as ``fiber_integral``'s.
+
+    A biradial weight takes a rule over the fibre radius rho, the same in
+    every direction; any other weight is sampled on a tensor rule in the
+    fibre plane, spanned by the Householder frame of each direction.
+    """
     d1 = w.dim // 2
-    r, wr = _radial_nodes(cfg, dense=True)
-    if hasattr(w, "fiber_integral"):
-        # the fibre integral of a biradial weight is the same in every direction
-        inner = w.fiber_integral(r, np.eye(d1)[:1], t, swap)[:, 0]
-    else:
-        edges = np.linspace(0.0, cfg.fiber_radius, 33)
-        rho, wrho = _panel_nodes(edges, cfg.plane_order)
+    if w.is_biradial:
+        rho, wrho = _panel_nodes(np.linspace(0.0, cfg.fiber_radius, 33), cfg.plane_order)
         RR, PP = np.meshgrid(r, rho, indexing="ij")
-        r_near = RR                                  # radius in the projected block
-        r_far = np.sqrt(PP ** 2 + (t / RR) ** 2)     # radius in the fiber block
-        if swap:
-            vals = w.eval_biradial(r_far, r_near)
-        else:
-            vals = w.eval_biradial(r_near, r_far)
-        fiber_dim = d1 - 1
-        fiber_const = _sphere_area(fiber_dim) if fiber_dim > 1 else 2.0
-        inner = fiber_const * (vals * PP ** (fiber_dim - 1)) @ wrho
-    return _sphere_area(d1) * float((wr * r ** (d1 - 2)) @ inner)
-
-
-def _i_projection_generic(w: WeightFunction, t: float, cfg: QuadratureConfig,
-                          swap: bool) -> float:
-    d1 = w.dim // 2
-    r, wr = _radial_nodes(cfg)
-    thetas, wth = _sphere_nodes(d1, cfg)
+        r_far = np.sqrt(PP ** 2 + (t / RR) ** 2)     # radius in the fibre block
+        vals = w.eval_biradial(r_far, RR) if swap else w.eval_biradial(RR, r_far)
+        inner = _sphere_area(d1 - 1) * (vals * PP ** (d1 - 2)) @ wrho
+        return np.broadcast_to(inner[:, None], (len(r), len(thetas)))
     fib, wf = _fiber_nodes(d1, cfg)
-    rad_w = wr * r ** (d1 - 2)
-    partials = []
-    for theta, wt_th in zip(thetas, wth):
-        B = _householder_frame(theta)
-        u_phys = fib @ B.T                                   # (nf, d1)
+    F = np.empty((len(r), len(thetas)))
+    for j, theta in enumerate(thetas):
+        u_phys = fib @ _householder_frame(theta).T                # (nf, d1)
         y = u_phys[None, :, :] + (t / r)[:, None, None] * theta  # (nr, nf, d1)
         x = np.broadcast_to(r[:, None, None] * theta, y.shape)
         z = np.concatenate([y, x] if swap else [x, y], axis=2)
-        vals = w.eval_array(z.reshape(-1, w.dim)).reshape(len(r), len(wf))
-        partials.append(wt_th * float(rad_w @ vals @ wf))
-    return fsum(partials)
-
-
-def _i_projection_fiber(w: WeightFunction, t: float, cfg: QuadratureConfig,
-                        swap: bool) -> float:
-    """Radial and sphere rules around the weight's closed-form fibre integral."""
-    d1 = w.dim // 2
-    r, wr = _radial_nodes(cfg)
-    thetas, wth = _sphere_nodes(d1, cfg)
-    F = w.fiber_integral(r, thetas, t, swap)                 # (nr, n_theta)
-    return float((wr * r ** (d1 - 2)) @ F @ wth)
+        F[:, j] = w.eval_array(z.reshape(-1, w.dim)).reshape(len(r), len(wf)) @ wf
+    return F
 
 
 def _i_projection(w: WeightFunction, t: float, cfg: QuadratureConfig | None,
                   swap: bool) -> float:
-    """I(t; w) through the x-projection (swap: the y-projection), by path."""
+    """I(t; w) through the x-projection (swap: the y-projection)."""
     cfg = cfg or default_config(w)
-    if w.dim // 2 < 2:
+    d1 = w.dim // 2
+    if d1 < 2:
         raise ArgumentError("projection quadrature needs d1 >= 2")
+    t = float(t)
+    if not math.isfinite(t):
+        raise ArgumentError(f"level t must be finite, got {t}")
     if w.is_biradial:
-        return _i_projection_biradial(w, float(t), cfg, swap)
+        # the fibre integral is the same in every direction: one direction
+        # carries the whole sphere, so every d1 is served
+        r, wr = _radial_nodes(cfg, dense=True)
+        thetas, wth = np.eye(d1)[:1], np.array([_sphere_area(d1)])
+    else:
+        r, wr = _radial_nodes(cfg)
+        thetas, wth = _sphere_nodes(d1, cfg)
     if hasattr(w, "fiber_integral"):
-        return _i_projection_fiber(w, float(t), cfg, swap)
-    return _i_projection_generic(w, float(t), cfg, swap)
+        F = w.fiber_integral(r, thetas, t, swap)             # (nr, n_theta)
+    else:
+        F = _fibre_rule(w, cfg, r, thetas, t, swap)
+    return float((wr * r ** (d1 - 2)) @ F @ wth)
 
 
 def i_x_projection(w: WeightFunction, t: float, cfg: QuadratureConfig | None = None) -> float:
@@ -284,6 +274,8 @@ def i_derivative_fd(w: WeightFunction, t: float, k: int, step: float,
 
 def build_i_grid(w: WeightFunction, t_lo: float, t_hi: float, n: int,
                  cfg: QuadratureConfig | None = None) -> IFunctionGrid:
+    if n < 0:
+        raise ArgumentError(f"grid size n must be >= 0, got {n}")
     cfg = cfg or default_config(w)
     ts = np.linspace(t_lo, t_hi, n)
     vals = np.array([i_x_projection(w, t, cfg) for t in ts])

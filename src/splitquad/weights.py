@@ -94,7 +94,9 @@ class WeightFunction:
 
     dim: int
     gamma: float = 1.0        # regularity exponent of eq-style decay metadata
-    is_biradial = False       # w depends on (|x|, |y|) only
+    # w depends on (|x|, |y|) only; such a weight has fiber_integral or
+    # eval_biradial(rx, ry) for the singular-integral quadrature
+    is_biradial = False
     support_radius: float | None = None   # None = unbounded support
     # (rx, ry) with w(x, y) = 0 unless |x| <= rx and |y| <= ry; None = no such block
     block_support: tuple | None = None
@@ -110,9 +112,6 @@ class WeightFunction:
     def eval_array(self, Z: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (N, dim) array."""
         raise NotImplementedError
-
-    def eval_biradial(self, rx, ry):
-        raise CapabilityError(f"{type(self).__name__} is not biradial")
 
     # -- derivatives --------------------------------------------------------
 

@@ -92,6 +92,12 @@ _BAD_INPUT = {
     "count --m inf": ("count", "--d1", "3", "--L", "2", "--m", "inf", *_G),
     "count --m nan": ("count", "--d1", "3", "--L", "2", "--m", "nan", *_G),
     "verify --L-list 2,inf": ("verify", "--d1", "3", "--L-list", "2,inf", *_G),
+    "sigma-infty --m nan": ("sigma-infty", "--d1", "3", *_G, "--m", "nan"),
+    "sigma-infty --m inf": ("sigma-infty", "--d1", "3", *_G, "--m", "inf"),
+    "i-grid --n -1": ("i-grid", "--d1", "3", *_G, "--t-min", "0", "--t-max", "1",
+                      "--n", "-1"),
+    "gauss-sum --c 1,x,3,4": ("gauss-sum", "--d1", "2", "--q", "6", "--c", "1,x,3,4"),
+    "delta --Q inf": ("delta", "--n", "3", "--Q", "inf"),
 }
 # (command, config file text): the file is passed as --config
 _BAD_CONFIG = {
@@ -101,6 +107,13 @@ _BAD_CONFIG = {
     "config quadrature a list": (("predict", "--d1", "3", "--L", "4", *_G),
                                  '{"quadrature": [1]}'),
     "config cutoffs a list": (("predict", "--d1", "3", "--L", "4", *_G), '{"cutoffs": [1]}'),
+    "config budget a string": (("count", "--d1", "3", "--L", "2", *_G), '{"budget": "x"}'),
+    "config eps a string": (("count", "--d1", "3", "--L", "2", *_G), '{"eps": "x"}'),
+    "config m a list": (("count", "--d1", "3", "--L", "2", *_G), '{"m": [1]}'),
+    "config cutoffs.q a string": (("predict", "--d1", "3", "--L", "4", *_G),
+                                  '{"cutoffs": {"q": "x"}}'),
+    "config quadrature.angular a string": (("predict", "--d1", "3", "--L", "4", *_G),
+                                           '{"quadrature": {"angular": "x"}}'),
 }
 
 
@@ -285,6 +298,29 @@ def test_sigma_infty_command():
     assert r.exit_code == 0
     val = float(r.output.strip().splitlines()[1].split(",")[1])
     assert abs(val - 2.0) < 1e-5
+
+
+_SIGMA_INFTY_GOLDEN = {
+    "--d1 2 --m 0.2 --weight bump:scale=1.0": "2.000000000000e-01,3.998151443647e-02",
+    "--d1 2 --m 0.2 --weight appendix-example": "2.000000000000e-01,8.762242189930e-02",
+    "--d1 2 --m 0.2 --weight appendix-example:variant=generic":
+        "2.000000000000e-01,1.010677379821e-01",
+    "--d1 3 --m 0.5 --weight gaussian:a=1.0": "5.000000000000e-01,2.130848243871e-01",
+    "--d1 3 --m 0.5 --weight gaussian:a=1.5:shift=0.2,-0.1,0.05,0.15,0.1,-0.25":
+        "5.000000000000e-01,4.376492145235e-02",
+    "--d1 4 --m 0 --weight gaussian:a=1.0": "0.000000000000e+00,1.570796326795e+00",
+}
+
+
+@pytest.mark.parametrize("args", sorted(_SIGMA_INFTY_GOLDEN))
+def test_sigma_infty_golden_stdout(args):
+    # the rows printed while each fibre source had its own projection routine:
+    # the tensor rule (bump), the rho rule (appendix-example), closed-form
+    # fibres on the sphere rule (shifted Gaussian) and on one direction
+    # (isotropic Gaussian)
+    r = run("sigma-infty", *args.split())
+    assert r.exit_code == 0
+    assert r.output == "m,sigma_infty\n" + _SIGMA_INFTY_GOLDEN[args] + "\n"
 
 
 def test_sigma_infty_d1_4_isotropic_gaussian():

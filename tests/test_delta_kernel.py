@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from splitquad import delta_kernel as dk
 from splitquad.errors import AccuracyError, ArgumentError, CapabilityError
 from splitquad.exp_sums import ramanujan
+from splitquad.weights import bump_w0
 
 
 @functools.lru_cache(maxsize=None)     # h1(q/Q) does not depend on n
@@ -40,7 +41,7 @@ def _raw_delta_literal(n, Q):
 
 def test_c0_value():
     # the bump mass; independent adaptive quadrature
-    val, err = quad(dk.w0, -1, 1, epsabs=1e-13)
+    val, err = quad(bump_w0, -1, 1, epsabs=1e-13)
     assert dk.DeltaKernelConfig(Q=10.0).c0 == pytest.approx(val, abs=1e-11)
     assert 0.44 < val < 0.45
 
@@ -49,7 +50,7 @@ def test_c0_literal_matches_quadratures():
     # the literal _C0 against 30-digit tanh-sinh and adaptive Gauss-Kronrod
     with mpmath.workdps(30):
         ts = float(mpmath.quad(lambda x: mpmath.exp(1 / (x * x - 1)), [-1, 0, 1]))
-    gk, _ = quad(dk.w0, -1.0, 1.0, epsabs=1e-13, limit=200)
+    gk, _ = quad(bump_w0, -1.0, 1.0, epsabs=1e-13, limit=200)
     assert abs(ts - gk) <= 1e-12
     assert abs(dk._C0 - ts) <= 1e-12 and abs(dk._C0 - gk) <= 1e-12
 

@@ -71,8 +71,8 @@ def test_apex_cutoff_convergence():
 
 
 def test_d1_capability():
-    # biradial weights have a dimension-free fast path; the generic engine
-    # needs explicit sphere rules, built for d1 in {2, 3} only
+    # a biradial weight takes one direction and serves every d1; any other
+    # weight needs explicit sphere rules, built for d1 in {2, 3} only
     w = GaussianWeight(1.0, 8, shift=[0.1] + [0.0] * 7)
     with pytest.raises(CapabilityError):
         si.i_x_projection(w, 0.0)
@@ -111,6 +111,15 @@ def test_shear_invariance():
     assert via_shear == pytest.approx(direct, abs=5e-6)
 
 
+def _hook_on_sphere_rule(w, t, cfg, swap):
+    """The closed-form fibres on the radial and sphere rules of a weight
+    that is not biradial, whichever direction rule w itself takes."""
+    d1 = w.dim // 2
+    r, wr = si._radial_nodes(cfg)
+    thetas, wth = si._sphere_nodes(d1, cfg)
+    return float((wr * r ** (d1 - 2)) @ w.fiber_integral(r, thetas, t, swap) @ wth)
+
+
 class _NoHook(WeightFunction):
     """The same weight without fiber_integral, so the tensor rule takes its fibres."""
 
@@ -132,7 +141,7 @@ def test_fiber_hook_matches_tensor_rule(d1, t):
     # keeps the tensor rule cheap without changing what is compared
     cfg = replace(si.default_config(w), angular_order=4)
     hook = si.i_x_projection(w, t, cfg)
-    assert hook == si._i_projection_fiber(w, t, cfg, swap=False)
+    assert hook == _hook_on_sphere_rule(w, t, cfg, swap=False)
     assert hook == pytest.approx(si.i_x_projection(_NoHook(w), t, cfg), abs=1e-8)
     if d1 == 3:
         fine = replace(cfg, plane_order=48)
@@ -159,16 +168,16 @@ def test_fiber_integral_matches_plane_rule(swap):
 
 @pytest.mark.parametrize("t", [0.4, 1.0, -0.7])
 def test_fiber_hook_isotropic_closed_form(t):
-    # the isotropic Gaussian takes the biradial path; call the hook directly
+    # the isotropic Gaussian takes one direction; put its hook on the sphere rule
     w = GaussianWeight(1.0, 6)
     for swap in (False, True):
-        got = si._i_projection_fiber(w, t, si.default_config(w), swap)
+        got = _hook_on_sphere_rule(w, t, si.default_config(w), swap)
         assert abs(got - K1_closed_form(t)) <= 1e-10
 
 
 class _RhoGridGaussian(WeightFunction):
-    """The isotropic Gaussian without fiber_integral: the biradial path takes
-    its inner integral from the rule over the fibre radius rho."""
+    """The isotropic Gaussian without fiber_integral: its fibre integrals
+    come from the rule over the fibre radius rho."""
 
     is_biradial = True
 
@@ -195,8 +204,8 @@ def test_biradial_closed_form_fibre_matches_rho_grid(d1, a, swap):
     assert si.default_config(oracle) == cfg
     for t in (0.0, 0.5, -0.5, 1.0, 2.0):
         got = si._i_projection(w, t, None, swap)
-        ref = si._i_projection_biradial(oracle, t, cfg, swap)
-        assert got == si._i_projection_biradial(w, t, cfg, swap)
+        ref = si._i_projection(oracle, t, cfg, swap)
+        assert got == si._i_projection(w, t, cfg, swap)
         assert abs(got - ref) <= 1e-13 * abs(ref), t
 
 
