@@ -168,7 +168,10 @@ def h(x, y):
 
 def _ramanujan_from_sieves(phi: np.ndarray, mu: np.ndarray, t: int) -> np.ndarray:
     """c_q(t) for q = 1..X as exact integers, given the phi and mu sieves on
-    0..X: one gcd pass."""
+    0..X: one gcd pass.  It beats the divisor row of exp_sums._ramanujan_row
+    over a 401-level delta sweep at q <= 60 (about 3 ms against 7 ms, best of
+    9, 2-core VM), which wins at X = 1e5, t = 36 or 100 (0.25-0.35 ms against
+    5.5-6.2 ms)."""
     t = abs(int(t))
     q = np.arange(1, len(phi), dtype=np.int64)
     # g = gcd(q, t); a t past int64 is first reduced mod each q

@@ -7,10 +7,11 @@ For F(z) = x.y - t the complete sum
 
 collapses coordinate-pair by coordinate-pair to the twisted Kloosterman
 form q^{d1} sum*_a e_q(-a t - abar (c_x.c_y)), which is real and, when
-c_x.c_y = 0 mod q, the exact integer q^{d1} c_q(t) with c_q the
-Ramanujan sum.  A literal-summation oracle (S_q_naive) retains every
-term of the double sum, grouped per coordinate pair, and never touches
-modular inverses.
+c_x.c_y = 0 mod q, the exact integer q^{d1} c_q(t) with c_q the Ramanujan
+sum (when t = 0 mod q, q^{d1} c_q(c_x.c_y)); c_q is the product of its
+prime-power closed forms.  A literal-summation oracle (S_q_naive) retains
+every term of the double sum, grouped per coordinate pair, and never
+touches modular inverses.
 
 Local densities sigma_p are partial sums of p^{-dl} S_{p^l}(0), exact
 rationals with a certified geometric tail bound, summed on Python ints.
@@ -19,8 +20,9 @@ Each local factor, sigma_p or the remark-5 closed form, is a pair of ints
 The singular series is assembled both as an Euler product and as the
 Dirichlet sum sum_{q<=X} q^{-d} S_q(0).
 
-The Euler products multiply those pairs into one Python int in fixed
-point with FIX_BITS fraction bits; each factor lies in (1/2, 2), so n
+The Euler product of the sigma_p and the remark-5 product share one loop
+over the sieve primes.  It multiplies those pairs into one Python int in
+fixed point with FIX_BITS fraction bits; each factor lies in (1/2, 2), so n
 factors carry a relative error below about 2n 2^{1-FIX_BITS}, far below
 the final rounding to a float.  Neither floor(num 2^FIX_BITS / den) nor
 the correctly rounded num / den depends on the pair being reduced.
@@ -47,6 +49,7 @@ from .errors import ArgumentError, CapabilityError
 from .forms import QuadraticFormF0
 
 NAIVE_Q_CAP = 64
+FACTORED_Q_CAP = 10 ** 6  # the float unit sum of S_q_factored, about 4.5 us a step
 TRIAL_CAP = 10 ** 6       # trial divisors tried before a cofactor must be prime
 SIEVE_CAP = 10 ** 8       # largest sieve: two int32 arrays of 0.4 GB
 FIX_BITS = 192            # fraction bits of the Euler-product accumulator
@@ -115,23 +118,20 @@ def _factor(n: int) -> dict:
 
 
 def ramanujan(q: int, n: int) -> int:
-    """Ramanujan sum c_q(n) = sum*_{a mod q} e_q(a n), exactly."""
-    q = int(q)
+    """Ramanujan sum c_q(n) = sum*_{a mod q} e_q(a n), exactly, as the
+    product of c_{p^e}(n) over p^e || q (c_q is multiplicative in q)."""
+    q, n = int(q), int(n)
     if q < 1:
         raise ArgumentError("q must be >= 1")
-    if q == 1:
-        return 1
-    g = q if n == 0 else math.gcd(q, abs(int(n)))
-    # c_q(n) = mu(k) phi(q) / phi(k) with k = q/g, whose primes divide q
-    k, phi_q, phi_k, mu_k = q // g, 1, 1, 1
-    for p, e in _factor(q).items():
-        phi_q *= p ** (e - 1) * (p - 1)
-        if k % p == 0:
-            k //= p
-            if k % p == 0:
-                return 0
-            mu_k, phi_k = -mu_k, phi_k * (p - 1)
-    return mu_k * (phi_q // phi_k)
+    return math.prod(_ramanujan_prime_power(p, e, n) for p, e in _factor(q).items())
+
+
+def _ramanujan_prime_power(p: int, l: int, t: int) -> int:
+    """c_{p^l}(t) for a prime p and l >= 1, in closed form."""
+    pl = p ** l
+    if t % pl == 0:
+        return pl - pl // p
+    return -(pl // p) if t % (pl // p) == 0 else 0
 
 
 @dataclass
@@ -194,8 +194,9 @@ def S_q_naive(form: QuadraticFormF0, q: int, c, t: int) -> ExpSumValue:
 
 
 def S_q_factored(form: QuadraticFormF0, q: int, c, t: int) -> ExpSumValue:
-    """Closed form q^{d1} sum*_a e_q(-a t - abar c_x.c_y); exact integer path
-    when c_x.c_y = 0 mod q."""
+    """Closed form q^{d1} sum*_a e_q(-a t - abar c_x.c_y): the exact integer
+    q^{d1} c_q(c_x.c_y + t) when c_x.c_y or t is 0 mod q, else a float loop
+    of q - 1 steps, refused past FACTORED_Q_CAP."""
     q = int(q)
     if q < 1:
         raise ArgumentError("q must be >= 1")
@@ -204,10 +205,13 @@ def S_q_factored(form: QuadraticFormF0, q: int, c, t: int) -> ExpSumValue:
     t = int(t)
     if q == 1:
         return ExpSumValue(1, tuple(c), t, 1.0 + 0.0j, 1)
-    if s % q == 0:
-        exact = q ** form.d1 * ramanujan(q, t)
+    if s % q == 0 or t % q == 0:
+        exact = q ** form.d1 * ramanujan(q, s + t)
         return ExpSumValue(q, tuple(int(v) for v in c), t,
                            complex(float(exact)), exact)
+    if q > FACTORED_Q_CAP:
+        raise CapabilityError(
+            f"q = {q} beyond the Kloosterman loop cap {FACTORED_Q_CAP}")
     acc = 0.0 + 0.0j
     for a in range(1, q):
         if math.gcd(a, q) != 1:
@@ -242,16 +246,10 @@ def sigma_p(p: int, d: int, t: int, rel_tol: float = REL_TOL):
     """
     if not is_prime(p):
         raise ArgumentError(f"{p} is not prime")
+    if not rel_tol >= 0:
+        raise ArgumentError(f"rel_tol {rel_tol} must be >= 0")
     (num, den), l_max, tail = _sigma_prime(int(p), d, t, rel_tol)
     return Fraction(num, den), l_max, tail
-
-
-def _ramanujan_prime_power(p: int, l: int, t: int) -> int:
-    """c_{p^l}(t) for a prime p and l >= 1, in closed form."""
-    pl = p ** l
-    if t % pl == 0:
-        return pl - pl // p
-    return -(pl // p) if t % (pl // p) == 0 else 0
 
 
 def half_dim(d: int) -> int:
@@ -349,54 +347,43 @@ def _euler_omitted_tail(P: int, d1: int) -> float:
     return c * P ** (2 - d1) / (d1 - 2)
 
 
-def _fixed_product(factors) -> float:
-    """prod num / den over the (num, den) pairs, each in (1/2, 2), rounded once
-    to a float: a Python-int accumulator with FIX_BITS fraction bits."""
+def _euler_product(method: str, P: int, d1: int, local) -> SigmaReport:
+    """Product over primes p <= P of the local factors local(p) = ((num, den),
+    l_max, tail), in FIX_BITS-bit fixed point rounded once to a float."""
+    if P < 2:
+        raise ArgumentError("P must be >= 2")
     one = 1 << FIX_BITS
-    acc = one
-    for num, den in factors:
+    acc, per_prime = one, []
+    for p in _primes_upto(P):
+        (num, den), l_max, tail = local(p)
+        per_prime.append((p, num / den, l_max, tail))
         acc = acc * ((num << FIX_BITS) // den) >> FIX_BITS
-    return acc / one        # int / int is correctly rounded
+    value = acc / one        # int / int is correctly rounded
+    s = _euler_omitted_tail(P, d1) + sum(pp[3] for pp in per_prime)
+    tail_bound = abs(value) * math.expm1(1.2 * s)
+    return SigmaReport(method, int(P), value, tail_bound, per_prime)
 
 
 def sigma_euler(P: int, d: int, t: int) -> SigmaReport:
     """Product over primes p <= P of sigma_p, in FIX_BITS-bit fixed point."""
     d1 = half_dim(d)
-    if P < 2:
-        raise ArgumentError("P must be >= 2")
-    per_prime, factors = [], []
-    for p in _primes_upto(P):
-        (num, den), l_max, tail = _sigma_prime(p, d, t, REL_TOL)
-        per_prime.append((p, num / den, l_max, tail))
-        factors.append((num, den))
-    value = _fixed_product(factors)
-    s = _euler_omitted_tail(P, d1) + sum(pp[3] for pp in per_prime)
-    tail_bound = abs(value) * math.expm1(1.2 * s)
-    return SigmaReport("euler_product", int(P), value, tail_bound, per_prime)
+    return _euler_product("euler_product", P, d1,
+                          lambda p: _sigma_prime(p, d, t, REL_TOL))
 
 
 def sigma_remark5_product(P: int, d1: int) -> SigmaReport:
     """Product of the closed-form factors 1 + p^{1-d1} - p^{-d1} over p <= P."""
     if d1 < 3:
         raise ArgumentError("d1 must be >= 3 (d = 2 d1 > 4)")
-    if P < 2:
-        raise ArgumentError("P must be >= 2")
-    per_prime, factors = [], []
-    for p in _primes_upto(P):
-        num, den = _remark5_prime(p, d1)
-        per_prime.append((p, num / den, 1, 0.0))
-        factors.append((num, den))
-    value = _fixed_product(factors)
-    tail_bound = value * math.expm1(1.2 * _euler_omitted_tail(P, d1))
-    return SigmaReport("remark5_product", int(P), value, tail_bound, per_prime)
+    return _euler_product("remark5_product", P, d1,
+                          lambda p: (_remark5_prime(p, d1), 1, 0.0))
 
 
 def _primes_upto(P: int) -> list:
     """The primes p <= P, ascending, as Python ints, by Eratosthenes."""
     if P < 2:
         return []
-    if P > SIEVE_CAP:
-        raise CapabilityError(f"sieve to {P} beyond the cap {SIEVE_CAP}")
+    _check_sieve(P)
     sieve = np.ones(P + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(P) + 1):
@@ -458,7 +445,10 @@ def _mu_sieve(X: int) -> np.ndarray:
 
 def _ramanujan_row(phi: np.ndarray | None, mu: np.ndarray | None, t: int, X: int) -> np.ndarray:
     """c_q(t) for q = 1..X as exact int32: phi(q) at t = 0, else the divisor
-    sum of d mu(q/d) over d | t, one strided add per divisor d <= X."""
+    sum of d mu(q/d) over d | t, one strided add per divisor d <= X.  It beats
+    the gcd pass of delta_kernel._ramanujan_from_sieves at X = 1e5, t = 36 or
+    100 (0.25-0.35 ms against 5.5-6.2 ms, best of 9, 2-core VM), which wins
+    over a 401-level delta sweep at q <= 60 (about 3 ms against 7 ms)."""
     if t == 0:
         return phi[1:X + 1]
     t = abs(int(t))

@@ -16,7 +16,11 @@ certified over-estimate of the norm
     ||w||_{n1,n2} = sup_z max_{|alpha|<=n1} |d^alpha w(z)| <z>^{n2},
 
 where <z> = max(1, |z|).  Analytic partial derivatives are provided up
-to order 2; orders 3-4 fall back to central finite differences.
+to order 2; orders 3-4 fall back to central finite differences.  The bump
+families take every derivative from ``bump_w0(x, k)``, the 1-d bump w0 or
+its derivative of order k <= 2: ProductBump through w0(z_i / scale), and
+AppendixExample through the profiles s -> w0(a s + b) that ``_profile``
+builds.  The family parameters must be finite.
 
 The Gaussians and ProductBump factor over the coordinate pairs (x_i, y_i);
 their ``pair_factors`` method samples the 1-d factors on an integer box for
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -44,35 +49,31 @@ def bracket(z) -> float:
     return max(1.0, float(np.linalg.norm(z)))
 
 
-def bump_w0(x):
-    """The C0-infinity bump exp(1/(x^2-1)) on (-1, 1), 0 outside."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    xi = x[inside]
-    out[inside] = np.exp(1.0 / (xi * xi - 1.0))
-    return out if out.ndim else float(out)
-
-def bump_w0_d1(x):
-    """First derivative of bump_w0."""
-    x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    xi = x[inside]
-    u = xi * xi - 1.0
-    out[inside] = np.exp(1.0 / u) * (-2.0 * xi / (u * u))
-    return out if out.ndim else float(out)
-
-def bump_w0_d2(x):
-    """Second derivative of bump_w0."""
+def bump_w0(x, k: int = 0):
+    """The C0-infinity bump w0(x) = exp(1/(x^2-1)) on (-1, 1), 0 outside, or
+    its derivative w0^(k) of order k <= 2."""
+    if k not in (0, 1, 2):
+        raise ArgumentError(f"bump derivative order {k} > 2")
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     inside = np.abs(x) < 1.0
     xi = x[inside]
     u = xi * xi - 1.0
     w = np.exp(1.0 / u)
-    out[inside] = w * ((6.0 * xi * xi + 2.0) / u ** 3 + (2.0 * xi / (u * u)) ** 2)
+    if k == 1:
+        w = w * (-2.0 * xi / (u * u))
+    elif k == 2:
+        w = w * ((6.0 * xi * xi + 2.0) / u ** 3 + (2.0 * xi / (u * u)) ** 2)
+    out[inside] = w
     return out if out.ndim else float(out)
+
+
+def _profile(a: float, b: float):
+    """The profile s -> w0(a s + b), called as f(s, k) for its k-th derivative
+    a^k w0^(k)(a s + b) in s."""
+    def f(s, k: int = 0):
+        return a ** k * bump_w0(a * np.asarray(s, float) + b, k)
+    return f
 
 
 def _grid_sup(f, lo: float, hi: float, n: int = 4001, rounds: int = 6) -> float:
@@ -206,12 +207,14 @@ class GaussianWeight(WeightFunction):
     gamma: float = field(default=2.0, init=False)
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ArgumentError("Gaussian scale a must be > 0")
+        if not 0 < self.a < math.inf:
+            raise ArgumentError("Gaussian scale a must be finite and > 0")
         if self.shift is not None:
             self.shift = np.asarray(self.shift, dtype=float)
             if self.shift.shape != (self.dim,):
                 raise ArgumentError("shift length != dim")
+            if not np.all(np.isfinite(self.shift)):
+                raise ArgumentError("shift must be finite")
             if not np.any(self.shift):
                 self.shift = None
 
@@ -338,8 +341,8 @@ class ProductBump(WeightFunction):
     dim: int
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ArgumentError("scale must be > 0")
+        if not 0 < self.scale < math.inf:
+            raise ArgumentError("scale must be finite and > 0")
         self.support_radius = self.scale * math.sqrt(self.dim)
 
     def eval_array(self, Z):
@@ -349,14 +352,12 @@ class ProductBump(WeightFunction):
         s = self.scale
         out = 1.0
         for k, a in enumerate(alpha):
-            f = (bump_w0, bump_w0_d1, bump_w0_d2)[a]
-            out *= f(z[k] / s) / s ** a
+            out *= bump_w0(z[k] / s, a) / s ** a
         return float(out)
 
     def _norm_bound(self, n1, n2):
         s = self.scale
-        A = [_grid_sup(f, -1.0, 1.0) / s ** k
-             for k, f in enumerate((bump_w0, bump_w0_d1, bump_w0_d2))]
+        A = [_grid_sup(partial(bump_w0, k=k), -1.0, 1.0) / s ** k for k in range(3)]
         br = max(1.0, self.support_radius) ** n2
         best = A[0] ** self.dim
         if n1 >= 1:
@@ -384,25 +385,10 @@ class ProductBump(WeightFunction):
         return f"bump:scale={self.scale!r}"
 
 
-def _F_profile(s):
-    """Radial-x profile: smooth bump in s = |x|^2, supported on (-1/2, 1/2)."""
-    return bump_w0(2.0 * np.asarray(s, float))
-
-def _F_d1(s):
-    return 2.0 * bump_w0_d1(2.0 * np.asarray(s, float))
-
-def _F_d2(s):
-    return 4.0 * bump_w0_d2(2.0 * np.asarray(s, float))
-
-def _g_profile(s):
-    """Radial-y profile in s = |y|^2, supported on (1/4, 1/2): 0 not in supp g."""
-    return bump_w0(8.0 * np.asarray(s, float) - 3.0)
-
-def _g_d1(s):
-    return 8.0 * bump_w0_d1(8.0 * np.asarray(s, float) - 3.0)
-
-def _g_d2(s):
-    return 64.0 * bump_w0_d2(8.0 * np.asarray(s, float) - 3.0)
+# radial-x profile in s = |x|^2, supported on (-1/2, 1/2)
+_F = _profile(2.0, 0.0)
+# radial-y profile in s = |y|^2, supported on (1/4, 1/2): 0 not in supp g
+_G = _profile(8.0, -3.0)
 
 
 @dataclass
@@ -427,8 +413,7 @@ class AppendixExample(WeightFunction):
         if self.dim % 2:
             raise ArgumentError("dim must be even")
         self.support_radius = 1.0
-        self._g = (_F_profile, _F_d1, _F_d2) if self.generic \
-            else (_g_profile, _g_d1, _g_d2)
+        self._g = _F if self.generic else _G
 
     @property
     def d1(self):
@@ -437,18 +422,18 @@ class AppendixExample(WeightFunction):
     def eval_array(self, Z):
         Z = np.asarray(Z, float)
         x, y = Z[..., : self.d1], Z[..., self.d1 :]
-        return _F_profile(np.sum(x * x, axis=-1)) * self._g[0](np.sum(y * y, axis=-1))
+        return _F(np.sum(x * x, axis=-1)) * self._g(np.sum(y * y, axis=-1))
 
     def eval_biradial(self, rx, ry):
         rx, ry = np.asarray(rx, float), np.asarray(ry, float)
-        return _F_profile(rx * rx) * self._g[0](ry * ry)
+        return _F(rx * rx) * self._g(ry * ry)
 
     def _partial_analytic(self, z, alpha):
         d1 = self.d1
         x, y = z[:d1], z[d1:]
         sx, sy = float(x @ x), float(y @ y)
-        F, F1, F2 = _F_profile(sx), _F_d1(sx), _F_d2(sx)
-        g, g1, g2 = (f(sy) for f in self._g)
+        F, F1, F2 = (_F(sx, k) for k in range(3))
+        g, g1, g2 = (self._g(sy, k) for k in range(3))
         idx = [k for k, a in enumerate(alpha) for _ in range(a)]
         def d_one(k):
             if k < d1:
@@ -468,8 +453,8 @@ class AppendixExample(WeightFunction):
         return float(val)
 
     def _norm_bound(self, n1, n2):
-        supF = [_grid_sup(f, -0.6, 0.6) for f in (_F_profile, _F_d1, _F_d2)]
-        supg = [_grid_sup(f, 0.0, 0.6) for f in self._g]
+        supF = [_grid_sup(partial(_F, k=k), -0.6, 0.6) for k in range(3)]
+        supg = [_grid_sup(partial(self._g, k=k), 0.0, 0.6) for k in range(3)]
         r = math.sqrt(0.5)   # |x|, |y| <= sqrt(1/2) on the support; <z> = 1
         best = supF[0] * supg[0]
         if n1 >= 1:

@@ -98,6 +98,15 @@ _BAD_INPUT = {
                       "--n", "-1"),
     "gauss-sum --c 1,x,3,4": ("gauss-sum", "--d1", "2", "--q", "6", "--c", "1,x,3,4"),
     "delta --Q inf": ("delta", "--n", "3", "--Q", "inf"),
+    "predict gaussian a=inf": ("predict", "--d1", "3", "--L", "2",
+                               "--weight", "gaussian:a=inf"),
+    "count gaussian shift nan": ("count", "--d1", "3", "--L", "2",
+                                 "--weight", "gaussian:a=1.0:shift=nan,0,0,0,0,0"),
+    "predict gaussian shift nan": ("predict", "--d1", "3", "--L", "2",
+                                   "--weight", "gaussian:a=1.0:shift=nan,0,0,0,0,0"),
+    "count bump scale inf": ("count", "--d1", "3", "--L", "2", "--weight", "bump:scale=inf"),
+    "sigma-p --rel-tol -1": ("sigma-p", "--p", "2", "--d", "6", "--rel-tol", "-1"),
+    "sigma-p --rel-tol nan": ("sigma-p", "--p", "2", "--d", "6", "--rel-tol", "nan"),
 }
 # (command, config file text): the file is passed as --config
 _BAD_CONFIG = {
@@ -345,6 +354,25 @@ def test_gauss_sum_exact_column():
     header, row = r.output.strip().splitlines()
     assert header == "q,t,value,value_exact"
     assert row.split(",")[3] == "-128"
+
+
+@pytest.mark.parametrize("args", ["--d1 3 --q 396 --c -8,7,3,0,-3,-4",
+                                  "--d1 2 --q 10000 --c 1,0,1,0"])
+def test_gauss_sum_exact_zero(args):
+    # t = 0 mod q: the unit sum is c_q(c_x.c_y) = 0, where the float loop
+    # left an imaginary part of about 1e-6 that was refused
+    r = run("gauss-sum", *args.split())
+    assert r.exit_code == 0
+    assert r.output == f"q,t,value,value_exact\n{args.split()[3]},0,0.000000000000e+00,0\n"
+
+
+def test_gauss_sum_loop_cap_exit_code():
+    # q - 1 = 10^12 float steps, refused before the loop starts
+    r = RUNNER.invoke(main, ["gauss-sum", "--d1", "2", "--q", str(10 ** 12), "--t", "1",
+                             "--c", "1,0,1,0"])
+    assert r.exit_code == 3
+    assert r.stdout == ""
+    assert "loop cap" in r.stderr
 
 
 def test_delta_command():

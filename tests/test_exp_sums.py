@@ -42,8 +42,8 @@ def ramanujan_divisor_sum(q, g):
 
 
 def test_ramanujan_matches_divisor_sum():
-    for q in range(1, 301):
-        for n in range(-30, 31):
+    for q in [*range(1, 301), 2 ** 10, 3 ** 6, 5 ** 4]:
+        for n in [*range(-30, 31), 2 ** 70 + 6, -(2 ** 64 * 3 ** 6 * 5 ** 2)]:
             g = q if n == 0 else math.gcd(q, abs(n))
             assert es.ramanujan(q, n) == ramanujan_divisor_sum(q, g), (q, n)
 
@@ -215,7 +215,8 @@ def _sigma_prime_literal(p, d, t, rel_tol):
         if tail <= rel_tol * abs(value) and l >= 1:
             break
         l += 1
-        value += Fraction(es.ramanujan(p ** l, t), p ** (l * d1))
+        g = p ** l if t == 0 else math.gcd(p ** l, abs(t))
+        value += Fraction(ramanujan_divisor_sum(p ** l, g), p ** (l * d1))
     return value, l, float(tail)
 
 
@@ -326,11 +327,13 @@ def test_euler_products_build_no_fraction(monkeypatch):
 
 
 def test_ramanujan_prime_power_closed_form():
-    # the closed form that sigma_p sums agrees with the divisor sum of ramanujan
+    # the closed form that sigma_p sums agrees with the sympy divisor sum
     for p in (2, 3, 5, 7, 11):
         for l in range(1, 7):
             for t in list(range(-30, 31)) + [2 ** 20, -(2 ** 20), 10 ** 20 + 36]:
-                assert es._ramanujan_prime_power(p, l, t) == es.ramanujan(p ** l, t)
+                g = p ** l if t == 0 else math.gcd(p ** l, abs(t))
+                assert es._ramanujan_prime_power(p, l, t) == \
+                    ramanujan_divisor_sum(p ** l, g), (p, l, t)
 
 
 @pytest.mark.parametrize("X", [0, 1, 2, 4, 25, 49, 121, 1000, 5000])

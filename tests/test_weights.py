@@ -1,12 +1,13 @@
 import math
 from itertools import product
 
+import mpmath
 import numpy as np
 import pytest
 
 from splitquad.errors import ArgumentError, CapabilityError
 from splitquad.weights import (AppendixExample, GaussianWeight, ProductBump,
-                               bracket, parse_weight)
+                               bracket, bump_w0, parse_weight)
 
 RNG = np.random.default_rng(20240817)
 
@@ -57,6 +58,14 @@ def test_partials_fd_vs_analytic(w):
             a = w.eval_partial(z, alpha)
             b = w.eval_partial_fd(z, alpha)
             assert a == pytest.approx(b, rel=1e-5, abs=2e-6)
+
+
+def test_bump_derivatives_match_mpmath():
+    with mpmath.workdps(30):
+        for x in (-0.97, -0.5, 0.2, 0.6, 0.9):
+            for k in (1, 2):
+                want = mpmath.diff(lambda v: mpmath.exp(1 / (v * v - 1)), x, k)
+                assert bump_w0(x, k) == pytest.approx(float(want), rel=1e-12), (x, k)
 
 
 def test_partial_order_cap():
