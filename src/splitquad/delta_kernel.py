@@ -26,12 +26,12 @@ that does not depend on n: the grid x = q/Q, the row h1(x) and the phi and
 mu sieves, for q up to the largest qmax asked for so far.  A call with a
 larger qmax, or after Q has changed, rebuilds them; a smaller qmax takes a
 prefix, since each entry depends only on its own q.  A delta sum is then
-the h2 windows, one gcd pass for the Ramanujan sums c_q(n) and one fsum
-over q.  qmax plus every window of a delta sum is capped at MAX_TERMS
-before the tables grow, so the memory a config keeps is that of the tables
-for the largest qmax asked for, which is at most the cap.  fsum is
-correctly rounded, so every value equals the literal per-q loop over
-ramanujan and h bit for bit.
+the h2 windows, which are non-empty only on the prefix q <= 2|n|/Q, one gcd
+pass for the Ramanujan sums c_q(n) and one fsum over q.  qmax plus every
+window of a delta sum is capped at MAX_TERMS before the tables grow, so the
+memory a config keeps is that of the tables for the largest qmax asked for,
+which is at most the cap.  fsum is correctly rounded, so every value equals
+the literal per-q loop over ramanujan and h bit for bit.
 """
 
 from __future__ import annotations
@@ -135,12 +135,6 @@ def _h2_term(ay: float):
     return term
 
 
-def _kernel(x: np.ndarray, ay: float, h1_row: np.ndarray, w2) -> np.ndarray:
-    """h(x, y) = h1(x) - h2(x, y) on a flat array x at |y| = ay, given h1(x)
-    and the h2 windows."""
-    return h1_row - _window_sums(x, w2, _h2_term(ay))
-
-
 def h1(x):
     """h1 at each x; a float for a scalar x."""
     xs = _flat_x(x)
@@ -163,7 +157,7 @@ def h(x, y):
     xs, ay = _flat_x(x), abs(float(y))
     w1, w2 = _h1_windows(xs), _h2_windows(xs, ay)
     _cap_windows(f"h at {xs.size} x, |y| = {ay:g}", w1, w2)
-    return _shaped(x, _kernel(xs, ay, _window_sums(xs, w1, _h1_term), w2))
+    return _shaped(x, _window_sums(xs, w1, _h1_term) - _window_sums(xs, w2, _h2_term(ay)))
 
 
 def _ramanujan_from_sieves(phi: np.ndarray, mu: np.ndarray, t: int) -> np.ndarray:
@@ -245,7 +239,14 @@ def _raw_delta_sum(n: int, cfg: DeltaKernelConfig) -> float:
     if rebuild:
         tab = cfg.tables = _KernelTables(Q, x, _window_sums(x, w1, _h1_term), h1_terms,
                                          _phi_sieve(qmax), _mu_sieve(qmax))
-    hq = _kernel(x, ay, tab.h1[:qmax], w2)
+    # h = h1 - h2.  The h2 window of x is non-empty iff fl(2|y| / x) >= 1, and
+    # float division is monotone, so those windows are a prefix of q; the h2
+    # pass runs over that prefix only, and not at all when |n| < Q/2
+    hq = tab.h1[:qmax]
+    k = int(np.count_nonzero(w2[1]))
+    if k:
+        hq = hq.copy()
+        hq[:k] -= _window_sums(x[:k], (w2[0][:k], w2[1][:k]), _h2_term(ay))
     # exact: |c_q(n)| <= q < 2^53
     cq = _ramanujan_from_sieves(tab.phi[:qmax + 1], tab.mu[:qmax + 1], n).astype(float)
     return fsum((cq * hq).tolist()) / Q ** 2

@@ -186,6 +186,12 @@ _SIGMA_GOLDEN = {
         "dirichlet_sum,300000,1.137300569055e+00,3.333333333333e-06",
     "--d 6 --t 100 --method remark5":
         "remark5_product,10000,1.305955455905e+00,2.089695900661e-04",
+    "--d 6 --t 0 --method dirichlet --cutoff 300000":
+        "dirichlet_sum,300000,1.368430751198e+00,3.333333333333e-06",
+    "--d 6 --t 72 --method dirichlet --cutoff 300000":
+        "dirichlet_sum,300000,1.241281544543e+00,3.333333333333e-06",
+    "--d 6 --t 144 --method dirichlet --cutoff 300000":
+        "dirichlet_sum,300000,1.244932372615e+00,3.333333333333e-06",
     "--d 10 --t 0 --method dirichlet --cutoff 100000":
         "dirichlet_sum,100000,1.043778824843e+00,3.333333333333e-16",
     "--d 8 --t 72 --method euler --cutoff 20000":
@@ -197,8 +203,8 @@ _SIGMA_GOLDEN = {
 
 @pytest.mark.parametrize("args", sorted(_SIGMA_GOLDEN))
 def test_sigma_golden_stdout(args):
-    # the rows printed while the products ran in 50-digit mpmath and the
-    # Dirichlet sum took c_q(t) from a gcd pass
+    # the rows printed while the products ran in 50-digit mpmath, and the
+    # Dirichlet sum took c_q(t) from a gcd pass and added its terms by fsum
     r = run("sigma", *args.split())
     assert r.exit_code == 0
     assert r.output == "method,cutoff,value,tail_bound\n" + _SIGMA_GOLDEN[args] + "\n"
@@ -265,6 +271,15 @@ _MAIN_TERM_GOLDEN = {
         "(|ratio-1| = 3.282218191902e-02 at L = 8)\n"
         "# fitted error exponent (definitional): 3.000003458351e+00\n"
         "# fitted error exponent (remark5): 2.494699895861e+00\n",
+    "verify --d1 3 --m 0 --weight gaussian:a=1.0 --L-list 2,5": _VERIFY_HEAD +
+        "2.000000000000e+00,3.030680120411e+01,4.378965434601e+01,4.179057458737e+01,"
+        "6.920995759555e-01,7.252066166439e-01,NA\n"
+        "5.000000000000e+00,1.499858744734e+03,1.710533372891e+03,1.632444319819e+03,"
+        "8.768368793644e-01,9.187809510714e-01,3.000026149480e+00\n"
+        "# verdict: sigma variant converging best = remark5 "
+        "(|ratio-1| = 8.121904892862e-02 at L = 5)\n"
+        "# fitted error exponent (definitional): 3.000026149480e+00\n"
+        "# fitted error exponent (remark5): 2.669778458679e+00\n",
     "verify --d1 3 --m 1 --weight gaussian:a=1.0 --L-list 1,2,3,4": _VERIFY_HEAD +
         "1.000000000000e+00,1.541355687339e-02,1.031811241475e-02,1.619771100343e-02,"
         "1.493834943235e+00,9.515885837279e-01,NA\n"
@@ -364,6 +379,18 @@ def test_gauss_sum_exact_zero(args):
     r = run("gauss-sum", *args.split())
     assert r.exit_code == 0
     assert r.output == f"q,t,value,value_exact\n{args.split()[3]},0,0.000000000000e+00,0\n"
+
+
+def test_gauss_sum_real_kloosterman_zero():
+    # q = 5^2 and s t = 2 a non-residue mod 5: the sum is exactly 0, and the
+    # loop's imaginary part of about 0.17 (against q^10 ~ 1e14) is rounding,
+    # which the old fixed threshold 1e-6 (1 + |real|) refused with exit 2
+    c = ",".join(["2"] + ["0"] * 9 + ["1"] + ["0"] * 9)
+    r = run("gauss-sum", "--d1", "10", "--q", "25", "--t", "1", "--c", c)
+    assert r.exit_code == 0
+    q, t, value, exact = r.output.splitlines()[1].split(",")
+    assert (q, t, exact) == ("25", "1", "")
+    assert abs(float(value)) < 1e-12 * 25 ** 10
 
 
 def test_gauss_sum_loop_cap_exit_code():

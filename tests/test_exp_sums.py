@@ -14,7 +14,7 @@ from sympy import (divisors, factorint, isprime, mobius, nextprime, prevprime, p
 
 from splitquad import exp_sums as es
 from splitquad.delta_kernel import _ramanujan_from_sieves
-from splitquad.errors import ArgumentError, CapabilityError
+from splitquad.errors import AccuracyError, ArgumentError, CapabilityError
 from splitquad.forms import QuadraticFormF0
 
 RNG = np.random.default_rng(421)
@@ -161,9 +161,35 @@ def test_S_q_naive_matches_factored():
     for q in (2, 3, 4, 5, 8, 9, 12):
         for c in cs:
             for t in (0, 1, -6):
-                a = es.S_q_naive(form, q, c, t).value
-                b = es.S_q_factored(form, q, c, t).value
-                assert a == pytest.approx(b, rel=1e-8, abs=1e-6 * q ** 3)
+                a = es.S_q_naive(form, q, c, t)
+                b = es.S_q_factored(form, q, c, t)
+                assert a.value == pytest.approx(b.value, rel=1e-8, abs=1e-6 * q ** 3)
+                assert abs(a.value_complex - b.value_complex) <= a.round_bound + b.round_bound
+
+
+@pytest.mark.parametrize("d1,q,s", [(2, 9, 2), (3, 49, 3), (10, 25, 2), (4, 121, 2)])
+def test_S_q_factored_real_kloosterman_zero(d1, q, s):
+    # q = p^2 and s t a non-residue mod p: the Kloosterman sum vanishes, so
+    # the float loop's whole value is rounding and lies within round_bound,
+    # which is of order q^d1 phi(q) 2^-53.  The fixed threshold
+    # 1e-6 (1 + |real|) refused d1 = 10, q = 25 (imaginary part 0.17).
+    form = QuadraticFormF0(d1)
+    v = es.S_q_factored(form, q, [s] + [0] * (d1 - 1) + [1] + [0] * (d1 - 1), 1)
+    assert v.value_exact is None
+    assert abs(v.value_complex) <= v.round_bound
+    assert v.round_bound < 1e-12 * q ** d1
+
+
+def test_exp_sum_value_refuses_imaginary_part_beyond_rounding():
+    c = (0, 0, 0, 0)
+    assert es.ExpSumValue(5, c, 1, complex(2.0, -1e-3), round_bound=1e-3).value == 2.0
+    with pytest.raises(AccuracyError, match="imaginary part"):
+        es.ExpSumValue(5, c, 1, complex(2.0, 2e-3), round_bound=1e-3)
+    # an exact value has no rounding to excuse any imaginary part
+    with pytest.raises(AccuracyError, match="imaginary part"):
+        es.ExpSumValue(5, c, 1, complex(2.0, 1e-300), value_exact=2)
+    with pytest.raises(AccuracyError, match="disagree"):
+        es.ExpSumValue(5, c, 1, complex(2.5), value_exact=2, round_bound=0.25)
 
 
 def test_S_q_naive_cap():
@@ -455,30 +481,83 @@ def test_divisor_row_matches_gcd_pass_past_int64():
     assert row.tolist() == [es.ramanujan(q, t) for q in range(1, X + 1)]
 
 
-def _dirichlet_literal(X, d, t):
-    """sum_{q <= X} c_q(t) / q^{d1}, one Python term per q."""
+def _ramanujan_literal(X, t):
+    """c_q(t) for q = 1..X, one Python gcd per q."""
     phi, mu = _phi_mu_sieves_literal(X)
-    terms = []
+    row = []
     for q in range(1, X + 1):
         g = q if t == 0 else math.gcd(q, t)
-        cq = int(mu[q // g]) * int(phi[q]) // int(phi[q // g])
-        if cq:
-            terms.append(cq / q ** (d // 2))
-    return math.fsum(terms)
+        row.append(int(mu[q // g]) * int(phi[q]) // int(phi[q // g]))
+    return row
+
+
+def _fsum_terms(c, d1):
+    """math.fsum of the float terms c[q-1] / float(q) ** d1, built as
+    exp_sums._term_sum builds them."""
+    return math.fsum((np.asarray(c) / np.arange(1, len(c) + 1, dtype=float) ** d1).tolist())
 
 
 @pytest.mark.parametrize("X,d,t", [(1, 6, 0), (2, 6, 5), (1000, 8, 0), (1000, 8, 360),
                                    (1000, 6, 1001), (200000, 6, 0), (200000, 6, 36),
-                                   (200000, 6, 144), (1000, 6, 10 ** 20 + 36)])
+                                   (200000, 6, 144), (1000, 6, 10 ** 20 + 36),
+                                   (300000, 6, 0), (300000, 6, 36), (300000, 6, 144)])
 def test_sigma_dirichlet_matches_literal_loop(X, d, t):
-    # every term q^{d1} stays below 2^53, so the float division is the same
-    # correctly rounded quotient as the loop's and the sums agree exactly;
-    # the last level does not fit in int64
+    # while X^{d1} < 2^53 every q^{d1} is exact, so the float division is the
+    # same correctly rounded quotient as the loop's and the sums agree exactly;
+    # past it (X = 300000 at d1 = 3) float(q) ** d1 is rounded first, and the
+    # reference is fsum of those float terms; one level does not fit in int64
     got = es.sigma_dirichlet(X, d, t).value
-    assert got == _dirichlet_literal(X, d, t)
+    d1 = d // 2
+    row = _ramanujan_literal(X, t)
+    if X ** d1 < 2 ** 53:
+        assert got == math.fsum(c / q ** d1 for q, c in enumerate(row, 1) if c)
+    else:
+        assert got == _fsum_terms(np.array(row, dtype=np.int64), d1)
     if X <= 1000:
         ref = math.fsum(es.ramanujan(q, t) / q ** (d // 2) for q in range(1, X + 1))
         assert got == pytest.approx(ref, rel=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 62, 2 ** 62) | st.integers(-3, 3), max_size=200),
+       st.sampled_from([3, 4, 5]))
+def test_term_sum_equals_fsum(c, d1):
+    # mixed signs, zeros, the empty row; int64 entries past 2^53 round to float
+    row = np.array(c, dtype=np.int64)
+    assert es._term_sum(row, d1).hex() == _fsum_terms(row, d1).hex()
+
+
+def _full_range_row():
+    """Floats at every binary exponent of float64, alternating in sign, the
+    largest first, so the terms run from about 2^1023 down to 2^-1074."""
+    e = np.arange(1023, -1075, -1)
+    return np.ldexp(np.where(e % 2 == 0, 0.75, -0.625), e)
+
+
+_EXACT_ROWS = {
+    # terms 2^1000, 3/8, -2^1000: all but 3/8 cancels
+    "cancel": np.array([2.0 ** 1000, 3.0, -27 * 2.0 ** 1000]),
+    # terms 1, 2^-53, 2^-106: the correctly rounded sum is 1 + 2^-52
+    "half-way": np.array([1.0, 8 * 2.0 ** -53, 27 * 2.0 ** -106]),
+    # terms all at least 2^53, so the sum is a multiple of a power of 2 >= 1
+    "huge": np.array([2.0 ** 60, -8 * 3 * 2.0 ** 70, 27 * 2.0 ** 65, 64 * 2.0 ** 900]),
+    # terms in the subnormal range only
+    "subnormal": np.array([5e-324, -8 * 5e-324, 27 * 3e-320, 64 * 1e-310]),
+    "full-range": _full_range_row(),
+    "full-range-reversed": _full_range_row()[::-1].copy(),
+    # more than one chunk of the int32 rows sigma_dirichlet sums
+    "chunks": np.where(RNG.random(50000) < 0.2, 0,
+                       RNG.integers(-2 ** 31, 2 ** 31, 50000)).astype(np.int32),
+}
+
+
+@pytest.mark.parametrize("d1", [3, 4, 5])
+@pytest.mark.parametrize("name", sorted(_EXACT_ROWS))
+def test_term_sum_equals_fsum_fixed_rows(name, d1):
+    row = _EXACT_ROWS[name]
+    assert es._term_sum(row, d1).hex() == _fsum_terms(row, d1).hex()
+    if name == "half-way" and d1 == 3:
+        assert es._term_sum(row, d1) == 1 + 2.0 ** -52
 
 
 @pytest.mark.parametrize("t", [0, 1, 72])
