@@ -6,7 +6,8 @@ orderings, so identical inputs give byte-identical output.  Exit codes:
 
 A JSON config file (--config) mirrors the flags; explicit flags win.
 Schema keys: d1, m, L, L_list, weight, eps, cutoffs {primes, q},
-quadrature {radial, angular, plane, r_min, r_max}, budget.
+quadrature {radial, angular, plane, r_min, r_max}, budget; any other key is
+a usage error.
 """
 
 from __future__ import annotations
@@ -80,7 +81,12 @@ def _typed(key: str, v, kind):
         raise click.UsageError(f"{key} must be {_KINDS[kind]}, got {v!r}") from None
 
 
-def _typed_keys(raw: dict, schema: dict, prefix: str = "") -> dict:
+def _typed_keys(raw: dict, schema: dict, prefix: str = "", untyped=()) -> dict:
+    """The schema keys of raw, typed, with their defaults; a key in neither
+    schema nor untyped is a usage error, not silently ignored."""
+    unknown = [prefix + k for k in raw if k not in schema and k not in untyped]
+    if unknown:
+        raise click.UsageError(f"unknown config key {', '.join(unknown)}")
     return {k: default if raw.get(k) is None else _typed(prefix + k, raw[k], kind)
             for k, (kind, default) in schema.items()}
 
@@ -104,7 +110,7 @@ def _merge_config(config_path, flags: dict, required=()) -> dict:
     missing = [f"--{k.replace('_', '-')}" for k in required if cfg.get(k) is None]
     if missing:
         raise click.UsageError(f"missing {', '.join(missing)} (as a flag or a config key)")
-    cfg.update(_typed_keys(cfg, _SCHEMA))
+    cfg.update(_typed_keys(cfg, _SCHEMA, untyped=("L_list", "cutoffs", "quadrature")))
     for k, schema in (("cutoffs", _CUTOFFS), ("quadrature", _QUADRATURE)):
         sub = cfg.get(k) or {}
         if not isinstance(sub, dict):
@@ -312,15 +318,19 @@ def sigma(d, t, method, cutoff):
 @click.option("--p", type=int, required=True)
 @click.option("--d", type=int, required=True)
 @click.option("--t", type=int, default=0)
-@click.option("--rel-tol", type=float, default=1e-12)
-def sigma_p_cmd(p, d, t, rel_tol):
-    """Local factor sigma_p as an exact rational partial sum."""
+def sigma_p_cmd(p, d, t):
+    """Local factor sigma_p as an exact rational, in closed form.
+
+    l_max is the last level l with a nonzero term c_{p^l}(t) / p^{l d/2},
+    v_p(t) + 1, or inf at t = 0; the value is exact, so tail_bound is 0.
+    """
     def run():
-        val, l_max, tail = exp_sums.sigma_p(p, d, t, rel_tol)
+        val = exp_sums.sigma_p(p, d, t)
         r5 = exp_sums.remark5_sigma_p(p, d // 2)
+        l_max = "inf" if t == 0 else str(exp_sums.valuation(p, t) + 1)
         click.echo("p,value,value_rational,l_max,tail_bound,remark5_value")
-        click.echo(",".join([str(p), _f(float(val)), f"{val}", str(l_max),
-                             _f(tail), _f(float(r5))]))
+        click.echo(",".join([str(p), _f(float(val)), f"{val}", l_max,
+                             _f(0.0), _f(float(r5))]))
     _exit_mapped(run)
 
 

@@ -212,6 +212,8 @@ def enumerate_N_L(w: WeightFunction, spec: LatticeSpec, eps: float,
     """
     if not eps > 0:
         raise ArgumentError("eps must be positive")
+    if budget < 1:
+        raise ArgumentError(f"budget {budget} must be >= 1")
     d = w.dim
     L = float(spec.L)
     R = w.decay_radius(eps / max(1.0, L ** (d - 2)), d - 2)

@@ -15,10 +15,12 @@ q^{d1} phi(q) 2^-53; an imaginary part beyond it raises AccuracyError.  A
 literal-summation oracle (S_q_naive) retains every term of the double sum,
 grouped per coordinate pair, and never touches modular inverses.
 
-Local densities sigma_p are partial sums of p^{-dl} S_{p^l}(0), exact
-rationals with a certified geometric tail bound, summed on Python ints.
-Each local factor, sigma_p or the remark-5 closed form, is a pair of ints
-(num, den); only the public sigma_p and remark5_sigma_p build a Fraction.
+The local factor sigma_p = sum_l p^{-dl} S_{p^l}(0) has finitely many
+nonzero terms when t != 0, the last at l = v_p(t) + 1, and is geometric at
+t = 0, so it is taken in closed form: the Euler factor of Ramanujan's
+sigma(t) = sigma_{1-d1}(|t|) / zeta(d1), exact and with no tail.  Each local
+factor, sigma_p or the remark-5 closed form, is a pair of ints (num, den);
+only the public sigma_p and remark5_sigma_p build a Fraction.
 The singular series is assembled both as an Euler product and as the
 Dirichlet sum sum_{q<=X} q^{-d} S_q(0).
 
@@ -27,7 +29,8 @@ over the sieve primes.  It multiplies those pairs into one Python int in
 fixed point with FIX_BITS fraction bits; each factor lies in (1/2, 2), so n
 factors carry a relative error below about 2n 2^{1-FIX_BITS}, far below
 the final rounding to a float.  Neither floor(num 2^FIX_BITS / den) nor
-the correctly rounded num / den depends on the pair being reduced.
+the correctly rounded num / den depends on the pair being reduced.  The
+factors are exact, so the tail bound covers only the primes above P.
 
 Primes come from one numpy sieve of Eratosthenes.  The phi and mu sieves
 on 0..X loop only over the primes up to isqrt(X) and finish the one prime
@@ -59,7 +62,6 @@ FACTORED_Q_CAP = 10 ** 6  # the float unit sum of S_q_factored, about 4.5 us a s
 TRIAL_CAP = 10 ** 6       # trial divisors tried before a cofactor must be prime
 SIEVE_CAP = 10 ** 8       # largest sieve: two int32 arrays of 0.4 GB
 FIX_BITS = 192            # fraction bits of the Euler-product accumulator
-REL_TOL = 1e-12           # tail of each local factor sigma_p, relative to its value
 SUM_CHUNK = 2 ** 14       # Dirichlet-sum terms built and binned per numpy pass
 
 # Miller-Rabin to the 13 prime bases up to 41 is exact below MR_EXACT_BELOW
@@ -285,18 +287,12 @@ def _remark5_prime(p: int, d1: int) -> tuple:
     return den + p - 1, den
 
 
-def sigma_p(p: int, d: int, t: int, rel_tol: float = REL_TOL):
-    """Partial sum of p^{-dl} S_{p^l}(0) as an exact rational.
-
-    Returns (value, l_max, tail) where tail is the certified geometric
-    envelope sum_{l > l_max} p^{-dl} p^{l(d/2+1)} <= rel_tol * value.
-    """
+def sigma_p(p: int, d: int, t: int) -> Fraction:
+    """The local factor sum_{l >= 0} p^{-dl} S_{p^l}(0) as an exact rational;
+    the series ends at l = v_p(t) + 1, and for t = 0 sums in closed form."""
     if not is_prime(p):
         raise ArgumentError(f"{p} is not prime")
-    if not rel_tol >= 0:
-        raise ArgumentError(f"rel_tol {rel_tol} must be >= 0")
-    (num, den), l_max, tail = _sigma_prime(int(p), d, t, rel_tol)
-    return Fraction(num, den), l_max, tail
+    return Fraction(*_sigma_prime(int(p), half_dim(d), int(t)))
 
 
 def half_dim(d: int) -> int:
@@ -306,36 +302,33 @@ def half_dim(d: int) -> int:
     return d // 2
 
 
-def _sigma_prime(p: int, d: int, t: int, rel_tol: float):
-    """sigma_p for a p known to be prime, its value as the pair (num, den)."""
-    d1 = half_dim(d)
-    t = int(t)
-    s = p ** (d1 - 1)      # the envelope decays by 1/s per extra l
-    pd1 = s * p
-    # value = num / den with den = p^{l d1}; tail = 1 / tden with
-    # tden = s^l (s - 1), the envelope sum_{l' > l} s^{-l'}
-    num = den = 1          # l = 0 term, S_1 = 1
-    tden = s - 1
-    l = 0
-    while True:
-        if l >= 1 and _tail_within(tden, rel_tol * (abs(num) / den)):
-            break
-        l += 1
-        # S_{p^l}(0) = p^{l d1} c_{p^l}(t)
-        num = num * pd1 + _ramanujan_prime_power(p, l, t)
-        den *= pd1
-        tden *= s
-        if l > 10000:
-            raise CapabilityError("sigma_p failed to converge")
-    return (num, den), l, 1 / tden
+def valuation(p: int, n: int) -> int:
+    """v_p(n), the largest v with p^v | n, for integers p >= 2 and n != 0."""
+    if p < 2 or n == 0:
+        raise ArgumentError(f"v_p(n) needs p >= 2 and n != 0, got p = {p}, n = {n}")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
-def _tail_within(tden: int, bound: float) -> bool:
-    """1 / tden <= bound, compared exactly as Fraction <= float compares."""
-    if not math.isfinite(bound):
-        return 0.0 <= bound
-    a, b = bound.as_integer_ratio()
-    return b <= a * tden
+def _sigma_prime(p: int, d1: int, t: int) -> tuple:
+    """sigma_p for a p known to be prime as the pair (num, den).
+
+    Its terms are c_{p^l}(t) / p^{l d1}: phi(p^l) / p^{l d1} while p^l | t,
+    then -p^v / p^{(v+1) d1} at l = v + 1 with v = v_p(t), then 0.  With
+    s = p^{d1-1} they sum to (1 - p^{-d1}) sum_{j <= v} s^{-j}, and at t = 0
+    (v infinite) to (1 - p^{-d1}) / (1 - 1/s).
+    """
+    pd1 = p ** d1
+    if t == 0:
+        return pd1 - 1, pd1 - p
+    if t % p:
+        return pd1 - 1, pd1
+    s = pd1 // p
+    v = valuation(p, t)
+    return (pd1 - 1) * (s ** (v + 1) - 1), pd1 * s ** v * (s - 1)
 
 
 def local_density(p: int, k: int, d1: int, t: int) -> Fraction:
@@ -356,14 +349,8 @@ def local_density(p: int, k: int, d1: int, t: int) -> Fraction:
     cnt = [p ** (k - j) - p ** (k - j - 1) if j < k else 1 for j in range(k + 1)]
     M = [0] * pk
     for r in range(pk):
-        jmax = k
-        if r != 0:
-            jmax = 0
-            rr = r
-            while rr % p == 0:
-                rr //= p
-                jmax += 1
-        M[r] = sum(cnt[j] * p ** j for j in range(min(jmax, k) + 1))
+        jmax = k if r == 0 else valuation(p, r)
+        M[r] = sum(cnt[j] * p ** j for j in range(jmax + 1))
     conv = [1 if r == 0 else 0 for r in range(pk)]
     for _ in range(d1):
         nxt = [0] * pk
@@ -378,7 +365,8 @@ def local_density(p: int, k: int, d1: int, t: int) -> Fraction:
 
 @dataclass
 class SigmaReport:
-    """Singular-series value with its cutoff and certified tail bound."""
+    """Singular-series value with its cutoff and certified tail bound; a
+    product lists each local factor as (p, value)."""
 
     method: str
     cutoff: int
@@ -395,35 +383,32 @@ def _euler_omitted_tail(P: int, d1: int) -> float:
 
 
 def _euler_product(method: str, P: int, d1: int, local) -> SigmaReport:
-    """Product over primes p <= P of the local factors local(p) = ((num, den),
-    l_max, tail), in FIX_BITS-bit fixed point rounded once to a float."""
+    """Product over primes p <= P of the exact local factors local(p) =
+    (num, den), in FIX_BITS-bit fixed point rounded once to a float."""
     if P < 2:
         raise ArgumentError("P must be >= 2")
     one = 1 << FIX_BITS
     acc, per_prime = one, []
     for p in _primes_upto(P):
-        (num, den), l_max, tail = local(p)
-        per_prime.append((p, num / den, l_max, tail))
+        num, den = local(p)
+        per_prime.append((p, num / den))
         acc = acc * ((num << FIX_BITS) // den) >> FIX_BITS
     value = acc / one        # int / int is correctly rounded
-    s = _euler_omitted_tail(P, d1) + sum(pp[3] for pp in per_prime)
-    tail_bound = abs(value) * math.expm1(1.2 * s)
+    tail_bound = abs(value) * math.expm1(1.2 * _euler_omitted_tail(P, d1))
     return SigmaReport(method, int(P), value, tail_bound, per_prime)
 
 
 def sigma_euler(P: int, d: int, t: int) -> SigmaReport:
     """Product over primes p <= P of sigma_p, in FIX_BITS-bit fixed point."""
-    d1 = half_dim(d)
-    return _euler_product("euler_product", P, d1,
-                          lambda p: _sigma_prime(p, d, t, REL_TOL))
+    d1, t = half_dim(d), int(t)
+    return _euler_product("euler_product", P, d1, lambda p: _sigma_prime(p, d1, t))
 
 
 def sigma_remark5_product(P: int, d1: int) -> SigmaReport:
     """Product of the closed-form factors 1 + p^{1-d1} - p^{-d1} over p <= P."""
     if d1 < 3:
         raise ArgumentError("d1 must be >= 3 (d = 2 d1 > 4)")
-    return _euler_product("remark5_product", P, d1,
-                          lambda p: (_remark5_prime(p, d1), 1, 0.0))
+    return _euler_product("remark5_product", P, d1, lambda p: _remark5_prime(p, d1))
 
 
 def _primes_upto(P: int) -> list:

@@ -105,8 +105,8 @@ _BAD_INPUT = {
     "predict gaussian shift nan": ("predict", "--d1", "3", "--L", "2",
                                    "--weight", "gaussian:a=1.0:shift=nan,0,0,0,0,0"),
     "count bump scale inf": ("count", "--d1", "3", "--L", "2", "--weight", "bump:scale=inf"),
-    "sigma-p --rel-tol -1": ("sigma-p", "--p", "2", "--d", "6", "--rel-tol", "-1"),
-    "sigma-p --rel-tol nan": ("sigma-p", "--p", "2", "--d", "6", "--rel-tol", "nan"),
+    "count --budget -5": ("count", "--d1", "3", "--L", "2", *_G, "--budget", "-5"),
+    "count --budget 0": ("count", "--d1", "3", "--L", "2", *_G, "--budget", "0"),
 }
 # (command, config file text): the file is passed as --config
 _BAD_CONFIG = {
@@ -123,6 +123,12 @@ _BAD_CONFIG = {
                                   '{"cutoffs": {"q": "x"}}'),
     "config quadrature.angular a string": (("predict", "--d1", "3", "--L", "4", *_G),
                                            '{"quadrature": {"angular": "x"}}'),
+    "config budget 0": (("count", "--d1", "3", "--L", "2", *_G), '{"budget": 0}'),
+    "config unknown key": (("predict", "--d1", "3", "--L", "4", *_G), '{"Q": 10}'),
+    "config unknown cutoffs key": (("predict", "--d1", "3", "--L", "4", *_G),
+                                   '{"cutoffs": {"Q": 10}}'),
+    "config unknown quadrature key": (("predict", "--d1", "3", "--L", "4", *_G),
+                                      '{"quadrature": {"angualr": 8}}'),
 }
 
 
@@ -175,13 +181,13 @@ def test_sigma_cutoff_below_range_exit_code(method, cutoff):
 
 _SIGMA_GOLDEN = {
     "--d 6 --t 36 --method euler --cutoff 20000":
-        "euler_product,20000,1.226678232402e+00,9.813826283836e-05",
+        "euler_product,20000,1.226678232402e+00,9.813818406718e-05",
     "--d 6 --t 36 --method dirichlet --cutoff 300000":
         "dirichlet_sum,300000,1.226678232254e+00,3.333333333333e-06",
     "--d 6 --t 36 --method remark5":
         "remark5_product,10000,1.305955455905e+00,2.089695900661e-04",
     "--d 6 --t 100 --method euler --cutoff 20000":
-        "euler_product,20000,1.137300569192e+00,9.098775802602e-05",
+        "euler_product,20000,1.137300569192e+00,9.098768499423e-05",
     "--d 6 --t 100 --method dirichlet --cutoff 300000":
         "dirichlet_sum,300000,1.137300569055e+00,3.333333333333e-06",
     "--d 6 --t 100 --method remark5":
@@ -195,34 +201,42 @@ _SIGMA_GOLDEN = {
     "--d 10 --t 0 --method dirichlet --cutoff 100000":
         "dirichlet_sum,100000,1.043778824843e+00,3.333333333333e-16",
     "--d 8 --t 72 --method euler --cutoff 20000":
-        "euler_product,20000,1.096218873354e+00,1.888122803868e-09",
+        "euler_product,20000,1.096218873354e+00,1.879232355933e-09",
     "--d 10 --t 0 --method euler --cutoff 20000":
-        "euler_product,20000,1.043778824842e+00,2.550064451550e-12",
+        "euler_product,20000,1.043778824843e+00,5.566820399165e-14",
 }
 
 
 @pytest.mark.parametrize("args", sorted(_SIGMA_GOLDEN))
 def test_sigma_golden_stdout(args):
     # the rows printed while the products ran in 50-digit mpmath, and the
-    # Dirichlet sum took c_q(t) from a gcd pass and added its terms by fsum
+    # Dirichlet sum took c_q(t) from a gcd pass and added its terms by fsum;
+    # since the local factors are exact, the Euler tails cover only the primes
+    # above the cutoff, and d = 10, t = 0 reads as the Dirichlet sum does
     r = run("sigma", *args.split())
     assert r.exit_code == 0
     assert r.output == "method,cutoff,value,tail_bound\n" + _SIGMA_GOLDEN[args] + "\n"
 
 
-def test_sigma_p_no_convergence_exit_code():
-    # rel_tol = 0 is never met, so the loop hits its l > 10000 refusal
-    r = RUNNER.invoke(main, ["sigma-p", "--p", "2", "--d", "6", "--rel-tol", "0"])
-    assert r.exit_code == 3
-    assert "sigma_p failed to converge" in r.stderr
+_SIGMA_P_GOLDEN = {
+    # the series ends at l = v_p(t) + 1, or sums in closed form at t = 0
+    "--p 2 --d 6 --t 12": "2,1.148437500000e+00,147/128,3,0.000000000000e+00,"
+                          "1.125000000000e+00",
+    "--p 2 --d 6 --t 0": "2,1.166666666667e+00,7/6,inf,0.000000000000e+00,"
+                         "1.125000000000e+00",
+    "--p 2 --d 6 --t 99999999999999999999999999999":
+        "2,8.750000000000e-01,7/8,1,0.000000000000e+00,1.125000000000e+00",
+    "--p 3 --d 10 --t 0": "3,1.008333333333e+00,121/120,inf,0.000000000000e+00,"
+                          "1.008230452675e+00",
+}
 
 
 def test_sigma_p_golden_stdout():
-    r = run("sigma-p", "--p", "2", "--d", "6", "--t", "12")
-    assert r.exit_code == 0
-    assert r.output == ("p,value,value_rational,l_max,tail_bound,remark5_value\n"
-                        "2,1.148437500000e+00,147/128,20,3.031649005910e-13,"
-                        "1.125000000000e+00\n")
+    for args, row in _SIGMA_P_GOLDEN.items():
+        r = run("sigma-p", *args.split())
+        assert r.exit_code == 0
+        assert r.output == "p,value,value_rational,l_max,tail_bound,remark5_value\n" \
+            + row + "\n", args
 
 
 _COUNT_HEAD = "L,m,value,tail_estimate,visited\n"
@@ -312,7 +326,7 @@ def test_sigma_p_rational_column():
     r = run("sigma-p", "--p", "2", "--d", "6")
     header, row = r.output.strip().splitlines()
     cols = dict(zip(header.split(","), row.split(",")))
-    assert cols["value_rational"].startswith("7/6") or "/" in cols["value_rational"]
+    assert (cols["value_rational"], cols["l_max"]) == ("7/6", "inf")
     assert abs(float(cols["value"]) - 7 / 6) < 1e-9
     assert abs(float(cols["remark5_value"]) - 9 / 8) < 1e-12
 

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import (divisors, factorint, isprime, mobius, nextprime, prevprime, primerange,
-                   totient)
+from sympy import (divisors, factorint, isprime, mobius, multiplicity, nextprime, prevprime,
+                   primerange, totient)
 
 from splitquad import exp_sums as es
 from splitquad.delta_kernel import _ramanujan_from_sieves
@@ -217,10 +217,8 @@ def test_S_q_multiplicative_exact():
 
 
 def test_sigma_p_values():
-    val2, _, tail2 = es.sigma_p(2, 6, 0)
-    assert abs(val2 - Fraction(7, 6)) <= Fraction(7, 6) * Fraction(1, 10 ** 10)
-    val3, _, _ = es.sigma_p(3, 6, 0)
-    assert abs(val3 - Fraction(13, 12)) <= Fraction(13, 12) * Fraction(1, 10 ** 10)
+    assert es.sigma_p(2, 6, 0) == Fraction(7, 6)
+    assert es.sigma_p(3, 6, 0) == Fraction(13, 12)
     assert es.remark5_sigma_p(2, 3) == Fraction(9, 8)
     assert es.remark5_sigma_p(3, 3) == Fraction(29, 27)
     with pytest.raises(ArgumentError):
@@ -229,9 +227,22 @@ def test_sigma_p_values():
         es.sigma_p(2, 4, 0)
 
 
-def _sigma_prime_literal(p, d, t, rel_tol):
-    """sigma_p summed in Fractions, with the tail tested against the float
-    rel_tol * value, exactly as Fraction <= float compares."""
+def _sigma_prime_literal(p, d, t):
+    """sigma_p for t != 0 summed in Fractions up to its last nonzero term,
+    l = v_p(t) + 1."""
+    d1 = d // 2
+    value = Fraction(1)
+    for l in range(1, multiplicity(p, t) + 2):
+        value += Fraction(ramanujan_divisor_sum(p ** l, math.gcd(p ** l, abs(t))),
+                          p ** (l * d1))
+    return value
+
+
+def _sigma_prime_truncated(p, d, t, rel_tol):
+    """The Fraction series stopped by a geometric tail test, as sigma_p summed
+    it before the closed form: the first l >= 1 with tail <= rel_tol * value
+    (Fraction <= float).  Returns the partial sum, l and the tail, which
+    bounds every omitted term since |c_{p^l}(t)| / p^{l d1} <= s^{-l}."""
     d1 = d // 2
     ratio = Fraction(1, p ** (d1 - 1))
     value = Fraction(1)
@@ -239,40 +250,72 @@ def _sigma_prime_literal(p, d, t, rel_tol):
     while True:
         tail = ratio ** (l + 1) / (1 - ratio)
         if tail <= rel_tol * abs(value) and l >= 1:
-            break
+            return value, l, tail
         l += 1
         g = p ** l if t == 0 else math.gcd(p ** l, abs(t))
         value += Fraction(ramanujan_divisor_sum(p ** l, g), p ** (l * d1))
-    return value, l, float(tail)
 
 
-def _sigma_prime_fraction(p, d, t, rel_tol):
-    """es._sigma_prime with its (num, den) pair as a Fraction."""
-    (num, den), l_max, tail = es._sigma_prime(p, d, t, rel_tol)
-    return Fraction(num, den), l_max, tail
+SIGMA_P_LEVELS = (1, -1, 12, 36, 72, 2 ** 20, 3 ** 12 * 5 ** 3, 10 ** 20 + 36)
 
 
-SIGMA_P_LEVELS = (0, 1, -1, 12, 36, 72, 2 ** 20, 3 ** 12 * 5 ** 3, 10 ** 20 + 36)
+@pytest.mark.parametrize("d", [6, 8, 10])
+def test_sigma_prime_matches_literal_series(d):
+    for p in primerange(2, 3001):
+        for t in SIGMA_P_LEVELS:
+            num, den = es._sigma_prime(p, d // 2, t)
+            assert Fraction(num, den) == _sigma_prime_literal(p, d, t), (p, t)
 
 
 @pytest.mark.parametrize("d", [6, 8, 10])
 @pytest.mark.parametrize("rel_tol", [1e-12, 1e-6, 0.3, 1e-30])
 def test_sigma_prime_matches_fraction_loop(d, rel_tol):
-    # the same rational, the same number of levels and the same tail float
+    # the truncated series lies within its own tail of the closed form, and
+    # equals it once it has passed the last nonzero level v_p(t) + 1
     for p in primerange(2, 3001):
-        for t in SIGMA_P_LEVELS:
-            assert _sigma_prime_fraction(p, d, t, rel_tol) == \
-                _sigma_prime_literal(p, d, t, rel_tol), (p, t)
+        for t in (0, *SIGMA_P_LEVELS):
+            num, den = es._sigma_prime(p, d // 2, t)
+            value, l, tail = _sigma_prime_truncated(p, d, t, rel_tol)
+            assert abs(Fraction(num, den) - value) <= tail, (p, t)
+            if t != 0 and l > multiplicity(p, t):
+                assert Fraction(num, den) == value, (p, t)
 
 
-def test_sigma_prime_stops_on_the_rounded_product():
-    # at p = 3, d = 6, l = 1 the tail 1/72 exceeds rel_tol * 29/27 in exact
-    # rationals but not after the product is rounded to a float, and the
-    # loop stops where the float comparison says
-    rel_tol = float.fromhex("0x1.a7b9611a7b961p-7")
-    assert Fraction(1, 72) > Fraction(rel_tol) * Fraction(29, 27)
-    assert _sigma_prime_fraction(3, 6, 0, rel_tol) == _sigma_prime_literal(3, 6, 0, rel_tol)
-    assert _sigma_prime_fraction(3, 6, 0, rel_tol)[1] == 1
+def test_valuation_matches_sympy():
+    for p in (2, 3, 5, 7, 4, 6):
+        for n in (1, -1, 12, -288, 3 ** 12 * 5 ** 3, 10 ** 20 + 36, 6 ** 40):
+            assert es.valuation(p, n) == multiplicity(p, n), (p, n)
+    for p, n in ((2, 0), (1, 12), (0, 12), (-2, 12)):
+        with pytest.raises(ArgumentError):
+            es.valuation(p, n)
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_sigma_p_is_the_complete_local_density(d):
+    # c_{p^l}(t) = 0 past l = v_p(t) + 1, so the residue count mod p^(v+1) is exact
+    for p in (2, 3, 5, 7):
+        for t in (1, -1, 12, 36, 72, 288):
+            k = multiplicity(p, t) + 1
+            assert es.sigma_p(p, d, t) == es.local_density(p, k, d // 2, t), (p, t)
+
+
+@pytest.mark.parametrize("d", [6, 8])
+def test_sigma_p_at_zero_is_the_geometric_limit(d):
+    # at t = 0 every level adds phi(p^l) / p^(l d1): the tail past k is geometric
+    d1 = d // 2
+    for p in (2, 3, 5):
+        s = Fraction(1, p ** (d1 - 1))
+        for k in (1, 2, 3):
+            tail = (1 - Fraction(1, p)) * s ** (k + 1) / (1 - s)
+            assert es.sigma_p(p, d, 0) - es.local_density(p, k, d1, 0) == tail, (p, k)
+
+
+@pytest.mark.parametrize("d", [6, 8, 10])
+def test_sigma_euler_at_zero_rounds_the_closed_product_once(d):
+    d1 = d // 2
+    primes = es._primes_upto(20000)
+    exact = math.prod(p ** d1 - 1 for p in primes) / math.prod(p ** d1 - p for p in primes)
+    assert es.sigma_euler(20000, d, 0).value == exact
 
 
 def _remark5_product_literal(P, d1):
@@ -282,7 +325,7 @@ def _remark5_product_literal(P, d1):
         per_prime = []
         for p in primerange(2, P + 1):
             v = 1 + Fraction(1, p ** (d1 - 1)) - Fraction(1, p ** d1)
-            per_prime.append((p, float(v), 1, 0.0))
+            per_prime.append((p, float(v)))
             prod *= mpmath.mpf(v.numerator) / v.denominator
         value = float(prod)
     return value, per_prime
@@ -324,7 +367,7 @@ def test_fixed_point_products_round_once(d):
     for P, (exact, mp) in want.items():
         assert es.sigma_remark5_product(P, d1).value == exact == mp, P
     for t in FIXED_LEVELS:
-        want = _prefix_products(primes, [es._sigma_prime(p, d, t, 1e-12)[0] for p in primes])
+        want = _prefix_products(primes, [es._sigma_prime(p, d1, t) for p in primes])
         for P, (exact, mp) in want.items():
             assert es.sigma_euler(P, d, t).value == exact == mp, (t, P)
 
@@ -333,9 +376,9 @@ def test_fixed_point_products_round_once(d):
 def test_sigma_euler_matches_fraction_loop(monkeypatch, d, t):
     rep = es.sigma_euler(20000, d, t)
 
-    def literal_pair(p, d, t, rel_tol):
-        value, l_max, tail = _sigma_prime_literal(p, d, t, rel_tol)
-        return (value.numerator, value.denominator), l_max, tail
+    def literal_pair(p, d1, t):
+        value = _sigma_prime_literal(p, 2 * d1, t)
+        return value.numerator, value.denominator
     monkeypatch.setattr(es, "_sigma_prime", literal_pair)
     ref = es.sigma_euler(20000, d, t)
     assert (rep.value, rep.tail_bound, rep.per_prime) == \
@@ -353,7 +396,7 @@ def test_euler_products_build_no_fraction(monkeypatch):
 
 
 def test_ramanujan_prime_power_closed_form():
-    # the closed form that sigma_p sums agrees with the sympy divisor sum
+    # the closed form that ramanujan multiplies agrees with the sympy divisor sum
     for p in (2, 3, 5, 7, 11):
         for l in range(1, 7):
             for t in list(range(-30, 31)) + [2 ** 20, -(2 ** 20), 10 ** 20 + 36]:
@@ -412,7 +455,7 @@ def test_sigma_euler_reports_per_prime():
     rep = es.sigma_euler(20, 6, 0)
     primes = [pp[0] for pp in rep.per_prime]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19]
-    assert rep.per_prime[0][1] == pytest.approx(7 / 6, rel=1e-9)
+    assert rep.per_prime[0] == (2, 7 / 6)
 
 
 def _phi_mu_sieves_literal(X):
