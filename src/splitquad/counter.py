@@ -14,31 +14,32 @@ with eps' = eps / L^(d-2).  There are two paths:
   convolution.  tail_estimate is the weight's certified bound on the
   lattice mass outside the box.
 * Fibres, for the other weights with a bounded support (AppendixExample),
-  where R is the support radius and nothing is truncated.  A weight's
-  block_support (rx, ry) says that w(x, y) = 0 unless |x| <= rx and
-  |y| <= ry; the fibres then run over u_x with |u_x| <= Rx = min(R, rx) L,
-  and u_y is confined to |u_y| <= Ry = min(R, ry) L (Rx = Ry = R L for a
-  weight with no block_support).  Each admissible u_x is solved for its
-  pivot coordinate k = argmax |x_k|: the other d1 - 1 coordinates of u_y
-  run over the ball of radius Ry, y_k = (t - sum_{j != k} x_j y_j) / x_k is
-  kept when the division is exact, |u_y| <= Ry and |u_x|^2 + |u_y|^2 <=
-  (R L)^2.  The u_x = 0 stratum (t = 0 only) is the u_y ball of radius Ry.
-  The u_x are grouped by pivot and processed in blocks of about BLOCK
-  candidates, all in int64.  tail_estimate bounds the rounding of the sum.
-  A weight with neither pair_factors nor a bounded support is refused.
+  where R is the support radius and nothing is truncated.  With a
+  block_support (rx, ry), w(x, y) = 0 unless |x| <= rx and |y| <= ry, u_x
+  runs over |u_x| <= Rx = min(R, rx) L and u_y over |u_y| <= Ry = min(R, ry) L
+  (else both radii are R L).  Each admissible u_x is solved for its pivot
+  k = argmax |x_k|: the other d1 - 1 coordinates of u_y run over the ball of
+  radius Ry, and y_k = (t - sum_{j != k} x_j y_j) / x_k is kept when it is
+  an integer, |u_y| <= Ry and |u|^2 <= (R L)^2.  The u_x = 0 stratum (t = 0
+  only) is the u_y ball of radius Ry.  The solve runs in float64, in blocks
+  of about BLOCK candidates, exact while (Rx^2 + 1)(Ry^2 + 1) < 2^53 and
+  refused past it.  A biradial weight is evaluated once per distinct
+  (|u_x|^2, |u_y|^2) of a block, times its count; other weights at every
+  solution.  tail_estimate bounds the rounding of the sum.  A weight with
+  neither pair_factors nor a bounded support is refused.
 
 Both paths count their work in operations, worked out from the inputs
 before the counting starts: a multiply-add of the convolution (or a weight
 product of the pair grid) is one, and a fibre candidate is d1 (its d1 - 1
 multiply-adds and one division).  That count is checked against the
-budget and reported as lattice_points_visited.
+budget, on the fibre path after a lower bound from ball volumes, and
+reported as lattice_points_visited.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from math import fsum
 
 import numpy as np
@@ -49,6 +50,7 @@ from .weights import PairFactors, WeightFunction
 
 DEFAULT_BUDGET = 6 * 10 ** 10      # operations (see the module docstring)
 BLOCK = 1 << 16                    # fibre candidates per block
+FLOAT_EXACT = 2.0 ** 53            # the integers of the fibre solve stay below this
 
 
 @dataclass
@@ -196,10 +198,34 @@ def _fibre_work(d1: int, t: int, rx: float, ry: float) -> int:
     return d1 * (admissible * free + (int(np.sum(y_levels[d1])) if t == 0 else 0))
 
 
+def _ball_volume(n: int, r: float) -> float:
+    return math.pi ** (n / 2) / math.gamma(n / 2 + 1) * max(0.0, r) ** n
+
+
+def _fibre_work_floor(d1: int, t: int, rx: float, ry: float) -> float:
+    """A lower bound on _fibre_work in O(1).  The unit cubes about the
+    points of Z^n with |v| <= r cover the ball of radius r - c and lie in
+    that of radius r + c, c = sqrt(n)/2, so V(r - c) <= B(r) <= V(r + c).
+    When t != 0 only the primitive u_x count: the g v with g >= 2 and
+    0 < |v| <= rx/g, at most V(rx/g + c) for each g, are subtracted, summed
+    to g = 16 and past it bounded by the integral of that decreasing term."""
+    c = math.sqrt(d1) / 2
+    admissible = _ball_volume(d1, rx - c) - 1
+    if t and rx >= 2:
+        G = min(math.floor(rx), 16)
+        admissible -= sum(_ball_volume(d1, rx / g + c) for g in range(2, G + 1))
+        U = rx / G                                     # rx int_1^U V(u + c) u^-2 du
+        admissible -= rx * _ball_volume(d1, 1) * sum(
+            math.comb(d1, k) * c ** (d1 - k) *
+            (math.log(U) if k == 1 else (U ** (k - 1) - 1) / (k - 1)) for k in range(d1 + 1))
+    free = _ball_volume(d1 - 1, ry - math.sqrt(d1 - 1) / 2)
+    stratum = _ball_volume(d1, ry - c) if t == 0 else 0.0
+    return (1 - 1e-9) * d1 * (max(0.0, admissible) * free + stratum)   # less their rounding
+
+
 def _over_budget(work: int, budget: int, L: float, growth: float) -> CapabilityError:
     """The budget error, with the L at which work (growing as L^growth) would fit."""
-    frac = max(1e-9, budget / work)
-    l_max = max(1, int(L * frac ** (1.0 / growth)))
+    l_max = max(1, int(L * (budget / work) ** (1.0 / growth)))
     return CapabilityError(f"work budget {budget} exceeded; largest feasible L about {l_max}")
 
 
@@ -256,67 +282,96 @@ def _count_pair_convolution(f: PairFactors, t: int, L: float, R: float,
 
 def _count_fibres(w: WeightFunction, t: int, L: float, R: float,
                   budget: int) -> CountResult:
-    """Sum w(u/L) over the solutions the pivot solve finds in the ball |u| <= R L.
-
-    R is w's support radius.  u_x runs over |u_x| <= Rx and u_y over
-    |u_y| <= Ry, the ball radius cut down to the weight's block support.
-    The budget counts d1 operations per candidate; it is checked from
-    lattice-point counts before any ball is enumerated.
-    """
+    """Sum w(u/L) over the solutions of _fibre_solutions; R is w's support
+    radius.  The budget (d1 operations per candidate) is checked, against a
+    lower bound and then exactly, before any ball is enumerated."""
     d1 = w.dim // 2
     Ru = R * L
     rx, ry = w.block_support or (R, R)
     Rx, Ry = min(R, rx) * L, min(R, ry) * L
-    visited = _fibre_work(d1, t, Rx, Ry)
+    visited = _fibre_work_floor(d1, t, Rx, Ry)
+    if visited <= budget:
+        # bounds each integer of the float solve (|S| <= 2 Rx Ry) and tally key
+        if (Rx * Rx + 1) * (Ry * Ry + 1) >= FLOAT_EXACT:
+            raise CapabilityError(f"L = {L:g} takes the fibre solve past 2^53, where "
+                                  "float64 no longer holds its integers exactly")
+        visited = _fibre_work(d1, t, Rx, Ry)
     if visited > budget:
         raise _over_budget(visited, budget, L, w.dim - 1)
-    UX = _ball_points(d1, Rx)
-    UX = UX[np.any(UX, axis=1)]
-    UX = UX[t % np.gcd.reduce(UX, axis=1) == 0]       # the admissible u_x
-    blocks = _pivot_solutions(UX, _ball_points(d1 - 1, Ry), t, Ru * Ru, Ry * Ry)
-    if t == 0:                                         # the u_x = 0 stratum: w(0, u_y/L)
-        Y = _ball_points(d1, Ry)
-        blocks = chain([np.concatenate([np.zeros_like(Y), Y], axis=1)], blocks)
-    totals, points = [], 0
-    for U in blocks:
-        totals.append(np.sum(w.eval_array(U / L)))
-        points += len(U)
-    value = fsum(totals)
-    # the block sums and their fsum add n = points terms w >= 0, so the rounding
-    # is at most gamma_n sum w <= n u value / (1 - 2 n u), u = 2^-53 (Higham ch. 4)
+    if abs(t) > Rx * Ry:                               # |u_x . u_y| <= Rx Ry: no solution
+        return CountResult(0.0, visited, R, 0.0)
+    tally = w.is_biradial and hasattr(w, "eval_biradial")
+    ny = math.floor(Ry * Ry) + 1                       # |u_y|^2 < ny
+    terms, points = [], 0
+    for a, b, U in _fibre_solutions(d1, t, Rx, Ry, Ru * Ru, not tally):
+        points += len(a)
+        if tally:                                      # w once per distinct (|u_x|^2, |u_y|^2)
+            a, b, count = _tally(a, b, ny)
+            terms.extend((count * w.eval_biradial(np.sqrt(a) / L, np.sqrt(b) / L)).tolist())
+        else:
+            terms.append(float(np.sum(w.eval_array(U / L))))
+    value = fsum(terms)
+    # the sum adds n = points terms w >= 0, rounding at most n - 1 times, so the
+    # error is at most gamma_n sum w <= n u value / (1 - 2 n u), u = 2^-53 (Higham ch. 4)
     nu = points * 2.0 ** -53
     return CountResult(value, visited, R, nu * value / (1 - 2 * nu))
 
 
-def _pivot_solutions(UX: np.ndarray, F: np.ndarray, t: int, radius2: float,
-                     y_radius2: float):
-    """Yield blocks of the solutions u of u_x . u_y = t with |u|^2 <= radius2
-    and |u_y|^2 <= y_radius2.
+def _tally(a: np.ndarray, b: np.ndarray, ny: int):
+    """The distinct pairs (a, b), 0 <= b < ny, and how often each occurs."""
+    key, count = np.unique(a * ny + b, return_counts=True)
+    return *np.divmod(key, ny), count
 
-    Each u_x is solved for y_k, k = argmax |x_k|, with the other coordinates
-    of u_y running over the rows of F; about BLOCK candidates per block.
+
+def _fibre_solutions(d1: int, t: int, Rx: float, Ry: float, radius2: float, points: bool):
+    """Yield blocks (|u_x|^2, |u_y|^2, U) of the solutions u of u_x . u_y = t
+    with |u_x| <= Rx, |u_y| <= Ry and |u|^2 <= radius2, the u_x = 0 stratum
+    first; U is the (n, 2 d1) array of the block when points is set.
+
+    S and the squared norms are integers below 2^53 (the caller's guard), so
+    exact in float64.  y_k = S / x_k is exact when x_k | S; else it lies
+    1/|x_k| or more from an integer, beyond its rounding error |S| 2^-53 / |x_k|.
     """
-    d1 = UX.shape[1]
+    if t == 0:
+        uy = _ball_points(d1, Ry).astype(float)
+        yield (np.zeros(len(uy)), np.sum(uy * uy, axis=1),
+               np.concatenate([np.zeros_like(uy), uy], axis=1) if points else None)
+    UX = _ball_points(d1, Rx)
+    UX = UX[np.any(UX, axis=1)]
+    UX = UX[t % np.gcd.reduce(UX, axis=1) == 0].astype(float)   # the admissible u_x
+    F = _ball_points(d1 - 1, Ry).astype(float)
+    FA = np.concatenate([-F.T, np.full((1, len(F)), float(t))])   # S = [x_free, 1] @ FA
     sF = np.sum(F * F, axis=1)
+    y_room = Ry * Ry - sF                              # y_k^2 <= y_room
     pivot = np.argmax(np.abs(UX), axis=1)
-    rows = max(1, BLOCK // len(F))
+    rows = max(1, min(len(UX), BLOCK // len(F)))
+    Y, Z = np.empty((2, rows, len(F)))                 # block buffers, reused
+    ok, fits = np.empty((2, rows, len(F)), dtype=bool)
     for k in range(d1):
         free = np.arange(d1) != k
         UXk = UX[pivot == k]
+        XA = np.concatenate([UXk[:, free], np.ones((len(UXk), 1))], axis=1)
+        sX = np.sum(UXk * UXk, axis=1)
         for s in range(0, len(UXk), rows):
-            X = UXk[s:s + rows]
-            S = t - X[:, free] @ F.T                   # x_k y_k for each candidate
-            idx = np.flatnonzero(S % X[:, k:k + 1] == 0)
-            i, j = np.divmod(idx, len(F))
-            yk = S.ravel()[idx] // X[i, k]
-            y2 = sF[j] + yk * yk
-            keep = (np.sum(X * X, axis=1)[i] + y2 <= radius2) & (y2 <= y_radius2)
-            i, j, yk = i[keep], j[keep], yk[keep]
-            U = np.empty((len(i), 2 * d1), dtype=np.int64)
-            U[:, :d1] = X[i]
-            U[:, d1:][:, free] = F[j]
-            U[:, d1 + k] = yk
-            yield U
+            n = min(rows, len(UXk) - s)
+            y, z, o = Y[:n], Z[:n], ok[:n]
+            np.matmul(XA[s:s + n], FA, out=y)
+            y /= UXk[s:s + n, k:k + 1]
+            np.equal(np.floor(y, out=z), y, out=o)
+            z *= z
+            o &= np.less_equal(z, y_room, out=fits[:n])
+            i, j = np.divmod(np.flatnonzero(o), len(F))
+            yk = y[i, j]
+            a, b = sX[s + i], sF[j] + yk * yk
+            keep = a + b <= radius2
+            U = None
+            if points:
+                i, j = i[keep], j[keep]
+                U = np.empty((len(i), 2 * d1))
+                U[:, :d1] = UXk[s + i]
+                U[:, d1:][:, free] = F[j]
+                U[:, d1 + k] = yk[keep]
+            yield a[keep], b[keep], U
 
 
 def brute_force_N_L(w: WeightFunction, spec: LatticeSpec, box_radius: int) -> float:

@@ -504,13 +504,19 @@ def _term_sum(c: np.ndarray, d1: int) -> float:
     into int64 bins exact up to about 2^36 terms.  The bins fold into one
     Python int N and the sum is N / 2^k, which int / int rounds correctly.
     Each division c / q^d1 is itself correctly rounded while q^d1 < 2^53,
-    as int / int is; past that the float q ** d1 is rounded first.
+    as int / int is; there q^d1 is built by products, exact as pow is, and
+    past it the float q ** d1 is rounded first.
     """
     hi = np.zeros(_EXP_BINS, dtype=np.int64)
     lo = np.zeros(_EXP_BINS, dtype=np.int64)
     for i in range(0, c.size, SUM_CHUNK):
-        terms = c[i:i + SUM_CHUNK] / np.arange(i + 1, min(i + SUM_CHUNK, c.size) + 1,
-                                               dtype=float) ** d1
+        q = np.arange(i + 1, min(i + SUM_CHUNK, c.size) + 1, dtype=float)
+        qd = q.copy()
+        for _ in range(d1 - 1):
+            qd *= q
+        big = np.searchsorted(qd, 2.0 ** 53)         # the products round from here on
+        qd[big:] = q[big:] ** d1
+        terms = c[i:i + SUM_CHUNK] / qd
         m, e = np.frexp(terms)       # frexp(0) = (0, 0): a zero term adds nothing
         e += _EXP_OFFSET
         m *= 2.0 ** 27

@@ -259,6 +259,19 @@ def test_count_appendix_golden_stdout(L):
     assert r.output == _COUNT_HEAD + _APPENDIX_GOLDEN[L]
 
 
+@pytest.mark.parametrize("m,row", [
+    # a level past |u_x . u_y| <= Rx Ry: no solution, nothing enumerated
+    ("1e16", "1.000000000000e+01,1.000000000000e+16,0.000000000000e+00,"
+             "0.000000000000e+00,695520\n"),
+    # the same with t = 10^22, beyond int64
+    ("1e20", "1.000000000000e+01,1.000000000000e+20,0.000000000000e+00,"
+             "0.000000000000e+00,695520\n")])
+def test_count_appendix_huge_level(m, row):
+    r = run("count", "--d1", "3", "--weight", "appendix-example", "--m", m, "--L", "10")
+    assert r.exit_code == 0
+    assert r.output == _COUNT_HEAD + row
+
+
 _PREDICT_HEAD = ("d,m,L,sigma_infty,sigma_remark5,sigma_definitional,main_term_r5,"
                  "main_term_def,error_envelope,epsilon,N1,N2,N3\n")
 _VERIFY_HEAD = "L,exact,predicted_def,predicted_r5,ratio_def,ratio_r5,fitted_error_exponent\n"

@@ -201,6 +201,103 @@ def test_fibre_budget_refusal_builds_no_ball(monkeypatch):
         ct.enumerate_N_L(AppendixExample(6), LatticeSpec(L=80, m=0), 1e-8, budget=1)
 
 
+def test_fibre_work_floor_is_a_lower_bound():
+    # below the exact charge for every radius and level, including radii
+    # under 1 and 2 and past the g <= 16 sum, and close to it at large radii,
+    # so that a far-out L is refused from the floor alone
+    for d1 in (1, 2, 3, 4):
+        for rx in (0.3, 1.0, 1.5, 2.0, 3.7, 7.0710678, 16.9, 30.2, 61.0):
+            for ry in (0.5, 1.0, 2.5, 12.1):
+                for t in (0, 1, -2, 12, 360, 1000003):
+                    assert ct._fibre_work_floor(d1, t, rx, ry) <= \
+                        ct._fibre_work(d1, t, rx, ry), (d1, rx, ry, t)
+    for d1, t, share in [(2, 0, 0.95), (2, 7, 0.35), (3, 0, 0.9), (3, 7, 0.8)]:
+        exact = ct._fibre_work(d1, t, 50.0, 50.0)
+        assert ct._fibre_work_floor(d1, t, 50.0, 50.0) >= share * exact, (d1, t)
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+@pytest.mark.parametrize("m", [0, 0.25])
+def test_fibre_budget_refusal_at_huge_L_counts_nothing(monkeypatch, d, m):
+    # the floor refuses before the exact count, whose arrays grow as L^2
+    def no_count(*args):
+        raise AssertionError("the exact work count ran before the refusal")
+    monkeypatch.setattr(ct, "_square_sum_counts", no_count)
+    monkeypatch.setattr(ct, "_ball_points", no_count)
+    for L in (10 ** 4, 10 ** 9):
+        with pytest.raises(CapabilityError, match="feasible L"):
+            ct.enumerate_N_L(AppendixExample(d), LatticeSpec(L=L, m=m), 1e-8)
+
+
+def test_fibre_float_guard_refuses_before_any_ball(monkeypatch):
+    def no_ball(d, radius):
+        raise AssertionError("a ball was enumerated before the guard")
+    monkeypatch.setattr(ct, "_ball_points", no_ball)
+    monkeypatch.setattr(ct, "FLOAT_EXACT", 100.0)
+    with pytest.raises(CapabilityError, match="2\\^53"):
+        ct.enumerate_N_L(AppendixExample(6), LatticeSpec(L=6, m=0.25), 1e-8)
+
+
+def test_fibre_level_beyond_the_block_is_zero(monkeypatch):
+    # |u_x . u_y| <= Rx Ry, so no ball is built and nothing overflows int64
+    monkeypatch.setattr(ct, "_ball_points", None)
+    res = ct.enumerate_N_L(AppendixExample(6), LatticeSpec(L=10, m=1e20), 1e-8)
+    assert (res.value, res.tail_estimate, res.lattice_points_visited) == (0.0, 0.0, 695520)
+
+
+@pytest.mark.parametrize("m", [0, 0.25, -0.25])
+def test_fibre_tally_evaluates_each_distinct_pair_once_per_block(monkeypatch, m):
+    w, spec = AppendixExample(6, generic=True), LatticeSpec(L=8, m=m)
+    calls, blocks = [], []
+
+    def no_points(Z):
+        raise AssertionError("eval_array on the tally path")
+
+    def record(rx, ry):
+        calls.append(np.stack([rx, ry], axis=1))
+        return AppendixExample.eval_biradial(w, rx, ry)
+
+    solutions = ct._fibre_solutions
+
+    def counted(*args):
+        for block in solutions(*args):
+            blocks.append(len(block[0]))
+            yield block
+    monkeypatch.setattr(w, "eval_array", no_points)
+    monkeypatch.setattr(w, "eval_biradial", record)
+    monkeypatch.setattr(ct, "_fibre_solutions", counted)
+    res = ct.enumerate_N_L(w, spec, 1e-8)
+    assert len(calls) == len(blocks) > 1
+    for pairs, n in zip(calls, blocks):
+        assert len(np.unique(pairs, axis=0)) == len(pairs) <= n
+    ref = ct.brute_force_N_L(AppendixExample(6, generic=True), spec, 8)
+    assert abs(res.value - ref) <= res.tail_estimate
+
+
+@pytest.mark.parametrize("L", [4, 6])
+@pytest.mark.parametrize("m", [0, 0.25, 0.5, -0.25])
+def test_fibre_tally_counts_match_a_literal_scan(monkeypatch, L, m):
+    # every (|u_x|^2, |u_y|^2) of the solutions in the block, with its count,
+    # against a scan of the box |u|_inf <= L; small blocks split the pivot groups
+    monkeypatch.setattr(ct, "BLOCK", 500)
+    d1, spec = 3, LatticeSpec(L=L, m=m)
+    Rx = Ry = math.sqrt(0.5) * L
+    ny = math.floor(Ry * Ry) + 1
+    got = {}
+    for a, b, U in ct._fibre_solutions(d1, spec.t, Rx, Ry, float(L * L), False):
+        assert U is None
+        for ka, kb, c in zip(*ct._tally(a, b, ny)):
+            got[ka, kb] = got.get((ka, kb), 0) + int(c)
+    box = np.array(list(product(range(-L, L + 1), repeat=d1)))
+    sq = np.sum(box * box, axis=1)
+    ix, iy = np.nonzero(box @ box.T == spec.t)
+    keep = (sq[ix] <= Rx * Rx) & (sq[iy] <= Ry * Ry) & (sq[ix] + sq[iy] <= L * L)
+    pairs, counts = np.unique(np.stack([sq[ix[keep]], sq[iy[keep]]], axis=1),
+                              axis=0, return_counts=True)
+    assert got == {(float(a), float(b)): int(c) for (a, b), c in zip(pairs, counts)}
+    assert sum(got.values()) == int(np.sum(keep)) > 0
+
+
 def test_appendix_example_matches_brute_force():
     # the fibre path on a weight that does not factor; its support |z| <= 1
     # lies inside the box |u|_inf <= L
@@ -351,6 +448,19 @@ def test_block_support_matches_whole_ball_and_brute_force(d, generic):
             for other in (whole.value, ref):
                 assert abs(block.value - other) <= 1e-14 * abs(other), (m, L)
             assert block.lattice_points_visited < whole.lattice_points_visited
+
+
+@pytest.mark.parametrize("generic", [False, True])
+def test_tally_matches_point_path_at_d8(generic):
+    # the tally path (AppendixExample) against the point path of the whole
+    # ball (the same weight without block_support or eval_biradial)
+    w = AppendixExample(8, generic=generic)
+    for m in (0, 0.25, -0.25):
+        spec = LatticeSpec(L=4, m=m)
+        block = ct.enumerate_N_L(w, spec, eps=1e-8)
+        whole = ct.enumerate_N_L(_FibreOnly(w), spec, eps=1e-8)
+        assert block.value > 0
+        assert abs(block.value - whole.value) <= 1e-14 * whole.value, m
 
 
 def test_block_support_cuts_the_fibre_work():
