@@ -17,23 +17,33 @@ with eps' = eps / L^(d-2).  There are two paths:
   where R is the support radius and nothing is truncated.  With a
   block_support (rx, ry), w(x, y) = 0 unless |x| <= rx and |y| <= ry, u_x
   runs over |u_x| <= Rx = min(R, rx) L and u_y over |u_y| <= Ry = min(R, ry) L
-  (else both radii are R L).  Each admissible u_x is solved for its pivot
-  k = argmax |x_k|: the other d1 - 1 coordinates of u_y run over the ball of
-  radius Ry, and y_k = (t - sum_{j != k} x_j y_j) / x_k is kept when it is
-  an integer, |u_y| <= Ry and |u|^2 <= (R L)^2.  The u_x = 0 stratum (t = 0
-  only) is the u_y ball of radius Ry.  The solve runs in float64, in blocks
-  of about BLOCK candidates, exact while (Rx^2 + 1)(Ry^2 + 1) < 2^53 and
-  refused past it.  A biradial weight is evaluated once per distinct
-  (|u_x|^2, |u_y|^2) of a block, times its count; other weights at every
-  solution.  tail_estimate bounds the rounding of the sum.  A weight with
-  neither pair_factors nor a bounded support is refused.
+  (else both radii are R L).  A level |t| > Rx Ry has no solution and counts
+  0 before anything else.  Each admissible u_x is solved for its pivot k, the
+  last coordinate of largest |x_k|: the other d1 - 1 coordinates of u_y run
+  over the ball of radius Ry, and y_k = (t - sum_{j != k} x_j y_j) / x_k is
+  kept when it is an integer, |u_y| <= Ry and |u|^2 <= (R L)^2.  The u_x = 0
+  stratum (t = 0 only) is the u_y ball of radius Ry.  The solve runs in
+  float64, in blocks of about BLOCK candidates, exact while
+  (Rx^2 + 1)(Ry^2 + 1) < 2^53 and refused past it.  A biradial weight
+  (AppendixExample) depends on u only through |u_x| and |u_y|, and a signed
+  permutation applied to u_x and u_y together keeps both norms and u_x . u_y.
+  So the fibre of u_x has the same weight sum as that of any u_x in its
+  orbit, and one u_x per orbit, 0 <= x_1 <= ... <= x_d1, is solved, each
+  solution counted orbit-size times (the stratum likewise, over the orbits
+  of u_y).  The weight is evaluated once per distinct (|u_x|^2, |u_y|^2) of
+  a block, times its count.  Other weights take every admissible u_x and are
+  evaluated at every solution.  tail_estimate bounds the rounding of the
+  sum.  A weight with neither pair_factors nor a bounded support is refused.
 
-Both paths count their work in operations, worked out from the inputs
-before the counting starts: a multiply-add of the convolution (or a weight
-product of the pair grid) is one, and a fibre candidate is d1 (its d1 - 1
-multiply-adds and one division).  That count is checked against the
-budget, on the fibre path after a lower bound from ball volumes, and
-reported as lattice_points_visited.
+Both paths count their work in operations: a multiply-add of the
+convolution (or a weight product of the pair grid) is one, and a fibre
+candidate is d1 (its d1 - 1 multiply-adds and one division), the u_x = 0
+stratum d1 per point of its whole ball.  That count is checked against the
+budget before the counting starts, and reported as lattice_points_visited.
+The convolution's is worked out from the inputs.  The fibre path first
+checks a lower bound from ball volumes (over the largest orbit size, for a
+biradial weight), then the exact count: read off the orbit rows once they
+are built, or for other weights worked out before the ball is built.
 """
 
 from __future__ import annotations
@@ -174,7 +184,8 @@ def _square_sum_counts(d: int, radius: float) -> list:
 
 
 def _fibre_work(d1: int, t: int, rx: float, ry: float) -> int:
-    """The operations _count_fibres charges, counted without building a ball.
+    """The operations _count_fibres charges on its point path (every
+    admissible u_x), counted without building a ball.
 
     u_x runs over the ball of radius rx and the free coordinates of u_y over
     the (d1 - 1)-ball of radius ry.  With B(s) the number of vectors in
@@ -283,33 +294,39 @@ def _count_pair_convolution(f: PairFactors, t: int, L: float, R: float,
 def _count_fibres(w: WeightFunction, t: int, L: float, R: float,
                   budget: int) -> CountResult:
     """Sum w(u/L) over the solutions of _fibre_solutions; R is w's support
-    radius.  The budget (d1 operations per candidate) is checked, against a
-    lower bound and then exactly, before any ball is enumerated."""
+    radius.  A biradial weight takes one u_x per signed-permutation orbit,
+    each solution counted orbit-size times; other weights take every u_x.
+    The budget (d1 operations per candidate) is checked against a lower
+    bound before any ball is built, and exactly before any fibre is solved."""
     d1 = w.dim // 2
     Ru = R * L
     rx, ry = w.block_support or (R, R)
     Rx, Ry = min(R, rx) * L, min(R, ry) * L
-    visited = _fibre_work_floor(d1, t, Rx, Ry)
-    if visited <= budget:
-        # bounds each integer of the float solve (|S| <= 2 Rx Ry) and tally key
-        if (Rx * Rx + 1) * (Ry * Ry + 1) >= FLOAT_EXACT:
-            raise CapabilityError(f"L = {L:g} takes the fibre solve past 2^53, where "
-                                  "float64 no longer holds its integers exactly")
-        visited = _fibre_work(d1, t, Rx, Ry)
+    if abs(t) > Rx * Ry:                               # |u_x . u_y| <= Rx Ry: no solution
+        return CountResult(0.0, 0, R, 0.0)
+    tally = w.is_biradial and hasattr(w, "eval_biradial")
+    # an orbit has at most 2^d1 d1! members, so the floor over that bounds the orbit work
+    floor = _fibre_work_floor(d1, t, Rx, Ry) / (2 ** d1 * math.factorial(d1) if tally else 1)
+    if floor > budget:
+        raise _over_budget(floor, budget, L, w.dim - 1)
+    # bounds each integer of the float solve (|S| <= 2 Rx Ry) and tally key
+    if (Rx * Rx + 1) * (Ry * Ry + 1) >= FLOAT_EXACT:
+        raise CapabilityError(f"L = {L:g} takes the fibre solve past 2^53, where "
+                              "float64 no longer holds its integers exactly")
+    if not tally and (work := _fibre_work(d1, t, Rx, Ry)) > budget:
+        raise _over_budget(work, budget, L, w.dim - 1)   # before the whole ball is built
+    visited, rows = _fibre_rows(d1, t, Rx, Ry, _orbit_rows if tally else _ball_rows)
     if visited > budget:
         raise _over_budget(visited, budget, L, w.dim - 1)
-    if abs(t) > Rx * Ry:                               # |u_x . u_y| <= Rx Ry: no solution
-        return CountResult(0.0, visited, R, 0.0)
-    tally = w.is_biradial and hasattr(w, "eval_biradial")
     ny = math.floor(Ry * Ry) + 1                       # |u_y|^2 < ny
     terms, points = [], 0
-    for a, b, U in _fibre_solutions(d1, t, Rx, Ry, Ru * Ru, not tally):
-        points += len(a)
+    for a, b, n, U in _fibre_solutions(t, *rows, Ry, Ru * Ru, not tally):
+        points += int(np.sum(n))
         if tally:                                      # w once per distinct (|u_x|^2, |u_y|^2)
-            a, b, count = _tally(a, b, ny)
-            terms.extend((count * w.eval_biradial(np.sqrt(a) / L, np.sqrt(b) / L)).tolist())
+            a, b, count = _tally(a, b, n, ny)
+            terms.append(fsum((count * w.eval_biradial(np.sqrt(a) / L, np.sqrt(b) / L)).tolist()))
         else:
-            terms.append(float(np.sum(w.eval_array(U / L))))
+            terms.append(float(np.sum(n * w.eval_array(U / L))))
     value = fsum(terms)
     # the sum adds n = points terms w >= 0, rounding at most n - 1 times, so the
     # error is at most gamma_n sum w <= n u value / (1 - 2 n u), u = 2^-53 (Higham ch. 4)
@@ -317,39 +334,105 @@ def _count_fibres(w: WeightFunction, t: int, L: float, R: float,
     return CountResult(value, visited, R, nu * value / (1 - 2 * nu))
 
 
-def _tally(a: np.ndarray, b: np.ndarray, ny: int):
-    """The distinct pairs (a, b), 0 <= b < ny, and how often each occurs."""
-    key, count = np.unique(a * ny + b, return_counts=True)
-    return *np.divmod(key, ny), count
+def _fibre_rows(d1: int, t: int, Rx: float, Ry: float, rows):
+    """The work of the fibre solve and its inputs (UX, mult, F, stratum).
+
+    rows(d, radius) gives the vectors of a ball with their multiplicities:
+    _orbit_rows or _ball_rows.  UX holds its admissible u_x (nonzero, gcd
+    dividing t) of radius Rx, F the free coordinates of u_y (the whole
+    (d1 - 1)-ball of radius Ry) and stratum the u_y of radius Ry when t = 0,
+    else None.  The work is d1 operations per candidate (a row of UX against
+    a row of F) and per point of the whole stratum.
+    """
+    UX, mult = rows(d1, Rx)
+    keep = np.any(UX, axis=1)
+    keep[keep] = t % np.gcd.reduce(UX[keep], axis=1) == 0
+    F = _ball_points(d1 - 1, Ry)
+    stratum = rows(d1, Ry) if t == 0 else None
+    work = d1 * (int(np.sum(keep)) * len(F) + (int(np.sum(stratum[1])) if t == 0 else 0))
+    return work, (UX[keep], mult[keep], F, stratum)
 
 
-def _fibre_solutions(d1: int, t: int, Rx: float, Ry: float, radius2: float, points: bool):
-    """Yield blocks (|u_x|^2, |u_y|^2, U) of the solutions u of u_x . u_y = t
-    with |u_x| <= Rx, |u_y| <= Ry and |u|^2 <= radius2, the u_x = 0 stratum
-    first; U is the (n, 2 d1) array of the block when points is set.
+def _ball_rows(d: int, radius: float):
+    """Every integer vector with |v| <= radius, each of multiplicity 1."""
+    V = _ball_points(d, radius)
+    return V, np.ones(len(V))
 
+
+def _orbit_rows(d: int, radius: float):
+    """One vector per orbit of the signed permutations of Z^d in the ball
+    |v| <= radius, with the orbit's size.
+
+    The rows are 0 <= v_1 <= ... <= v_d in lexicographic order (the zero row
+    first), built coordinate by coordinate: v_j runs from v_{j-1} to the
+    largest x with |v_1..v_{j-1}|^2 + (d - j + 1) x^2 <= radius^2, so every
+    prefix completes.  The orbit of v has 2^(#nonzero) d! / prod(m!) members,
+    m the multiplicities of its distinct values.
+    """
+    N = math.floor(radius * radius)
+    V = np.zeros((1, 0), dtype=np.int64)
+    s = np.zeros(1, dtype=np.int64)                    # |v|^2 of each prefix
+    lo = np.zeros(1, dtype=np.int64)                   # its last coordinate
+    for j in range(d):
+        hi = _isqrt((N - s) // (d - j))
+        n = hi - lo + 1                                # >= 1: x = lo fits
+        parent = np.repeat(np.arange(len(V)), n)
+        lo = lo[parent] + np.arange(len(parent)) - np.repeat(np.cumsum(n) - n, n)
+        V = np.concatenate([V[parent], lo[:, None]], axis=1)
+        s = s[parent] + lo * lo
+    run = np.ones(len(V), dtype=np.int64)              # place of v_j in its run of equals
+    den = np.ones(len(V), dtype=np.int64)              # prod(m!) = prod of those places
+    for j in range(1, d):
+        run = np.where(V[:, j] == V[:, j - 1], run + 1, 1)
+        den *= run
+    size = (2 ** np.count_nonzero(V, axis=1)) * math.factorial(d) // den
+    return V, size.astype(float)
+
+
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) for an int64 array n >= 0 below 2^52."""
+    r = np.floor(np.sqrt(n)).astype(np.int64)
+    r -= r * r > n
+    return r + ((r + 1) * (r + 1) <= n)
+
+
+def _tally(a: np.ndarray, b: np.ndarray, n: np.ndarray, ny: int):
+    """The distinct pairs (a, b), 0 <= b < ny, and the summed multiplicity n of each."""
+    key, inverse = np.unique(a * ny + b, return_inverse=True)
+    return *np.divmod(key, ny), np.bincount(inverse, weights=n, minlength=len(key))
+
+
+def _fibre_solutions(t: int, UX: np.ndarray, mult: np.ndarray, F: np.ndarray, stratum,
+                     Ry: float, radius2: float, points: bool):
+    """Yield blocks (|u_x|^2, |u_y|^2, m, U) of the solutions u of u_x . u_y = t
+    with u_x a row of UX, the d1 - 1 free coordinates of u_y a row of F (the
+    ball of radius Ry), |u_y| <= Ry and |u|^2 <= radius2; m holds the
+    multiplicity (mult) of each solution's u_x row, and U the solutions, one
+    per row, when points is set.  The u_x = 0 stratum (rows, mult) of u_y,
+    None unless t = 0, comes first, with the stratum's multiplicities.
+
+    Each u_x is solved for its pivot k, the last coordinate of largest |x_k|.
     S and the squared norms are integers below 2^53 (the caller's guard), so
     exact in float64.  y_k = S / x_k is exact when x_k | S; else it lies
     1/|x_k| or more from an integer, beyond its rounding error |S| 2^-53 / |x_k|.
     """
-    if t == 0:
-        uy = _ball_points(d1, Ry).astype(float)
-        yield (np.zeros(len(uy)), np.sum(uy * uy, axis=1),
+    d1 = UX.shape[1]
+    if stratum is not None:
+        uy = stratum[0].astype(float)
+        yield (np.zeros(len(uy)), np.sum(uy * uy, axis=1), stratum[1],
                np.concatenate([np.zeros_like(uy), uy], axis=1) if points else None)
-    UX = _ball_points(d1, Rx)
-    UX = UX[np.any(UX, axis=1)]
-    UX = UX[t % np.gcd.reduce(UX, axis=1) == 0].astype(float)   # the admissible u_x
-    F = _ball_points(d1 - 1, Ry).astype(float)
+    UX = UX.astype(float)
+    F = F.astype(float)
     FA = np.concatenate([-F.T, np.full((1, len(F)), float(t))])   # S = [x_free, 1] @ FA
     sF = np.sum(F * F, axis=1)
     y_room = Ry * Ry - sF                              # y_k^2 <= y_room
-    pivot = np.argmax(np.abs(UX), axis=1)
+    pivot = d1 - 1 - np.argmax(np.abs(UX[:, ::-1]), axis=1)
     rows = max(1, min(len(UX), BLOCK // len(F)))
     Y, Z = np.empty((2, rows, len(F)))                 # block buffers, reused
     ok, fits = np.empty((2, rows, len(F)), dtype=bool)
     for k in range(d1):
         free = np.arange(d1) != k
-        UXk = UX[pivot == k]
+        UXk, mk = UX[pivot == k], mult[pivot == k]
         XA = np.concatenate([UXk[:, free], np.ones((len(UXk), 1))], axis=1)
         sX = np.sum(UXk * UXk, axis=1)
         for s in range(0, len(UXk), rows):
@@ -364,14 +447,14 @@ def _fibre_solutions(d1: int, t: int, Rx: float, Ry: float, radius2: float, poin
             yk = y[i, j]
             a, b = sX[s + i], sF[j] + yk * yk
             keep = a + b <= radius2
+            i, j = i[keep], j[keep]
             U = None
             if points:
-                i, j = i[keep], j[keep]
                 U = np.empty((len(i), 2 * d1))
                 U[:, :d1] = UXk[s + i]
                 U[:, d1:][:, free] = F[j]
                 U[:, d1 + k] = yk[keep]
-            yield a[keep], b[keep], U
+            yield a[keep], b[keep], mk[s + i], U
 
 
 def brute_force_N_L(w: WeightFunction, spec: LatticeSpec, box_radius: int) -> float:

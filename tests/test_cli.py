@@ -240,15 +240,16 @@ def test_sigma_p_golden_stdout():
 
 
 _COUNT_HEAD = "L,m,value,tail_estimate,visited\n"
-# value and visited as printed while the fibre path also summed each block
-# inside 0.8 R; tail_estimate is now the rounding bound of the sum
+# value as printed while the fibre path also summed each block inside 0.8 R;
+# tail_estimate is now the rounding bound of the sum, and visited the work of
+# one u_x per signed-permutation orbit (56364, 217554, 612444 for every u_x)
 _APPENDIX_GOLDEN = {
     "6": "6.000000000000e+00,2.500000000000e-01,6.120904654844e+01,"
-         "2.271079253158e-11,56364\n",
+         "2.271079253158e-11,2745\n",
     "8": "8.000000000000e+00,2.500000000000e-01,2.537646177142e+02,"
-         "2.638733020439e-10,217554\n",
+         "2.638733020439e-10,9090\n",
     "10": "1.000000000000e+01,2.500000000000e-01,4.729553892925e+02,"
-          "1.017301544358e-09,612444\n",
+          "1.017301544358e-09,20769\n",
 }
 
 
@@ -260,16 +261,26 @@ def test_count_appendix_golden_stdout(L):
 
 
 @pytest.mark.parametrize("m,row", [
-    # a level past |u_x . u_y| <= Rx Ry: no solution, nothing enumerated
+    # a level past |u_x . u_y| <= Rx Ry: no solution, nothing enumerated or charged
     ("1e16", "1.000000000000e+01,1.000000000000e+16,0.000000000000e+00,"
-             "0.000000000000e+00,695520\n"),
+             "0.000000000000e+00,0\n"),
     # the same with t = 10^22, beyond int64
     ("1e20", "1.000000000000e+01,1.000000000000e+20,0.000000000000e+00,"
-             "0.000000000000e+00,695520\n")])
+             "0.000000000000e+00,0\n")])
 def test_count_appendix_huge_level(m, row):
     r = run("count", "--d1", "3", "--weight", "appendix-example", "--m", m, "--L", "10")
     assert r.exit_code == 0
     assert r.output == _COUNT_HEAD + row
+
+
+def test_count_appendix_huge_level_past_the_budget():
+    # the level is tested before the budget, which would refuse L = 1000 (exit 3)
+    r = run("count", "--d1", "3", "--weight", "appendix-example", "--m", "1e20", "--L", "1000")
+    assert r.exit_code == 0
+    assert r.output == _COUNT_HEAD + ("1.000000000000e+03,1.000000000000e+20,"
+                                      "0.000000000000e+00,0.000000000000e+00,0\n")
+    r = run("count", "--d1", "3", "--weight", "appendix-example", "--m", "0.25", "--L", "1000")
+    assert r.exit_code == 3
 
 
 _PREDICT_HEAD = ("d,m,L,sigma_infty,sigma_remark5,sigma_definitional,main_term_r5,"

@@ -197,6 +197,7 @@ def test_fibre_budget_refusal_builds_no_ball(monkeypatch):
     def no_ball(d, radius):
         raise AssertionError("a ball was enumerated before the budget check")
     monkeypatch.setattr(ct, "_ball_points", no_ball)
+    monkeypatch.setattr(ct, "_orbit_rows", no_ball)
     with pytest.raises(CapabilityError, match="feasible L"):
         ct.enumerate_N_L(AppendixExample(6), LatticeSpec(L=80, m=0), 1e-8, budget=1)
 
@@ -220,10 +221,12 @@ def test_fibre_work_floor_is_a_lower_bound():
 @pytest.mark.parametrize("m", [0, 0.25])
 def test_fibre_budget_refusal_at_huge_L_counts_nothing(monkeypatch, d, m):
     # the floor refuses before the exact count, whose arrays grow as L^2
+    # (lattice-point counts) or L^d1 (orbit rows)
     def no_count(*args):
         raise AssertionError("the exact work count ran before the refusal")
     monkeypatch.setattr(ct, "_square_sum_counts", no_count)
     monkeypatch.setattr(ct, "_ball_points", no_count)
+    monkeypatch.setattr(ct, "_orbit_rows", no_count)
     for L in (10 ** 4, 10 ** 9):
         with pytest.raises(CapabilityError, match="feasible L"):
             ct.enumerate_N_L(AppendixExample(d), LatticeSpec(L=L, m=m), 1e-8)
@@ -233,6 +236,7 @@ def test_fibre_float_guard_refuses_before_any_ball(monkeypatch):
     def no_ball(d, radius):
         raise AssertionError("a ball was enumerated before the guard")
     monkeypatch.setattr(ct, "_ball_points", no_ball)
+    monkeypatch.setattr(ct, "_orbit_rows", no_ball)
     monkeypatch.setattr(ct, "FLOAT_EXACT", 100.0)
     with pytest.raises(CapabilityError, match="2\\^53"):
         ct.enumerate_N_L(AppendixExample(6), LatticeSpec(L=6, m=0.25), 1e-8)
@@ -242,11 +246,26 @@ def test_fibre_level_beyond_the_block_is_zero(monkeypatch):
     # |u_x . u_y| <= Rx Ry, so no ball is built and nothing overflows int64
     monkeypatch.setattr(ct, "_ball_points", None)
     res = ct.enumerate_N_L(AppendixExample(6), LatticeSpec(L=10, m=1e20), 1e-8)
-    assert (res.value, res.tail_estimate, res.lattice_points_visited) == (0.0, 0.0, 695520)
+    assert (res.value, res.tail_estimate, res.lattice_points_visited) == (0.0, 0.0, 0)
+
+
+@pytest.mark.parametrize("L", [10 ** 4, 10 ** 9])
+@pytest.mark.parametrize("m", [1, -1, 1e20])
+def test_fibre_level_beyond_the_block_is_zero_before_the_budget(monkeypatch, L, m):
+    # Rx Ry = L^2 / 2 < |t|: the count is 0 at any L, with no work counted or
+    # charged, where the budget would refuse the same L at a level inside the block
+    def no_count(*args):
+        raise AssertionError("work was counted for a level past the block")
+    for name in ("_ball_points", "_square_sum_counts", "_orbit_rows", "_fibre_work_floor"):
+        monkeypatch.setattr(ct, name, no_count)
+    res = ct.enumerate_N_L(AppendixExample(6), LatticeSpec(L=L, m=m), 1e-8)
+    assert (res.value, res.tail_estimate, res.lattice_points_visited) == (0.0, 0.0, 0)
 
 
 @pytest.mark.parametrize("m", [0, 0.25, -0.25])
 def test_fibre_tally_evaluates_each_distinct_pair_once_per_block(monkeypatch, m):
+    # blocks of 1000 candidates, so that the few orbit rows at L = 8 take several
+    monkeypatch.setattr(ct, "BLOCK", 1000)
     w, spec = AppendixExample(6, generic=True), LatticeSpec(L=8, m=m)
     calls, blocks = [], []
 
@@ -274,28 +293,84 @@ def test_fibre_tally_evaluates_each_distinct_pair_once_per_block(monkeypatch, m)
     assert abs(res.value - ref) <= res.tail_estimate
 
 
+@pytest.mark.parametrize("tally", [True, False])
+def test_fibre_sum_keeps_one_term_per_block(monkeypatch, tally):
+    # the final fsum adds one sum per block, not one term per distinct pair,
+    # so memory does not grow with the blocks' tallies
+    monkeypatch.setattr(ct, "BLOCK", 1000)
+    w = AppendixExample(6)
+    sums, blocks = [], []
+    solutions = ct._fibre_solutions
+
+    def counted(*args):
+        for block in solutions(*args):
+            blocks.append(len(block[0]))
+            yield block
+
+    def recorded(terms):
+        sums.append(len(terms))
+        return math.fsum(terms)
+    monkeypatch.setattr(ct, "_fibre_solutions", counted)
+    monkeypatch.setattr(ct, "fsum", recorded)
+    res = ct.enumerate_N_L(w if tally else _FibreOnly(w), LatticeSpec(L=8, m=0), 1e-8)
+    assert sums[-1] == len(blocks) > 1
+    assert res.value == pytest.approx(ct.brute_force_N_L(w, LatticeSpec(L=8, m=0), 8),
+                                      rel=1e-13)
+
+
 @pytest.mark.parametrize("L", [4, 6])
 @pytest.mark.parametrize("m", [0, 0.25, 0.5, -0.25])
 def test_fibre_tally_counts_match_a_literal_scan(monkeypatch, L, m):
-    # every (|u_x|^2, |u_y|^2) of the solutions in the block, with its count,
-    # against a scan of the box |u|_inf <= L; small blocks split the pivot groups
+    # every (|u_x|^2, |u_y|^2) of the solutions in the block, with its count
+    # times the multiplicity of its u_x (an orbit's size, or 1 for the whole
+    # ball), against a scan of the box |u|_inf <= L; small blocks split the
+    # pivot groups
     monkeypatch.setattr(ct, "BLOCK", 500)
     d1, spec = 3, LatticeSpec(L=L, m=m)
     Rx = Ry = math.sqrt(0.5) * L
     ny = math.floor(Ry * Ry) + 1
-    got = {}
-    for a, b, U in ct._fibre_solutions(d1, spec.t, Rx, Ry, float(L * L), False):
-        assert U is None
-        for ka, kb, c in zip(*ct._tally(a, b, ny)):
-            got[ka, kb] = got.get((ka, kb), 0) + int(c)
     box = np.array(list(product(range(-L, L + 1), repeat=d1)))
     sq = np.sum(box * box, axis=1)
     ix, iy = np.nonzero(box @ box.T == spec.t)
     keep = (sq[ix] <= Rx * Rx) & (sq[iy] <= Ry * Ry) & (sq[ix] + sq[iy] <= L * L)
     pairs, counts = np.unique(np.stack([sq[ix[keep]], sq[iy[keep]]], axis=1),
                               axis=0, return_counts=True)
-    assert got == {(float(a), float(b)): int(c) for (a, b), c in zip(pairs, counts)}
-    assert sum(got.values()) == int(np.sum(keep)) > 0
+    want = {(float(a), float(b)): int(c) for (a, b), c in zip(pairs, counts)}
+    assert sum(want.values()) == int(np.sum(keep)) > 0
+    for rows in (ct._orbit_rows, ct._ball_rows):
+        got = {}
+        _, fibres = ct._fibre_rows(d1, spec.t, Rx, Ry, rows)
+        for a, b, n, U in ct._fibre_solutions(spec.t, *fibres, Ry, float(L * L), False):
+            assert U is None
+            for ka, kb, c in zip(*ct._tally(a, b, n, ny)):
+                got[ka, kb] = got.get((ka, kb), 0) + int(c)
+        assert got == want, rows.__name__
+
+
+@pytest.mark.parametrize("d1,rx,ry", [(2, 6.0, 6.0), (2, 9.3, 9.3), (3, 3.7, 3.7),
+                                      (3, 7.0710678, 7.0710678), (4, 4.5, 4.5),
+                                      (2, 4.2, 7.0), (3, 7.0710678, 2.5)])
+def test_orbit_rows_and_work_match_the_ball(d1, rx, ry):
+    # the orbit rows are the ball's rows with 0 <= x_1 <= ... <= x_d1, each with
+    # the number of ball rows it stands for; their sizes add up to the
+    # admissible u_x, and the orbit work to a count read off the ball, which
+    # the floor over 2^d1 d1! never exceeds
+    ball = ct._ball_points(d1, rx)
+    V, size = ct._orbit_rows(d1, rx)
+    canonical = ball[(ball[:, 0] >= 0) & np.all(ball[:, 1:] >= ball[:, :-1], axis=1)]
+    assert np.array_equal(V, canonical)
+    members = np.unique(np.sort(np.abs(ball), axis=1), axis=0, return_counts=True)[1]
+    assert np.array_equal(size, members)
+    F, Y = ct._ball_points(d1 - 1, ry), ct._ball_points(d1, ry)
+    g, gc = np.gcd.reduce(ball, axis=1), np.gcd.reduce(canonical, axis=1)
+    for t in (0, 1, -2, 9, 12, 72, 144, 360, 1000003):
+        admissible = (g > 0) & (t % np.maximum(g, 1) == 0)
+        orbits = (gc > 0) & (t % np.maximum(gc, 1) == 0)
+        assert np.sum(size[orbits]) == np.sum(admissible), t
+        work, _ = ct._fibre_rows(d1, t, rx, ry, ct._orbit_rows)
+        assert work == d1 * (np.sum(orbits) * len(F) + (len(Y) if t == 0 else 0)), t
+        assert ct._fibre_work_floor(d1, t, rx, ry) / (2 ** d1 * math.factorial(d1)) <= work, t
+        assert ct._fibre_rows(d1, t, rx, ry, ct._ball_rows)[0] == ct._fibre_work(d1, t, rx, ry)
 
 
 def test_appendix_example_matches_brute_force():
@@ -465,11 +540,13 @@ def test_tally_matches_point_path_at_d8(generic):
 
 def test_block_support_cuts_the_fibre_work():
     # d = 6, m = 1/4, L = 10: 612,444 operations inside the block against
-    # 3,313,284 for the whole ball
+    # 3,313,284 for the whole ball; one u_x per orbit solves 20,769 of them
     w, spec = AppendixExample(6), LatticeSpec(L=10, m=0.25)
     res = ct.enumerate_N_L(w, spec, eps=1e-8)
     whole = ct._fibre_work(3, spec.t, res.truncation_radius * 10, res.truncation_radius * 10)
-    assert res.lattice_points_visited <= 0.25 * whole
+    block = ct._fibre_work(3, spec.t, math.sqrt(0.5) * 10, math.sqrt(0.5) * 10)
+    assert block <= 0.25 * whole
+    assert res.lattice_points_visited <= block / 20
 
 
 class _Stretched(WeightFunction):
