@@ -13,27 +13,28 @@ with eps' = eps / L^(d-2).  There are two paths:
   sum over x_i y_i = r.  Each P_i is one bincount; the product is direct
   convolution.  tail_estimate is the weight's certified bound on the
   lattice mass outside the box.
-* Fibres, for the other weights with a bounded support (AppendixExample),
-  where R is the support radius and nothing is truncated.  With a
-  block_support (rx, ry), w(x, y) = 0 unless |x| <= rx and |y| <= ry, u_x
-  runs over |u_x| <= Rx = min(R, rx) L and u_y over |u_y| <= Ry = min(R, ry) L
-  (else both radii are R L).  A level |t| > Rx Ry has no solution and counts
-  0 before anything else.  Each admissible u_x is solved for its pivot k, the
-  last coordinate of largest |x_k|: the other d1 - 1 coordinates of u_y run
-  over the ball of radius Ry, and y_k = (t - sum_{j != k} x_j y_j) / x_k is
-  kept when it is an integer, |u_y| <= Ry and |u|^2 <= (R L)^2.  The u_x = 0
-  stratum (t = 0 only) is the u_y ball of radius Ry.  The solve runs in
-  float64, in blocks of about BLOCK candidates, exact while
-  (Rx^2 + 1)(Ry^2 + 1) < 2^53 and refused past it.  A biradial weight
-  (AppendixExample) depends on u only through |u_x| and |u_y|, and a signed
-  permutation applied to u_x and u_y together keeps both norms and u_x . u_y.
-  So the fibre of u_x has the same weight sum as that of any u_x in its
-  orbit, and one u_x per orbit, 0 <= x_1 <= ... <= x_d1, is solved, each
-  solution counted orbit-size times (the stratum likewise, over the orbits
-  of u_y).  The weight is evaluated once per distinct (|u_x|^2, |u_y|^2) of
-  a block, times its count.  Other weights take every admissible u_x and are
-  evaluated at every solution.  tail_estimate bounds the rounding of the
-  sum.  A weight with neither pair_factors nor a bounded support is refused.
+* Fibres, for the other weights with a bounded support that are biradial
+  (AppendixExample), where R is the support radius and nothing is
+  truncated.  With a block_support (rx, ry), w(x, y) = 0 unless |x| <= rx
+  and |y| <= ry, u_x runs over |u_x| <= Rx = min(R, rx) L and u_y over
+  |u_y| <= Ry = min(R, ry) L (else both radii are R L).  A level
+  |t| > Rx Ry has no solution and counts 0 before anything else.  A
+  biradial weight depends on u only through |u_x| and |u_y|, and a signed
+  permutation applied to u_x and u_y together keeps both norms and
+  u_x . u_y.  So the fibre of u_x has the same weight sum as that of any
+  u_x in its orbit, and one admissible u_x per orbit, 0 <= x_1 <= ... <= x_d1,
+  is solved for its pivot k, the last coordinate of largest |x_k|: the
+  other d1 - 1 coordinates of u_y run over the ball of radius Ry, and
+  y_k = (t - sum_{j != k} x_j y_j) / x_k is kept when it is an integer,
+  |u_y| <= Ry and |u|^2 <= (R L)^2, and counted orbit-size times.  The
+  u_x = 0 stratum (t = 0 only) is the u_y ball of radius Ry, taken over
+  the orbits of u_y likewise.  The solve runs in float64, in blocks of
+  about BLOCK candidates, exact while (Rx^2 + 1)(Ry^2 + 1) < 2^53 and
+  refused past it.  The weight is evaluated once per distinct
+  (|u_x|^2, |u_y|^2) of a block, times its count.  tail_estimate bounds
+  the rounding of the sum.  A weight with no pair_factors is refused
+  unless it has a bounded support and is biradial (is_biradial with
+  eval_biradial).
 
 Both paths count their work in operations: a multiply-add of the
 convolution (or a weight product of the pair grid) is one, and a fibre
@@ -41,9 +42,8 @@ candidate is d1 (its d1 - 1 multiply-adds and one division), the u_x = 0
 stratum d1 per point of its whole ball.  That count is checked against the
 budget before the counting starts, and reported as lattice_points_visited.
 The convolution's is worked out from the inputs.  The fibre path first
-checks a lower bound from ball volumes (over the largest orbit size, for a
-biradial weight), then the exact count: read off the orbit rows once they
-are built, or for other weights worked out before the ball is built.
+checks a lower bound from ball volumes over the largest orbit size, then
+the exact count read off the orbit rows once they are built.
 """
 
 from __future__ import annotations
@@ -164,59 +164,16 @@ def _ball_points(d: int, radius: float) -> np.ndarray:
     return grid[np.sum(grid * grid, axis=1) <= radius * radius]
 
 
-def _square_sum_counts(d: int, radius: float) -> list:
-    """[r_0, ..., r_d], r_k[s] = #{v in Z^k : |v|^2 = s} for s = 0..floor(radius^2).
-
-    Each r_k is r_{k-1} convolved with the 1-d square counts over
-    |v_i| <= floor(radius), so that sum(r_k) == len(_ball_points(k, radius)).
-    """
-    N = math.floor(radius * radius)
-    r = np.zeros(N + 1, dtype=np.int64)
-    r[0] = 1
-    levels = [r]
-    for _ in range(d):
-        nxt = r.copy()
-        for k in range(1, math.floor(radius) + 1):
-            nxt[k * k:] += 2 * r[:N + 1 - k * k]
-        r = nxt
-        levels.append(r)
-    return levels
-
-
-def _fibre_work(d1: int, t: int, rx: float, ry: float) -> int:
-    """The operations _count_fibres charges on its point path (every
-    admissible u_x), counted without building a ball.
-
-    u_x runs over the ball of radius rx and the free coordinates of u_y over
-    the (d1 - 1)-ball of radius ry.  With B(s) the number of vectors in
-    Z^{d1} with |v|^2 <= s, the nonzero u_x whose gcd is exactly g number
-    E(g) = B(N // g^2) - 1 - sum_{k >= 2} E(k g) (Moebius inversion, from the
-    largest g down); u_x is admissible when g | t.  When t = 0 the u_x = 0
-    stratum adds the d1-ball of radius ry.
-    """
-    ball = np.cumsum(_square_sum_counts(d1, rx)[d1])   # ball[s] = B(s)
-    y_levels = _square_sum_counts(d1, ry)
-    free = int(np.sum(y_levels[d1 - 1]))
-    N = len(ball) - 1
-    if t == 0:
-        admissible = int(ball[N]) - 1
-    else:
-        n = math.floor(rx)
-        exact = [0] * (n + 1)                          # exact[g] = E(g)
-        for g in range(n, 0, -1):
-            exact[g] = int(ball[N // (g * g)]) - 1 - sum(exact[2 * g::g])
-        admissible = sum(exact[g] for g in range(1, n + 1) if t % g == 0)
-    return d1 * (admissible * free + (int(np.sum(y_levels[d1])) if t == 0 else 0))
-
-
 def _ball_volume(n: int, r: float) -> float:
     return math.pi ** (n / 2) / math.gamma(n / 2 + 1) * max(0.0, r) ** n
 
 
 def _fibre_work_floor(d1: int, t: int, rx: float, ry: float) -> float:
-    """A lower bound on _fibre_work in O(1).  The unit cubes about the
-    points of Z^n with |v| <= r cover the ball of radius r - c and lie in
-    that of radius r + c, c = sqrt(n)/2, so V(r - c) <= B(r) <= V(r + c).
+    """A lower bound in O(1) on d1 (#u_x #F + #stratum): the admissible u_x
+    of the rx-ball against the free (d1 - 1)-ball F of radius ry, plus the
+    d1-ball of radius ry when t = 0.  The unit cubes about the points of
+    Z^n with |v| <= r cover the ball of radius r - c and lie in that of
+    radius r + c, c = sqrt(n)/2, so V(r - c) <= B(r) <= V(r + c).
     When t != 0 only the primitive u_x count: the g v with g >= 2 and
     0 < |v| <= rx/g, at most V(rx/g + c) for each g, are subtracted, summed
     to g = 16 and past it bounded by the integral of that decreasing term."""
@@ -234,10 +191,13 @@ def _fibre_work_floor(d1: int, t: int, rx: float, ry: float) -> float:
     return (1 - 1e-9) * d1 * (max(0.0, admissible) * free + stratum)   # less their rounding
 
 
-def _over_budget(work: int, budget: int, L: float, growth: float) -> CapabilityError:
-    """The budget error, with the L at which work (growing as L^growth) would fit."""
+def _over_budget(work: float, budget: int, L: float, growth: float,
+                 lower_bound: bool = False) -> CapabilityError:
+    """The budget error, with the L at which work (growing as L^growth) would
+    fit.  When work is only a lower bound (lower_bound), that L is an upper bound."""
     l_max = max(1, int(L * (budget / work) ** (1.0 / growth)))
-    return CapabilityError(f"work budget {budget} exceeded; largest feasible L about {l_max}")
+    return CapabilityError(f"work budget {budget} exceeded; largest feasible L "
+                           f"{'below about' if lower_bound else 'about'} {l_max}")
 
 
 def enumerate_N_L(w: WeightFunction, spec: LatticeSpec, eps: float,
@@ -245,7 +205,8 @@ def enumerate_N_L(w: WeightFunction, spec: LatticeSpec, eps: float,
     """Sum w(u/L) over integer solutions of u_x . u_y = t, truncated at radius R L.
 
     Weights with a ``pair_factors`` method take the pair-convolution path;
-    the others need a bounded support and are enumerated fibre by fibre.
+    the others need a bounded support and a biradial form, and are
+    enumerated fibre by fibre.
     """
     if not eps > 0:
         raise ArgumentError("eps must be positive")
@@ -259,6 +220,10 @@ def enumerate_N_L(w: WeightFunction, spec: LatticeSpec, eps: float,
     if w.support_radius is None:
         raise CapabilityError(f"{type(w).__name__} has neither pair factors nor a "
                               "bounded support, so no counter path bounds its tail")
+    if not (w.is_biradial and hasattr(w, "eval_biradial")):
+        raise CapabilityError(f"{type(w).__name__} has neither pair factors nor a "
+                              "biradial form (is_biradial with eval_biradial), so no "
+                              "counter path takes it")
     return _count_fibres(w, spec.t, L, R, budget)
 
 
@@ -293,40 +258,34 @@ def _count_pair_convolution(f: PairFactors, t: int, L: float, R: float,
 
 def _count_fibres(w: WeightFunction, t: int, L: float, R: float,
                   budget: int) -> CountResult:
-    """Sum w(u/L) over the solutions of _fibre_solutions; R is w's support
-    radius.  A biradial weight takes one u_x per signed-permutation orbit,
-    each solution counted orbit-size times; other weights take every u_x.
-    The budget (d1 operations per candidate) is checked against a lower
-    bound before any ball is built, and exactly before any fibre is solved."""
+    """Sum w(u/L) over the solutions of _fibre_solutions, w biradial with
+    support radius R: one u_x per signed-permutation orbit, each solution
+    counted orbit-size times.  The budget (d1 operations per candidate) is
+    checked against a lower bound before any ball is built, and exactly
+    before any fibre is solved."""
     d1 = w.dim // 2
     Ru = R * L
     rx, ry = w.block_support or (R, R)
     Rx, Ry = min(R, rx) * L, min(R, ry) * L
     if abs(t) > Rx * Ry:                               # |u_x . u_y| <= Rx Ry: no solution
         return CountResult(0.0, 0, R, 0.0)
-    tally = w.is_biradial and hasattr(w, "eval_biradial")
     # an orbit has at most 2^d1 d1! members, so the floor over that bounds the orbit work
-    floor = _fibre_work_floor(d1, t, Rx, Ry) / (2 ** d1 * math.factorial(d1) if tally else 1)
+    floor = _fibre_work_floor(d1, t, Rx, Ry) / (2 ** d1 * math.factorial(d1))
     if floor > budget:
-        raise _over_budget(floor, budget, L, w.dim - 1)
+        raise _over_budget(floor, budget, L, w.dim - 1, lower_bound=True)
     # bounds each integer of the float solve (|S| <= 2 Rx Ry) and tally key
     if (Rx * Rx + 1) * (Ry * Ry + 1) >= FLOAT_EXACT:
         raise CapabilityError(f"L = {L:g} takes the fibre solve past 2^53, where "
                               "float64 no longer holds its integers exactly")
-    if not tally and (work := _fibre_work(d1, t, Rx, Ry)) > budget:
-        raise _over_budget(work, budget, L, w.dim - 1)   # before the whole ball is built
-    visited, rows = _fibre_rows(d1, t, Rx, Ry, _orbit_rows if tally else _ball_rows)
+    visited, rows = _fibre_rows(d1, t, Rx, Ry)
     if visited > budget:
         raise _over_budget(visited, budget, L, w.dim - 1)
     ny = math.floor(Ry * Ry) + 1                       # |u_y|^2 < ny
     terms, points = [], 0
-    for a, b, n, U in _fibre_solutions(t, *rows, Ry, Ru * Ru, not tally):
+    for a, b, n in _fibre_solutions(t, *rows, Ry, Ru * Ru):
         points += int(np.sum(n))
-        if tally:                                      # w once per distinct (|u_x|^2, |u_y|^2)
-            a, b, count = _tally(a, b, n, ny)
-            terms.append(fsum((count * w.eval_biradial(np.sqrt(a) / L, np.sqrt(b) / L)).tolist()))
-        else:
-            terms.append(float(np.sum(n * w.eval_array(U / L))))
+        a, b, count = _tally(a, b, n, ny)              # w once per distinct (|u_x|^2, |u_y|^2)
+        terms.append(fsum((count * w.eval_biradial(np.sqrt(a) / L, np.sqrt(b) / L)).tolist()))
     value = fsum(terms)
     # the sum adds n = points terms w >= 0, rounding at most n - 1 times, so the
     # error is at most gamma_n sum w <= n u value / (1 - 2 n u), u = 2^-53 (Higham ch. 4)
@@ -334,29 +293,23 @@ def _count_fibres(w: WeightFunction, t: int, L: float, R: float,
     return CountResult(value, visited, R, nu * value / (1 - 2 * nu))
 
 
-def _fibre_rows(d1: int, t: int, Rx: float, Ry: float, rows):
+def _fibre_rows(d1: int, t: int, Rx: float, Ry: float):
     """The work of the fibre solve and its inputs (UX, mult, F, stratum).
 
-    rows(d, radius) gives the vectors of a ball with their multiplicities:
-    _orbit_rows or _ball_rows.  UX holds its admissible u_x (nonzero, gcd
-    dividing t) of radius Rx, F the free coordinates of u_y (the whole
-    (d1 - 1)-ball of radius Ry) and stratum the u_y of radius Ry when t = 0,
-    else None.  The work is d1 operations per candidate (a row of UX against
-    a row of F) and per point of the whole stratum.
+    UX holds the admissible orbit rows u_x (nonzero, gcd dividing t) of
+    radius Rx and mult their orbit sizes, F the free coordinates of u_y (the
+    whole (d1 - 1)-ball of radius Ry) and stratum the orbit rows of u_y of
+    radius Ry with their sizes when t = 0, else None.  The work is d1
+    operations per candidate (a row of UX against a row of F) and per point
+    of the whole stratum.
     """
-    UX, mult = rows(d1, Rx)
+    UX, mult = _orbit_rows(d1, Rx)
     keep = np.any(UX, axis=1)
     keep[keep] = t % np.gcd.reduce(UX[keep], axis=1) == 0
     F = _ball_points(d1 - 1, Ry)
-    stratum = rows(d1, Ry) if t == 0 else None
+    stratum = _orbit_rows(d1, Ry) if t == 0 else None
     work = d1 * (int(np.sum(keep)) * len(F) + (int(np.sum(stratum[1])) if t == 0 else 0))
     return work, (UX[keep], mult[keep], F, stratum)
-
-
-def _ball_rows(d: int, radius: float):
-    """Every integer vector with |v| <= radius, each of multiplicity 1."""
-    V = _ball_points(d, radius)
-    return V, np.ones(len(V))
 
 
 def _orbit_rows(d: int, radius: float):
@@ -403,13 +356,13 @@ def _tally(a: np.ndarray, b: np.ndarray, n: np.ndarray, ny: int):
 
 
 def _fibre_solutions(t: int, UX: np.ndarray, mult: np.ndarray, F: np.ndarray, stratum,
-                     Ry: float, radius2: float, points: bool):
-    """Yield blocks (|u_x|^2, |u_y|^2, m, U) of the solutions u of u_x . u_y = t
+                     Ry: float, radius2: float):
+    """Yield blocks (|u_x|^2, |u_y|^2, m) of the solutions u of u_x . u_y = t
     with u_x a row of UX, the d1 - 1 free coordinates of u_y a row of F (the
     ball of radius Ry), |u_y| <= Ry and |u|^2 <= radius2; m holds the
-    multiplicity (mult) of each solution's u_x row, and U the solutions, one
-    per row, when points is set.  The u_x = 0 stratum (rows, mult) of u_y,
-    None unless t = 0, comes first, with the stratum's multiplicities.
+    multiplicity (mult) of each solution's u_x row.  The u_x = 0 stratum
+    (rows, mult) of u_y, None unless t = 0, comes first, with the stratum's
+    multiplicities.
 
     Each u_x is solved for its pivot k, the last coordinate of largest |x_k|.
     S and the squared norms are integers below 2^53 (the caller's guard), so
@@ -419,8 +372,7 @@ def _fibre_solutions(t: int, UX: np.ndarray, mult: np.ndarray, F: np.ndarray, st
     d1 = UX.shape[1]
     if stratum is not None:
         uy = stratum[0].astype(float)
-        yield (np.zeros(len(uy)), np.sum(uy * uy, axis=1), stratum[1],
-               np.concatenate([np.zeros_like(uy), uy], axis=1) if points else None)
+        yield np.zeros(len(uy)), np.sum(uy * uy, axis=1), stratum[1]
     UX = UX.astype(float)
     F = F.astype(float)
     FA = np.concatenate([-F.T, np.full((1, len(F)), float(t))])   # S = [x_free, 1] @ FA
@@ -447,14 +399,7 @@ def _fibre_solutions(t: int, UX: np.ndarray, mult: np.ndarray, F: np.ndarray, st
             yk = y[i, j]
             a, b = sX[s + i], sF[j] + yk * yk
             keep = a + b <= radius2
-            i, j = i[keep], j[keep]
-            U = None
-            if points:
-                U = np.empty((len(i), 2 * d1))
-                U[:, :d1] = UXk[s + i]
-                U[:, d1:][:, free] = F[j]
-                U[:, d1 + k] = yk[keep]
-            yield a[keep], b[keep], mk[s + i], U
+            yield a[keep], b[keep], mk[s + i[keep]]
 
 
 def brute_force_N_L(w: WeightFunction, spec: LatticeSpec, box_radius: int) -> float:

@@ -151,6 +151,52 @@ def test_budget_capability():
     assert "feasible L" in str(exc.value)
 
 
+def _square_sum_counts(d: int, radius: float) -> list:
+    """[r_0, ..., r_d], r_k[s] = #{v in Z^k : |v|^2 = s} for s = 0..floor(radius^2).
+
+    Each r_k is r_{k-1} convolved with the 1-d square counts over
+    |v_i| <= floor(radius), so that sum(r_k) == len(ct._ball_points(k, radius)).
+    """
+    N = math.floor(radius * radius)
+    r = np.zeros(N + 1, dtype=np.int64)
+    r[0] = 1
+    levels = [r]
+    for _ in range(d):
+        nxt = r.copy()
+        for k in range(1, math.floor(radius) + 1):
+            nxt[k * k:] += 2 * r[:N + 1 - k * k]
+        r = nxt
+        levels.append(r)
+    return levels
+
+
+def _fibre_work(d1: int, t: int, rx: float, ry: float) -> int:
+    """The fibre work over every admissible u_x (the quantity that
+    ct._fibre_work_floor bounds from below), counted without building a
+    ball, O(rx^3) time: the oracle of the floor at radii no ball reaches.
+
+    u_x runs over the ball of radius rx and the free coordinates of u_y over
+    the (d1 - 1)-ball of radius ry.  With B(s) the number of vectors in
+    Z^{d1} with |v|^2 <= s, the nonzero u_x whose gcd is exactly g number
+    E(g) = B(N // g^2) - 1 - sum_{k >= 2} E(k g) (Moebius inversion, from the
+    largest g down); u_x is admissible when g | t.  When t = 0 the u_x = 0
+    stratum adds the d1-ball of radius ry.
+    """
+    ball = np.cumsum(_square_sum_counts(d1, rx)[d1])   # ball[s] = B(s)
+    y_levels = _square_sum_counts(d1, ry)
+    free = int(np.sum(y_levels[d1 - 1]))
+    N = len(ball) - 1
+    if t == 0:
+        admissible = int(ball[N]) - 1
+    else:
+        n = math.floor(rx)
+        exact = [0] * (n + 1)                          # exact[g] = E(g)
+        for g in range(n, 0, -1):
+            exact[g] = int(ball[N // (g * g)]) - 1 - sum(exact[2 * g::g])
+        admissible = sum(exact[g] for g in range(1, n + 1) if t % g == 0)
+    return d1 * (admissible * free + (int(np.sum(y_levels[d1])) if t == 0 else 0))
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "appendix"])
 def test_budget_equals_visited(kind):
     # both paths check the budget against the work they report as visited
@@ -164,7 +210,7 @@ def test_budget_equals_visited(kind):
 
 
 def test_fibre_work_matches_balls():
-    # the counted charge equals the one read off the enumerated balls, for
+    # the oracle's count equals the one read off the enumerated balls, for
     # radii whose square is and is not an integer and levels with square factors
     for d1, radius in [(2, 6.0), (2, 9.3), (3, 3.7), (3, 7.0710678), (4, 4.5)]:
         ball = ct._ball_points(d1, radius)
@@ -174,7 +220,7 @@ def test_fibre_work_matches_balls():
         for t in (0, 1, -2, 9, 12, 72, 144, 360, 1000003):
             admissible = int(np.sum(t % g == 0))
             want = d1 * (admissible * len(F) + (len(ball) if t == 0 else 0))
-            assert ct._fibre_work(d1, t, radius, radius) == want, (d1, radius, t)
+            assert _fibre_work(d1, t, radius, radius) == want, (d1, radius, t)
 
 
 def test_fibre_work_two_radii_matches_balls():
@@ -190,7 +236,7 @@ def test_fibre_work_two_radii_matches_balls():
         for t in (0, 1, -2, 9, 12, 72, 144, 360, 1000003):
             admissible = int(np.sum(t % g == 0))
             want = d1 * (admissible * len(F) + (len(Y) if t == 0 else 0))
-            assert ct._fibre_work(d1, t, rx, ry) == want, (d1, rx, ry, t)
+            assert _fibre_work(d1, t, rx, ry) == want, (d1, rx, ry, t)
 
 
 def test_fibre_budget_refusal_builds_no_ball(monkeypatch):
@@ -202,8 +248,24 @@ def test_fibre_budget_refusal_builds_no_ball(monkeypatch):
         ct.enumerate_N_L(AppendixExample(6), LatticeSpec(L=80, m=0), 1e-8, budget=1)
 
 
+def test_fibre_floor_refusal_names_an_upper_bound_on_L():
+    # the floor lies below the orbit work, so the L it extrapolates to is an
+    # upper bound on the largest L the exact check admits, and the message
+    # says so (at d = 4, m = 1/4 it is about 1.25 times that L)
+    w, budget = AppendixExample(4), 10 ** 6
+    with pytest.raises(CapabilityError, match="largest feasible L below about") as exc:
+        ct.enumerate_N_L(w, LatticeSpec(L=300, m=0.25), 1e-8, budget=budget)
+    named = int(str(exc.value).split()[-1])
+    Rx = Ry = math.sqrt(0.5)
+    admitted = [L for L in range(2, 301, 2)
+                if ct._fibre_rows(2, L * L // 4, Rx * L, Ry * L)[0] <= budget]
+    assert 0 < max(admitted) <= named
+    res = ct.enumerate_N_L(w, LatticeSpec(L=max(admitted), m=0.25), 1e-8, budget=budget)
+    assert 0 < res.lattice_points_visited <= budget
+
+
 def test_fibre_work_floor_is_a_lower_bound():
-    # below the exact charge for every radius and level, including radii
+    # below the exact work for every radius and level, including radii
     # under 1 and 2 and past the g <= 16 sum, and close to it at large radii,
     # so that a far-out L is refused from the floor alone
     for d1 in (1, 2, 3, 4):
@@ -211,20 +273,18 @@ def test_fibre_work_floor_is_a_lower_bound():
             for ry in (0.5, 1.0, 2.5, 12.1):
                 for t in (0, 1, -2, 12, 360, 1000003):
                     assert ct._fibre_work_floor(d1, t, rx, ry) <= \
-                        ct._fibre_work(d1, t, rx, ry), (d1, rx, ry, t)
+                        _fibre_work(d1, t, rx, ry), (d1, rx, ry, t)
     for d1, t, share in [(2, 0, 0.95), (2, 7, 0.35), (3, 0, 0.9), (3, 7, 0.8)]:
-        exact = ct._fibre_work(d1, t, 50.0, 50.0)
+        exact = _fibre_work(d1, t, 50.0, 50.0)
         assert ct._fibre_work_floor(d1, t, 50.0, 50.0) >= share * exact, (d1, t)
 
 
 @pytest.mark.parametrize("d", [4, 6, 8])
 @pytest.mark.parametrize("m", [0, 0.25])
 def test_fibre_budget_refusal_at_huge_L_counts_nothing(monkeypatch, d, m):
-    # the floor refuses before the exact count, whose arrays grow as L^2
-    # (lattice-point counts) or L^d1 (orbit rows)
+    # the floor refuses before the exact count, whose orbit rows grow as L^d1
     def no_count(*args):
         raise AssertionError("the exact work count ran before the refusal")
-    monkeypatch.setattr(ct, "_square_sum_counts", no_count)
     monkeypatch.setattr(ct, "_ball_points", no_count)
     monkeypatch.setattr(ct, "_orbit_rows", no_count)
     for L in (10 ** 4, 10 ** 9):
@@ -256,7 +316,7 @@ def test_fibre_level_beyond_the_block_is_zero_before_the_budget(monkeypatch, L, 
     # charged, where the budget would refuse the same L at a level inside the block
     def no_count(*args):
         raise AssertionError("work was counted for a level past the block")
-    for name in ("_ball_points", "_square_sum_counts", "_orbit_rows", "_fibre_work_floor"):
+    for name in ("_ball_points", "_orbit_rows", "_fibre_work_floor"):
         monkeypatch.setattr(ct, name, no_count)
     res = ct.enumerate_N_L(AppendixExample(6), LatticeSpec(L=L, m=m), 1e-8)
     assert (res.value, res.tail_estimate, res.lattice_points_visited) == (0.0, 0.0, 0)
@@ -293,8 +353,7 @@ def test_fibre_tally_evaluates_each_distinct_pair_once_per_block(monkeypatch, m)
     assert abs(res.value - ref) <= res.tail_estimate
 
 
-@pytest.mark.parametrize("tally", [True, False])
-def test_fibre_sum_keeps_one_term_per_block(monkeypatch, tally):
+def test_fibre_sum_keeps_one_term_per_block(monkeypatch):
     # the final fsum adds one sum per block, not one term per distinct pair,
     # so memory does not grow with the blocks' tallies
     monkeypatch.setattr(ct, "BLOCK", 1000)
@@ -312,7 +371,7 @@ def test_fibre_sum_keeps_one_term_per_block(monkeypatch, tally):
         return math.fsum(terms)
     monkeypatch.setattr(ct, "_fibre_solutions", counted)
     monkeypatch.setattr(ct, "fsum", recorded)
-    res = ct.enumerate_N_L(w if tally else _FibreOnly(w), LatticeSpec(L=8, m=0), 1e-8)
+    res = ct.enumerate_N_L(w, LatticeSpec(L=8, m=0), 1e-8)
     assert sums[-1] == len(blocks) > 1
     assert res.value == pytest.approx(ct.brute_force_N_L(w, LatticeSpec(L=8, m=0), 8),
                                       rel=1e-13)
@@ -322,9 +381,8 @@ def test_fibre_sum_keeps_one_term_per_block(monkeypatch, tally):
 @pytest.mark.parametrize("m", [0, 0.25, 0.5, -0.25])
 def test_fibre_tally_counts_match_a_literal_scan(monkeypatch, L, m):
     # every (|u_x|^2, |u_y|^2) of the solutions in the block, with its count
-    # times the multiplicity of its u_x (an orbit's size, or 1 for the whole
-    # ball), against a scan of the box |u|_inf <= L; small blocks split the
-    # pivot groups
+    # times the multiplicity of its u_x (an orbit's size), against a scan of
+    # the box |u|_inf <= L; small blocks split the pivot groups
     monkeypatch.setattr(ct, "BLOCK", 500)
     d1, spec = 3, LatticeSpec(L=L, m=m)
     Rx = Ry = math.sqrt(0.5) * L
@@ -337,14 +395,12 @@ def test_fibre_tally_counts_match_a_literal_scan(monkeypatch, L, m):
                               axis=0, return_counts=True)
     want = {(float(a), float(b)): int(c) for (a, b), c in zip(pairs, counts)}
     assert sum(want.values()) == int(np.sum(keep)) > 0
-    for rows in (ct._orbit_rows, ct._ball_rows):
-        got = {}
-        _, fibres = ct._fibre_rows(d1, spec.t, Rx, Ry, rows)
-        for a, b, n, U in ct._fibre_solutions(spec.t, *fibres, Ry, float(L * L), False):
-            assert U is None
-            for ka, kb, c in zip(*ct._tally(a, b, n, ny)):
-                got[ka, kb] = got.get((ka, kb), 0) + int(c)
-        assert got == want, rows.__name__
+    got = {}
+    _, fibres = ct._fibre_rows(d1, spec.t, Rx, Ry)
+    for a, b, n in ct._fibre_solutions(spec.t, *fibres, Ry, float(L * L)):
+        for ka, kb, c in zip(*ct._tally(a, b, n, ny)):
+            got[ka, kb] = got.get((ka, kb), 0) + int(c)
+    assert got == want
 
 
 @pytest.mark.parametrize("d1,rx,ry", [(2, 6.0, 6.0), (2, 9.3, 9.3), (3, 3.7, 3.7),
@@ -367,10 +423,9 @@ def test_orbit_rows_and_work_match_the_ball(d1, rx, ry):
         admissible = (g > 0) & (t % np.maximum(g, 1) == 0)
         orbits = (gc > 0) & (t % np.maximum(gc, 1) == 0)
         assert np.sum(size[orbits]) == np.sum(admissible), t
-        work, _ = ct._fibre_rows(d1, t, rx, ry, ct._orbit_rows)
+        work, _ = ct._fibre_rows(d1, t, rx, ry)
         assert work == d1 * (np.sum(orbits) * len(F) + (len(Y) if t == 0 else 0)), t
         assert ct._fibre_work_floor(d1, t, rx, ry) / (2 ** d1 * math.factorial(d1)) <= work, t
-        assert ct._fibre_rows(d1, t, rx, ry, ct._ball_rows)[0] == ct._fibre_work(d1, t, rx, ry)
 
 
 def test_appendix_example_matches_brute_force():
@@ -435,10 +490,12 @@ def test_residue_count_matches_density_product(p, d1):
 class _FibreOnly(WeightFunction):
     """The same weight without pair_factors or block_support, so
     enumerate_N_L walks the fibres of the whole ball (when w has a bounded
-    support)."""
+    support and a biradial form, which it keeps)."""
 
     def __init__(self, w):
         self.w, self.dim, self.support_radius = w, w.dim, w.support_radius
+        if hasattr(w, "eval_biradial"):
+            self.is_biradial, self.eval_biradial = w.is_biradial, w.eval_biradial
 
     def eval_array(self, Z):
         return self.w.eval_array(Z)
@@ -459,17 +516,12 @@ def _separable(kind, d1):
 @pytest.mark.parametrize("d1", [1, 2, 3])
 @pytest.mark.parametrize("kind", ["gaussian", "shifted", "bump"])
 def test_pair_convolution_matches_oracles(kind, d1, m):
-    # L = 2 is even, so m = 1/4 gives the integer level t = 1; the fibre path
-    # takes only the bump, the one kind with a bounded support
+    # L = 2 is even, so m = 1/4 gives the integer level t = 1
     w, spec = _separable(kind, d1), LatticeSpec(L=2, m=m)
     res = ct.enumerate_N_L(w, spec, eps=1e-10)
     box = int(math.ceil(res.truncation_radius * spec.L)) + 1
     ref = ct.brute_force_N_L(w, spec, box)
     assert abs(res.value - ref) <= res.tail_estimate + ROUNDING * abs(ref)
-    if kind == "bump":
-        fib = ct.enumerate_N_L(_FibreOnly(w), spec, eps=1e-10)
-        assert abs(res.value - fib.value) <= \
-            res.tail_estimate + fib.tail_estimate + ROUNDING * abs(ref)
 
 
 def test_fibre_path_refuses_unbounded_support(monkeypatch):
@@ -479,6 +531,19 @@ def test_fibre_path_refuses_unbounded_support(monkeypatch):
     monkeypatch.setattr(ct, "_ball_points", no_ball)
     with pytest.raises(CapabilityError, match="bounded support"):
         ct.enumerate_N_L(_FibreOnly(GaussianWeight(1.0, 6)), LatticeSpec(L=2, m=0), 1e-10)
+
+
+def test_fibre_path_refuses_a_weight_that_is_not_biradial(monkeypatch):
+    # bounded, but with neither pair_factors nor eval_biradial: no fibre path
+    # counts it, so it is refused before any ball is built
+    def no_ball(d, radius):
+        raise AssertionError("a ball was enumerated before the refusal")
+    monkeypatch.setattr(ct, "_ball_points", no_ball)
+    monkeypatch.setattr(ct, "_orbit_rows", no_ball)
+    w = _FibreOnly(ProductBump(1.5, 6))
+    assert w.support_radius is not None
+    with pytest.raises(CapabilityError, match="biradial form"):
+        ct.enumerate_N_L(w, LatticeSpec(L=2, m=0), 1e-10)
 
 
 @pytest.mark.parametrize("generic", [False, True])
@@ -511,8 +576,9 @@ def test_pair_convolution_tail_bounds_box_doubling(kind, R):
 @pytest.mark.parametrize("d", [4, 6])
 def test_block_support_matches_whole_ball_and_brute_force(d, generic):
     # the fibres inside the weight's block against the fibres of the whole
-    # ball |u| <= R L (the same weight without block_support) and the literal
-    # scan of the box |u|_inf <= L that holds the support |z| <= 1
+    # ball |u| <= R L (the same weight without block_support, over the same
+    # orbits) and the literal scan of the box |u|_inf <= L that holds the
+    # support |z| <= 1
     w = AppendixExample(d, generic=generic)
     for m in (0, 0.25, 1, -0.25):
         for L in (4, 8, 12):
@@ -527,15 +593,18 @@ def test_block_support_matches_whole_ball_and_brute_force(d, generic):
 
 @pytest.mark.parametrize("generic", [False, True])
 def test_tally_matches_point_path_at_d8(generic):
-    # the tally path (AppendixExample) against the point path of the whole
-    # ball (the same weight without block_support or eval_biradial)
+    # the fibres inside the block (AppendixExample) against those of the
+    # whole ball (the same weight without block_support) and the literal scan
+    # of the box |u|_inf <= 4 that holds the support |z| <= 1
     w = AppendixExample(8, generic=generic)
     for m in (0, 0.25, -0.25):
         spec = LatticeSpec(L=4, m=m)
         block = ct.enumerate_N_L(w, spec, eps=1e-8)
         whole = ct.enumerate_N_L(_FibreOnly(w), spec, eps=1e-8)
+        ref = ct.brute_force_N_L(w, spec, 4)
         assert block.value > 0
-        assert abs(block.value - whole.value) <= 1e-14 * whole.value, m
+        for other in (whole.value, ref):
+            assert abs(block.value - other) <= 1e-14 * other, m
 
 
 def test_block_support_cuts_the_fibre_work():
@@ -543,14 +612,16 @@ def test_block_support_cuts_the_fibre_work():
     # 3,313,284 for the whole ball; one u_x per orbit solves 20,769 of them
     w, spec = AppendixExample(6), LatticeSpec(L=10, m=0.25)
     res = ct.enumerate_N_L(w, spec, eps=1e-8)
-    whole = ct._fibre_work(3, spec.t, res.truncation_radius * 10, res.truncation_radius * 10)
-    block = ct._fibre_work(3, spec.t, math.sqrt(0.5) * 10, math.sqrt(0.5) * 10)
+    whole = _fibre_work(3, spec.t, res.truncation_radius * 10, res.truncation_radius * 10)
+    block = _fibre_work(3, spec.t, math.sqrt(0.5) * 10, math.sqrt(0.5) * 10)
     assert block <= 0.25 * whole
     assert res.lattice_points_visited <= block / 20
 
 
 class _Stretched(WeightFunction):
     """AppendixExample(x / sx, y / sy): a block support with rx != ry."""
+
+    is_biradial = True
 
     def __init__(self, dim, sx, sy):
         self.w, self.dim, self.s = AppendixExample(dim), dim, (sx, sy)
@@ -560,25 +631,31 @@ class _Stretched(WeightFunction):
         self.seen = []
 
     def eval_array(self, Z):
-        self.seen.append(Z)
         d1 = self.dim // 2
         return self.w.eval_array(np.concatenate([Z[:, :d1] / self.s[0],
                                                  Z[:, d1:] / self.s[1]], axis=1))
 
+    def eval_biradial(self, rx, ry):
+        self.seen.append(np.stack([rx, ry], axis=1))
+        return self.w.eval_biradial(rx / self.s[0], ry / self.s[1])
+
 
 @pytest.mark.parametrize("sx,sy", [(1.2, 0.6), (0.5, 1.3)])
 def test_block_support_unequal_radii(sx, sy):
-    # every point handed to the weight lies in the block, and the count is the
-    # whole ball's
+    # every pair of radii handed to the weight lies in the block, and the
+    # count is the whole ball's and the literal scan's (the support |z| < 1
+    # lies in the box |u|_inf <= L)
     w = _Stretched(6, sx, sy)
     rx, ry = w.block_support
     for m in (0, 0.25, -0.25):
         spec = LatticeSpec(L=8, m=m)
         w.seen.clear()
         block = ct.enumerate_N_L(w, spec, eps=1e-8)
-        Z = np.concatenate(w.seen)
-        assert np.all(np.sum(Z[:, :3] ** 2, axis=1) <= rx * rx * (1 + 1e-12))
-        assert np.all(np.sum(Z[:, 3:] ** 2, axis=1) <= ry * ry * (1 + 1e-12))
+        radii = np.concatenate(w.seen)
+        assert np.all(radii[:, 0] <= rx * (1 + 1e-12))
+        assert np.all(radii[:, 1] <= ry * (1 + 1e-12))
         whole = ct.enumerate_N_L(_FibreOnly(w), spec, eps=1e-8)
+        ref = ct.brute_force_N_L(w, spec, 8)
         assert block.value > 0
-        assert abs(block.value - whole.value) <= 1e-14 * whole.value, m
+        for other in (whole.value, ref):
+            assert abs(block.value - other) <= 1e-14 * other, m
