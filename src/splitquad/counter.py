@@ -23,9 +23,9 @@ with eps' = eps / L^(d-2).  There are two paths:
   permutation applied to u_x and u_y together keeps both norms and
   u_x . u_y.  So the fibre of u_x has the same weight sum as that of any
   u_x in its orbit, and one admissible u_x per orbit, 0 <= x_1 <= ... <= x_d1,
-  is solved for its pivot k, the last coordinate of largest |x_k|: the
-  other d1 - 1 coordinates of u_y run over the ball of radius Ry, and
-  y_k = (t - sum_{j != k} x_j y_j) / x_k is kept when it is an integer,
+  is solved for its last coordinate, its largest and positive: y_1 ..
+  y_{d1-1} run over the ball of radius Ry, and
+  y_d1 = (t - sum_{j < d1} x_j y_j) / x_d1 is kept when it is an integer,
   |u_y| <= Ry and |u|^2 <= (R L)^2, and counted orbit-size times.  The
   u_x = 0 stratum (t = 0 only) is the u_y ball of radius Ry, taken over
   the orbits of u_y likewise.  The solve runs in float64, in blocks of
@@ -304,8 +304,8 @@ def _fibre_rows(d1: int, t: int, Rx: float, Ry: float):
     of the whole stratum.
     """
     UX, mult = _orbit_rows(d1, Rx)
-    keep = np.any(UX, axis=1)
-    keep[keep] = t % np.gcd.reduce(UX[keep], axis=1) == 0
+    UX, mult = UX[1:], mult[1:]                        # the zero row comes first
+    keep = t % np.gcd.reduce(UX, axis=1) == 0
     F = _ball_points(d1 - 1, Ry)
     stratum = _orbit_rows(d1, Ry) if t == 0 else None
     work = d1 * (int(np.sum(keep)) * len(F) + (int(np.sum(stratum[1])) if t == 0 else 0))
@@ -364,12 +364,13 @@ def _fibre_solutions(t: int, UX: np.ndarray, mult: np.ndarray, F: np.ndarray, st
     (rows, mult) of u_y, None unless t = 0, comes first, with the stratum's
     multiplicities.
 
-    Each u_x is solved for its pivot k, the last coordinate of largest |x_k|.
-    S and the squared norms are integers below 2^53 (the caller's guard), so
-    exact in float64.  y_k = S / x_k is exact when x_k | S; else it lies
-    1/|x_k| or more from an integer, beyond its rounding error |S| 2^-53 / |x_k|.
+    Each u_x is an orbit row 0 <= x_1 <= ... <= x_d1, nonzero, so its last
+    coordinate is its largest and positive, and u_x is solved for y_d1: the
+    free coordinates are y_1 .. y_{d1-1}.  S and the squared norms are
+    integers below 2^53 (the caller's guard), so exact in float64.
+    y_d1 = S / x_d1 is exact when x_d1 | S; else it lies 1/x_d1 or more from
+    an integer, beyond its rounding error |S| 2^-53 / x_d1.
     """
-    d1 = UX.shape[1]
     if stratum is not None:
         uy = stratum[0].astype(float)
         yield np.zeros(len(uy)), np.sum(uy * uy, axis=1), stratum[1]
@@ -377,29 +378,26 @@ def _fibre_solutions(t: int, UX: np.ndarray, mult: np.ndarray, F: np.ndarray, st
     F = F.astype(float)
     FA = np.concatenate([-F.T, np.full((1, len(F)), float(t))])   # S = [x_free, 1] @ FA
     sF = np.sum(F * F, axis=1)
-    y_room = Ry * Ry - sF                              # y_k^2 <= y_room
-    pivot = d1 - 1 - np.argmax(np.abs(UX[:, ::-1]), axis=1)
+    y_room = Ry * Ry - sF                              # y_d1^2 <= y_room
+    XA = UX.copy()
+    XA[:, -1] = 1.0                                    # [x_1 .. x_{d1-1}, 1]
+    sX = np.sum(UX * UX, axis=1)
     rows = max(1, min(len(UX), BLOCK // len(F)))
     Y, Z = np.empty((2, rows, len(F)))                 # block buffers, reused
     ok, fits = np.empty((2, rows, len(F)), dtype=bool)
-    for k in range(d1):
-        free = np.arange(d1) != k
-        UXk, mk = UX[pivot == k], mult[pivot == k]
-        XA = np.concatenate([UXk[:, free], np.ones((len(UXk), 1))], axis=1)
-        sX = np.sum(UXk * UXk, axis=1)
-        for s in range(0, len(UXk), rows):
-            n = min(rows, len(UXk) - s)
-            y, z, o = Y[:n], Z[:n], ok[:n]
-            np.matmul(XA[s:s + n], FA, out=y)
-            y /= UXk[s:s + n, k:k + 1]
-            np.equal(np.floor(y, out=z), y, out=o)
-            z *= z
-            o &= np.less_equal(z, y_room, out=fits[:n])
-            i, j = np.divmod(np.flatnonzero(o), len(F))
-            yk = y[i, j]
-            a, b = sX[s + i], sF[j] + yk * yk
-            keep = a + b <= radius2
-            yield a[keep], b[keep], mk[s + i[keep]]
+    for s in range(0, len(UX), rows):
+        n = min(rows, len(UX) - s)
+        y, z, o = Y[:n], Z[:n], ok[:n]
+        np.matmul(XA[s:s + n], FA, out=y)
+        y /= UX[s:s + n, -1:]
+        np.equal(np.floor(y, out=z), y, out=o)
+        z *= z
+        o &= np.less_equal(z, y_room, out=fits[:n])
+        i, j = np.divmod(np.flatnonzero(o), len(F))
+        yk = y[i, j]
+        a, b = sX[s + i], sF[j] + yk * yk
+        keep = a + b <= radius2
+        yield a[keep], b[keep], mult[s + i[keep]]
 
 
 def brute_force_N_L(w: WeightFunction, spec: LatticeSpec, box_radius: int) -> float:

@@ -52,8 +52,6 @@ from .weights import bump_w0
 MIN_X = 1e-6      # caps the h1 window of one x at ~5e5 terms
 MAX_TERMS = 2 * 10 ** 6   # caps the windows of one h call, or qmax plus the windows of one delta sum
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(16)
-
 # The bump mass c0 = int_{-1}^{1} exp(1/(x^2-1)) dx: 30-digit mpmath tanh-sinh,
 # rounded to float; tests/test_delta_kernel.py recomputes it with scipy quad.
 _C0 = 0.4439938161680794
@@ -188,8 +186,8 @@ class _KernelTables:
 
 @dataclass
 class DeltaKernelConfig:
-    """Holds Q, the bump mass c0, the calibrated constant c_Q and the
-    n-independent tables of a delta sum.
+    """Holds Q, the calibrated constant c_Q and the n-independent tables of
+    a delta sum.
 
     c_Q is calibrated by the first delta sum, and again once Q changes.
     """
@@ -202,12 +200,6 @@ class DeltaKernelConfig:
     def __post_init__(self):
         if not (self.Q > 1 and math.isfinite(self.Q)):
             raise ArgumentError(f"Q must be finite and > 1, got {self.Q}")
-        if not 0.44 < _C0 < 0.45:
-            raise AccuracyError(f"c0 = {_C0} outside sanity bracket (0.44, 0.45)")
-
-    @property
-    def c0(self) -> float:
-        return _C0
 
 
 def _raw_delta_sum(n: int, cfg: DeltaKernelConfig) -> float:
@@ -296,6 +288,7 @@ def smear(y_grid: np.ndarray, f_values: np.ndarray, x: float) -> float:
 
     lo, hi = float(y_grid[0]), float(y_grid[-1])
     spline = CubicSpline(y_grid, f_values)
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(16)
 
     total = [h1(x) * float(spline.integrate(lo, hi))]
     jmax = math.floor(2.0 * max(abs(lo), abs(hi)) / x) + 1
@@ -306,8 +299,8 @@ def smear(y_grid: np.ndarray, f_values: np.ndarray, x: float) -> float:
             if a >= b:
                 continue
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            ys = mid + half * _GL_NODES
+            ys = mid + half * gl_nodes
             vals = spline(ys) * omega(np.abs(ys) / xj) / xj
-            total.append(-half * float(_GL_WEIGHTS @ vals))
+            total.append(-half * float(gl_weights @ vals))
     return fsum(total)
 

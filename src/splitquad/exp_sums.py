@@ -247,8 +247,6 @@ def S_q_factored(form: QuadraticFormF0, q: int, c, t: int) -> ExpSumValue:
     cx, cy = _split_c(form, c)
     s = sum(a * b for a, b in zip(cx, cy))
     t = int(t)
-    if q == 1:
-        return ExpSumValue(1, tuple(c), t, 1.0 + 0.0j, 1)
     if s % q == 0 or t % q == 0:
         exact = q ** form.d1 * ramanujan(q, s + t)
         return ExpSumValue(q, tuple(int(v) for v in c), t,

@@ -21,10 +21,10 @@ rule and serves every d1.  F has two sources:
 * closed form: a weight with a ``fiber_integral`` method (the Gaussians)
   returns the exact fibre integrals;
 * quadrature (_fibre_rule): a biradial weight (AppendixExample) takes a
-  rule over the fibre radius rho; any other weight (ProductBump) a tensor
-  rule in the fibre plane, spanned by a deterministic Householder frame
-  (reflecting e1 to theta).  The tensor rule is also the test oracle of
-  the closed form.
+  rule over the fibre radius rho in (0, r_max); any other weight
+  (ProductBump) a tensor rule on [-r_max, r_max] in each axis of the fibre
+  plane, spanned by a deterministic Householder frame (reflecting e1 to
+  theta).  The tensor rule is also the test oracle of the closed form.
 
 The mirror disintegration through (x, y) -> y gives an independent
 evaluation of the same number.
@@ -53,8 +53,7 @@ class QuadratureConfig:
     angular_order: int = 12    # polar nodes; azimuth uses 2x
     plane_order: int = 32      # fiber nodes per axis
     r_min: float = 1e-6
-    r_max: float = 4.0
-    fiber_radius: float = 4.0
+    r_max: float = 4.0         # radial rule on (r_min, r_max), fibre rule on (0, r_max)
 
     def __post_init__(self):
         if not (self.r_min > 0 and self.r_max > self.r_min):
@@ -71,8 +70,7 @@ class QuadratureConfig:
 
 def default_config(w: WeightFunction) -> QuadratureConfig:
     R = w.decay_radius(1e-12, 0) + 0.5
-    return QuadratureConfig(r_max=max(2.0, R), fiber_radius=max(2.0, R),
-                            r_min=1e-6 * max(2.0, R))
+    return QuadratureConfig(r_max=max(2.0, R), r_min=1e-6 * max(2.0, R))
 
 
 @dataclass
@@ -140,8 +138,8 @@ def _sphere_nodes(d1: int, cfg: QuadratureConfig):
 
 def _fiber_nodes(d1: int, cfg: QuadratureConfig):
     x, wt = _gl(cfg.plane_order)
-    x = x * cfg.fiber_radius
-    wt = wt * cfg.fiber_radius
+    x = x * cfg.r_max
+    wt = wt * cfg.r_max
     if d1 == 2:
         return x[:, None], wt
     grids = np.meshgrid(x, x, indexing="ij")
@@ -180,7 +178,7 @@ def _fibre_rule(w: WeightFunction, cfg: QuadratureConfig, r: np.ndarray,
     """
     d1 = w.dim // 2
     if w.is_biradial:
-        rho, wrho = _panel_nodes(np.linspace(0.0, cfg.fiber_radius, 33), cfg.plane_order)
+        rho, wrho = _panel_nodes(np.linspace(0.0, cfg.r_max, 33), cfg.plane_order)
         RR, PP = np.meshgrid(r, rho, indexing="ij")
         r_far = np.sqrt(PP ** 2 + (t / RR) ** 2)     # radius in the fibre block
         vals = w.eval_biradial(r_far, RR) if swap else w.eval_biradial(RR, r_far)
@@ -307,16 +305,18 @@ def smeared_sigma(w: WeightFunction, m: float, x: float,
 
 
 def coarea_check(w: WeightFunction, phi_grid: np.ndarray, phi_values: np.ndarray,
-                 cfg: QuadratureConfig | None = None,
-                 full_order: int = 24, i_nodes: int = 48):
+                 cfg: QuadratureConfig | None = None):
     """Both sides of the coarea identity
-    int w(z) phi(F0(z)) dz = int phi(t) I(t; w) dt.
+    int w(z) phi(F0(z)) dz = int phi(t) I(t; w) dt, for d = 4 only.
 
     phi is given by samples of a smooth compactly supported function;
-    the left side is a full-dimensional tensor quadrature over the box
-    [-r_max, r_max]^d (the weight's decay makes the box act as the ball),
-    the right side a Gauss-Legendre sum of phi(t) I(t) over phi's support.
+    the left side is a 24-point Gauss-Legendre tensor quadrature over the
+    box [-r_max, r_max]^4 (the weight's decay makes the box act as the
+    ball), the right side a Gauss-Legendre sum of phi(t) I(t) over phi's
+    support.  Any other d raises CapabilityError.
     """
+    if w.dim != 4:
+        raise CapabilityError(f"coarea_check supports d = 4, got {w.dim}")
     cfg = cfg or default_config(w)
     phi_grid = np.asarray(phi_grid, dtype=float)
     phi_values = np.asarray(phi_values, dtype=float)
@@ -327,46 +327,16 @@ def coarea_check(w: WeightFunction, phi_grid: np.ndarray, phi_values: np.ndarray
     phi = CubicSpline(phi_grid, phi_values)
     lo, hi = float(phi_grid[0]), float(phi_grid[-1])
 
-    d = w.dim
-    d1 = d // 2
-    x1, wt1 = _gl(full_order)
+    x1, wt1 = _gl(24)
     x1 = x1 * cfg.r_max
     wt1 = wt1 * cfg.r_max
-    n = len(x1)
-    if d == 4:
-        outer_axes = 0
-    elif d == 6:
-        outer_axes = 2
-    else:
-        raise CapabilityError("coarea_check supports d in {4, 6}")
-
-    inner = d - outer_axes
-    grids = np.meshgrid(*([x1] * inner), indexing="ij")
-    inner_pts = np.stack([g.ravel() for g in grids], axis=1)
-    inner_wt = np.ones(n ** inner)
-    for axis in range(inner):
-        rep = np.repeat(np.tile(wt1, n ** axis), n ** (inner - 1 - axis))
-        inner_wt *= rep
-
-    def block(prefix, prefix_wt):
-        pts = np.empty((inner_pts.shape[0], d))
-        pts[:, :outer_axes] = prefix
-        pts[:, outer_axes:] = inner_pts
-        f0 = np.sum(pts[:, :d1] * pts[:, d1:], axis=1)
-        mask = (f0 > lo) & (f0 < hi)
-        if not np.any(mask):
-            return 0.0
-        vals = w.eval_array(pts[mask]) * phi(f0[mask])
-        return prefix_wt * float(inner_wt[mask] @ vals)
-
-    partials = []
-    if outer_axes == 0:
-        partials.append(block(np.empty(0), 1.0))
-    else:
-        for i in range(n):
-            for j in range(n):
-                partials.append(block(np.array([x1[i], x1[j]]), wt1[i] * wt1[j]))
-    lhs = fsum(partials)
+    pts = np.stack([g.ravel() for g in np.meshgrid(x1, x1, x1, x1, indexing="ij")], axis=1)
+    f0 = pts[:, 0] * pts[:, 2] + pts[:, 1] * pts[:, 3]
+    mask = (f0 > lo) & (f0 < hi)
+    lhs = 0.0
+    if np.any(mask):
+        wts = (wt1[:, None, None, None] * wt1[:, None, None] * wt1[:, None] * wt1).ravel()
+        lhs = float(wts[mask] @ (w.eval_array(pts[mask]) * phi(f0[mask])))
 
     if lo < 0.0 < hi:
         # I(t) loses smoothness at t = 0; refine the panels toward it
@@ -374,7 +344,7 @@ def coarea_check(w: WeightFunction, phi_grid: np.ndarray, phi_values: np.ndarray
         edges = np.concatenate([-np.geomspace(-lo, s, 7), np.geomspace(s, hi, 7)])
     else:
         edges = np.linspace(lo, hi, 4)
-    t_nodes, t_wts = _panel_nodes(edges, i_nodes // 3)
+    t_nodes, t_wts = _panel_nodes(edges, 16)
     rhs = fsum(float(wt * phi(t) * i_x_projection(w, t, cfg))
                for t, wt in zip(t_nodes, t_wts))
     return lhs, rhs

@@ -76,11 +76,12 @@ def _profile(a: float, b: float):
     return f
 
 
-def _grid_sup(f, lo: float, hi: float, n: int = 4001, rounds: int = 6) -> float:
-    """Grid supremum with dyadic refinement around the running argmax."""
+def _grid_sup(f, lo: float, hi: float) -> float:
+    """Grid supremum: 6 rounds of n points, each zoomed to 4 steps about the argmax."""
+    n = 4001
     best = 0.0
     a, b = lo, hi
-    for _ in range(rounds):
+    for _ in range(6):
         xs = np.linspace(a, b, n)
         vals = np.abs(f(xs))
         k = int(np.argmax(vals))

@@ -494,14 +494,16 @@ def test_sigma_p_prime_test_bound_exit_code():
 
 def test_cli_import_loads_no_sympy_or_scipy():
     # scipy is imported inside its two users and mpmath inside qc check's
-    # integral suite; sympy only by the tests
+    # integral suite; sympy only by the tests; numpy.polynomial (the
+    # Gauss-Legendre nodes) only when a quadrature runs
     import splitquad
     src = str(Path(splitquad.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
     for module in ("splitquad", "splitquad.cli"):
         code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
-                "if m.split('.')[0] in ('sympy', 'scipy', 'mpmath')))")
+                "if m.split('.')[0] in ('sympy', 'scipy', 'mpmath') "
+                "or m.startswith('numpy.polynomial')))")
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]", module
@@ -513,6 +515,41 @@ def test_check_suites():
     assert "PASS" in r.output and "FAIL" not in r.output
     bad = RUNNER.invoke(main, ["check", "--suite", "nonsense"])
     assert bad.exit_code == 2
+
+
+def test_check_suite_all_runs_every_check():
+    r = run("check", "--suite", "all")
+    assert r.exit_code == 0
+    labels = [line.split(":")[0] for line in r.output.splitlines() if line.startswith("PASS")]
+    assert labels == [
+        "PASS [kernel] delta sweep |n|<=50 at Q=20, max residual",
+        "PASS [kernel] calibration constant |c_Q - 1| at Q=20",
+        "PASS [sums] naive vs factored S_q, q<=12, rel error",
+        "PASS [sums] local density equals truncated sigma_p series",
+        "PASS [integral] Gaussian I(0) vs closed form 2",
+        "PASS [integral] Gaussian I(1) vs 4*pi*K1(2*pi)",
+        "PASS [integral] x vs y disintegration at t=0.5",
+    ]
+    assert "FAIL" not in r.output and r.output.endswith("# all checks passed\n")
+
+
+def test_config_d1_not_integral_names_the_value(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"d1": 3.5}')
+    r = RUNNER.invoke(main, ["count", "--L", "2", "--weight", "gaussian:a=1.0",
+                             "--config", str(cfg)])
+    assert r.exit_code == 2 and r.stdout == ""
+    assert "d1 must be an integer, got 3.5" in r.stderr
+
+
+@pytest.mark.parametrize("args", [("count", "--d1", "3", "--L", "4", "--m", "0.25"),
+                                  ("sigma-infty", "--d1", "3", "--m", "0.5")])
+def test_zero_shift_is_the_unshifted_gaussian(args):
+    # an all-zero shift is dropped, so the weight takes the isotropic paths
+    plain = run(*args, "--weight", "gaussian:a=1.0")
+    zero = run(*args, "--weight", "gaussian:a=1.0:shift=0,0,0,0,0,0")
+    assert plain.exit_code == zero.exit_code == 0
+    assert zero.output == plain.output
 
 
 def test_config_file_mirrors_flags(tmp_path):

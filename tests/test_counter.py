@@ -382,7 +382,7 @@ def test_fibre_sum_keeps_one_term_per_block(monkeypatch):
 def test_fibre_tally_counts_match_a_literal_scan(monkeypatch, L, m):
     # every (|u_x|^2, |u_y|^2) of the solutions in the block, with its count
     # times the multiplicity of its u_x (an orbit's size), against a scan of
-    # the box |u|_inf <= L; small blocks split the pivot groups
+    # the box |u|_inf <= L; small blocks split the u_x rows into many blocks
     monkeypatch.setattr(ct, "BLOCK", 500)
     d1, spec = 3, LatticeSpec(L=L, m=m)
     Rx = Ry = math.sqrt(0.5) * L
@@ -428,6 +428,18 @@ def test_orbit_rows_and_work_match_the_ball(d1, rx, ry):
         assert ct._fibre_work_floor(d1, t, rx, ry) / (2 ** d1 * math.factorial(d1)) <= work, t
 
 
+@pytest.mark.parametrize("d1,rx", [(2, 9.3), (3, 7.0710678), (4, 4.5), (3, 0.5)])
+def test_fibre_rows_end_in_their_largest_coordinate(d1, rx):
+    # _fibre_solutions divides by the last coordinate of every u_x row: each
+    # row is nonzero, 0 <= x_1 <= ... <= x_d1, so x_d1 is its largest and > 0
+    for t in (0, 1, -2, 12, 360):
+        _, (UX, mult, _, _) = ct._fibre_rows(d1, t, rx, rx)
+        assert len(UX) == len(mult) and (len(UX) > 0) == (rx >= 1)
+        assert np.all(np.any(UX != 0, axis=1))
+        assert np.all(UX[:, 0] >= 0) and np.all(UX[:, 1:] >= UX[:, :-1])
+        assert np.array_equal(UX[:, -1], np.max(np.abs(UX), axis=1, initial=0))
+
+
 def test_appendix_example_matches_brute_force():
     # the fibre path on a weight that does not factor; its support |z| <= 1
     # lies inside the box |u|_inf <= L
@@ -439,7 +451,7 @@ def test_appendix_example_matches_brute_force():
 
 @pytest.mark.parametrize("block", [1, 1000])
 def test_fibre_blocks_do_not_change_the_count(monkeypatch, block):
-    # smaller blocks split each pivot group of u_x into many pieces
+    # smaller blocks split the u_x rows into many pieces
     w, spec = AppendixExample(6), LatticeSpec(L=6, m=0.25)
     whole = ct.enumerate_N_L(w, spec, eps=1e-8)
     monkeypatch.setattr(ct, "BLOCK", block)

@@ -39,13 +39,6 @@ def _raw_delta_literal(n, Q):
                      for q in range(1, qmax + 1)) / Q ** 2
 
 
-def test_c0_value():
-    # the bump mass; independent adaptive quadrature
-    val, err = quad(bump_w0, -1, 1, epsabs=1e-13)
-    assert dk.DeltaKernelConfig(Q=10.0).c0 == pytest.approx(val, abs=1e-11)
-    assert 0.44 < val < 0.45
-
-
 def test_c0_literal_matches_quadratures():
     # the literal _C0 against 30-digit tanh-sinh and adaptive Gauss-Kronrod
     with mpmath.workdps(30):

@@ -265,6 +265,13 @@ def test_coarea_d4():
     assert abs(lhs - rhs) <= 1e-4 * (1 + abs(lhs))
 
 
+@pytest.mark.parametrize("d", [6, 8])
+def test_coarea_other_d_is_a_capability_error(d):
+    tg = np.linspace(-1, 1, 51)
+    with pytest.raises(CapabilityError, match="d = 4"):
+        si.coarea_check(GaussianWeight(1.0, d), tg, bump_w0(tg))
+
+
 def test_smeared_sigma_coverage_error():
     w = GaussianWeight(1.0, 6)
     grid = si.build_i_grid(w, -0.01, 0.01, 33)
