@@ -440,7 +440,7 @@ def _check_sums():
 
 
 def _check_integral():
-    from .weights import GaussianWeight
+    from .weights import AppendixExample, GaussianWeight
     w = GaussianWeight(1.0, 6)
     e0 = abs(sing_integral.sigma_infty(w, 0.0) - 2.0)
     yield ("Gaussian I(0) vs closed form 2", e0, e0 <= 1e-6)
@@ -451,6 +451,13 @@ def _check_integral():
     d = abs(sing_integral.i_x_projection(w, 0.5)
             - sing_integral.i_y_projection(w, 0.5))
     yield ("x vs y disintegration at t=0.5", d, d <= 2e-6)
+    # the Gaussian's two projections take the same closed-form fibre sums, so
+    # the line above reads 0 whatever the quadrature does; appendix-example's
+    # go through _fibre_rule (at t=0.5 both of them are 0, hence t=0.25)
+    a = AppendixExample(6)
+    da = abs(sing_integral.i_x_projection(a, 0.25)
+             - sing_integral.i_y_projection(a, 0.25))
+    yield ("appendix-example x vs y fibre quadrature at t=0.25", da, da <= 2e-6)
 
 
 _SUITES = {"kernel": _check_kernel, "sums": _check_sums, "integral": _check_integral}

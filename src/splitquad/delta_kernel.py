@@ -15,23 +15,29 @@ delta(n) on integers equals
 where c_q is the Ramanujan sum; c_Q is calibrated so the identity is
 exact at n = 0 and is then validated at every other n.
 
-h1, h2 and h take a scalar x, or an array x with a scalar y: the windows
-of every x are laid end to end and go through one omega call, and each
-non-empty window is summed by math.fsum.  A scalar x gives a float.  The
-windows of one call are capped at MAX_TERMS in total before anything is
-allocated.
+h1, h2 and h take a scalar x, or an array x with a scalar y.  A scalar x
+gives a float.  The windows of one call are capped at MAX_TERMS in total
+before any term is walked.  One routine, _window_sums, sums the windows of
+every caller (h1, h2, h, the h1 row of the tables and the h2 windows of a
+delta sum): it walks each window in Python floats, whose + - * / and
+comparisons round as numpy's elementwise ops do, passes the exp arguments
+of all the terms of the call to one np.exp call and sums each window by
+math.fsum.  A call sums a few dozen terms on the delta sum's paths, where
+numpy's fixed cost per op would outweigh its speed per term.
 
 A DeltaKernelConfig holds Q, the calibrated c_Q and the half of a delta sum
-that does not depend on n: the grid x = q/Q, the row h1(x) and the phi and
-mu sieves, for q up to the largest qmax asked for so far.  A call with a
-larger qmax, or after Q has changed, rebuilds them; a smaller qmax takes a
-prefix, since each entry depends only on its own q.  A delta sum is then
-the h2 windows, which are non-empty only on the prefix q <= 2|n|/Q, one gcd
-pass for the Ramanujan sums c_q(n) and one fsum over q.  qmax plus every
-window of a delta sum is capped at MAX_TERMS before the tables grow, so the
-memory a config keeps is that of the tables for the largest qmax asked for,
-which is at most the cap.  fsum is correctly rounded, so every value equals
-the literal per-q loop over ramanujan and h bit for bit.
+that does not depend on n: the grid q and x = q/Q, the row h1(x) and the
+phi and mu sieves, for q up to the largest qmax asked for so far.  A call
+with a larger qmax, or after Q has changed, rebuilds them; a smaller qmax
+takes a prefix, since each entry depends only on its own q.  A delta sum is
+then the h2 windows, which are non-empty only on the prefix q <= 2|n|/Q and
+are found in scalars over that prefix alone, one gcd pass for the Ramanujan
+sums c_q(n) and one fsum over q.  qmax plus every window of a delta sum is
+capped at MAX_TERMS before the tables grow, and an n or Q so large that the
+cap is certain is refused before it is converted or squared, so the memory
+a config keeps is that of the tables for the largest qmax asked for, which
+is at most the cap.  fsum is correctly rounded, so every value equals the
+literal per-q loop over ramanujan and h bit for bit.
 """
 
 from __future__ import annotations
@@ -55,11 +61,12 @@ MAX_TERMS = 2 * 10 ** 6   # caps the windows of one h call, or qmax plus the win
 # The bump mass c0 = int_{-1}^{1} exp(1/(x^2-1)) dx: 30-digit mpmath tanh-sinh,
 # rounded to float; tests/test_delta_kernel.py recomputes it with scipy quad.
 _C0 = 0.4439938161680794
+_OMEGA_SCALE = 4.0 / _C0
 
 
 def omega(x):
     """Unit-mass bump (4/c0) w0(4x - 3), supported on (1/2, 1)."""
-    return 4.0 / _C0 * bump_w0(4.0 * np.asarray(x, dtype=float) - 3.0)
+    return _OMEGA_SCALE * bump_w0(4.0 * np.asarray(x, dtype=float) - 3.0)
 
 
 def _check_x(x: float):
@@ -77,9 +84,11 @@ def _flat_x(x) -> np.ndarray:
     return xs
 
 
-def _shaped(x, row: np.ndarray):
-    """row in the shape of x; a float when x is a scalar."""
-    return float(row[0]) if np.ndim(x) == 0 else row.reshape(np.shape(x))
+def _shaped(x, row):
+    """row (a list or array) in the shape of x; a float when x is a scalar."""
+    if np.ndim(x) == 0:
+        return float(row[0])
+    return np.asarray(row, dtype=float).reshape(np.shape(x))
 
 
 def _h1_windows(x: np.ndarray):
@@ -102,35 +111,39 @@ def _cap_windows(what: str, *windows):
             f"{what} needs {total:.3g} window terms, beyond the cap {MAX_TERMS}")
 
 
-def _window_sums(x: np.ndarray, windows, term) -> np.ndarray:
-    """fsum over j in window i of term(x_i, j), one sum per x_i, in one pass.
+def _listed(x: np.ndarray, windows, ay=None) -> list:
+    """The windows of each x as (x, ay, first, count) for _window_sums."""
+    first, count = (w.astype(np.int64).tolist() for w in windows)
+    return list(zip(x.tolist(), [ay] * len(first), first, count))
 
-    The windows are laid end to end (np.repeat); term sees the flat arrays
-    and returns zero outside its open support interval.
+
+def _window_sums(windows) -> list:
+    """fsum over j of each window's terms, one float per window.
+
+    A window (x, ay, first, count) holds j = first .. first + count - 1 of
+    the h1 terms omega(xj)/(xj) at x when ay is None, else of the h2 terms
+    omega(ay/(xj))/(xj).  The walk runs in Python floats, whose + - * / and
+    comparisons round as numpy's elementwise ops do; the exp arguments of
+    every term in the support go through one np.exp call, since math.exp may
+    differ from it in the last bit.  A term outside the support is 0.0 and
+    changes no fsum, so it is left out.
     """
-    first, counts = (w.astype(np.int64) for w in windows)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    j = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(first - starts, counts)
-    vals = term(np.repeat(x, counts), j).tolist()
-    sums = np.zeros(x.size)         # an empty window sums to 0.0, as fsum([]) does
-    nz = np.flatnonzero(counts)
-    for i, a, b in zip(nz.tolist(), starts[nz].tolist(), ends[nz].tolist()):
-        sums[i] = fsum(vals[a:b])
+    args, divs, ends = [], [], []
+    for x, ay, first, count in windows:
+        for j in range(first, first + count):
+            s = x * j
+            u = s if ay is None else ay / s
+            if 0.5 < u < 1.0:
+                z = 4.0 * u - 3.0      # exact on (1/2, 1), so |z| < 1: w0(z) = exp(1/(z^2 - 1))
+                args.append(1.0 / (z * z - 1.0))
+                divs.append(s)
+        ends.append(len(args))
+    terms = [_OMEGA_SCALE * w / s for w, s in zip(np.exp(args).tolist(), divs)]
+    sums, a = [], 0
+    for b in ends:
+        sums.append(fsum(terms[a:b]))
+        a = b
     return sums
-
-
-def _h1_term(x: np.ndarray, j: np.ndarray) -> np.ndarray:
-    v = x * j
-    return np.where((v > 0.5) & (v < 1.0), omega(v) / v, 0.0)
-
-
-def _h2_term(ay: float):
-    def term(x: np.ndarray, j: np.ndarray) -> np.ndarray:
-        xj = x * j
-        u = ay / xj
-        return np.where((u > 0.5) & (u < 1.0), omega(u) / xj, 0.0)
-    return term
 
 
 def h1(x):
@@ -138,7 +151,7 @@ def h1(x):
     xs = _flat_x(x)
     w1 = _h1_windows(xs)
     _cap_windows(f"h1 at {xs.size} x", w1)
-    return _shaped(x, _window_sums(xs, w1, _h1_term))
+    return _shaped(x, _window_sums(_listed(xs, w1)))
 
 
 def h2(x, y):
@@ -146,7 +159,7 @@ def h2(x, y):
     xs, ay = _flat_x(x), abs(float(y))
     w2 = _h2_windows(xs, ay)
     _cap_windows(f"h2 at {xs.size} x, |y| = {ay:g}", w2)
-    return _shaped(x, _window_sums(xs, w2, _h2_term(ay)))
+    return _shaped(x, _window_sums(_listed(xs, w2, ay)))
 
 
 def h(x, y):
@@ -155,21 +168,22 @@ def h(x, y):
     xs, ay = _flat_x(x), abs(float(y))
     w1, w2 = _h1_windows(xs), _h2_windows(xs, ay)
     _cap_windows(f"h at {xs.size} x, |y| = {ay:g}", w1, w2)
-    return _shaped(x, _window_sums(xs, w1, _h1_term) - _window_sums(xs, w2, _h2_term(ay)))
+    sums = _window_sums(_listed(xs, w1) + _listed(xs, w2, ay))
+    return _shaped(x, np.subtract(sums[:xs.size], sums[xs.size:]))
 
 
-def _ramanujan_from_sieves(phi: np.ndarray, mu: np.ndarray, t: int) -> np.ndarray:
-    """c_q(t) for q = 1..X as exact integers, given the phi and mu sieves on
-    0..X: one gcd pass.  It beats the divisor row of exp_sums._ramanujan_row
-    over a 401-level delta sweep at q <= 60 (about 3 ms against 7 ms, best of
-    9, 2-core VM), which wins at X = 1e5, t = 36 or 100 (0.25-0.35 ms against
-    5.5-6.2 ms)."""
+def _ramanujan_from_sieves(q: np.ndarray, phi: np.ndarray, mu: np.ndarray, t: int) -> np.ndarray:
+    """c_q(t) at each q of the int64 array q as exact floats (|c_q| <= q <
+    2^53), given the phi and mu sieves on 0..max(q): one gcd pass.  It beats
+    the divisor row of exp_sums._ramanujan_row over a 401-level delta sweep
+    at q <= 60 (3.0-3.3 ms against 8.4-9.7 ms, best of 9, 2-core VM), which
+    wins at X = 1e5, t = 36 or 100 (0.23-0.27 ms against 4.0-4.2 ms)."""
     t = abs(int(t))
-    q = np.arange(1, len(phi), dtype=np.int64)
     # g = gcd(q, t); a t past int64 is first reduced mod each q
-    tq = t if t < 2 ** 63 else np.array([t % int(v) for v in q], dtype=np.int64)
+    tq = t if t < 2 ** 63 else np.array([t % v for v in q.tolist()], dtype=np.int64)
     k = q // np.gcd(q, tq)
-    return mu[k] * phi[q] // phi[k]        # c_q(t) = mu(q/g) phi(q) / phi(q/g)
+    # c_q(t) = mu(q/g) phi(q) / phi(q/g), an integer, so the float division is exact
+    return mu[k] * phi[q] / phi[k]
 
 
 @dataclass
@@ -177,6 +191,7 @@ class _KernelTables:
     """The n-independent half of a delta sum for q = 1..qmax at one Q."""
 
     Q: float
+    q: np.ndarray       # 1..qmax as int64
     x: np.ndarray       # q / Q
     h1: np.ndarray      # h1(q / Q)
     h1_terms: float     # window terms of h1; all lie at q <= Q, so any qmax gives the same
@@ -210,37 +225,49 @@ def _raw_delta_sum(n: int, cfg: DeltaKernelConfig) -> float:
     and only after the cap has passed.
     """
     Q = cfg.Q
+    _check_x(1 / Q)            # refuses Q > 1/MIN_X before Q ** 2 can overflow
+    # an exact int-float comparison, so no n is converted to float before it
+    # passes: past MAX_TERMS Q, qmax would be about 2|n|/Q > 2 MAX_TERMS
+    if abs(n) > MAX_TERMS * Q:
+        raise CapabilityError(f"|n| > {MAX_TERMS} Q = {MAX_TERMS * Q:g} needs more q terms "
+                              f"than the cap {MAX_TERMS}")
     qmax = math.floor(Q * max(1.0, 2.0 * abs(n) / Q ** 2))
-    _check_x(1 / Q)
     if qmax > MAX_TERMS:
         raise CapabilityError(f"n = {n} needs {qmax} q terms, beyond the cap {MAX_TERMS}")
     tab = cfg.tables
     rebuild = tab is None or tab.Q != Q or tab.x.size < qmax
     if rebuild:
-        x = np.arange(1, qmax + 1) / Q
-        w1 = _h1_windows(x)
+        grid = np.arange(1, qmax + 1, dtype=np.int64)
+        xs = grid / Q
+        w1 = _h1_windows(xs)
         h1_terms = float(np.sum(w1[1]))
     else:
-        x, h1_terms = tab.x[:qmax], tab.h1_terms
-    ay = abs(n / Q ** 2)
-    w2 = _h2_windows(x, ay)
-    terms = qmax + h1_terms + float(np.sum(w2[1]))
-    if terms > MAX_TERMS:
-        raise CapabilityError(
-            f"n = {n}, Q = {Q:g} needs {terms:.3g} kernel terms, beyond the cap {MAX_TERMS}")
-    if rebuild:
-        tab = cfg.tables = _KernelTables(Q, x, _window_sums(x, w1, _h1_term), h1_terms,
-                                         _phi_sieve(qmax), _mu_sieve(qmax))
+        h1_terms = tab.h1_terms
     # h = h1 - h2.  The h2 window of x is non-empty iff fl(2|y| / x) >= 1, and
-    # float division is monotone, so those windows are a prefix of q; the h2
-    # pass runs over that prefix only, and not at all when |n| < Q/2
+    # float division is monotone, so those windows are a prefix of q; they are
+    # found in scalars; the scan stops at the first empty one, or once qmax,
+    # the h1 windows and the h2 windows so far pass the cap
+    ay = abs(n / Q ** 2)
+    windows, nterms = [], qmax + h1_terms
+    for q in range(1, qmax + 1):
+        x = q / Q
+        last = math.floor(2 * ay / x)
+        if last < 1 or nterms > MAX_TERMS:
+            break
+        first = max(1, math.floor(ay / x))
+        windows.append((x, ay, first, last - first + 1))
+        nterms += last - first + 1
+    if nterms > MAX_TERMS:
+        raise CapabilityError(
+            f"n = {n}, Q = {Q:g} needs more kernel terms than the cap {MAX_TERMS}")
+    if rebuild:
+        tab = cfg.tables = _KernelTables(Q, grid, xs, np.array(_window_sums(_listed(xs, w1))),
+                                         h1_terms, _phi_sieve(qmax), _mu_sieve(qmax))
     hq = tab.h1[:qmax]
-    k = int(np.count_nonzero(w2[1]))
-    if k:
+    if windows:
         hq = hq.copy()
-        hq[:k] -= _window_sums(x[:k], (w2[0][:k], w2[1][:k]), _h2_term(ay))
-    # exact: |c_q(n)| <= q < 2^53
-    cq = _ramanujan_from_sieves(tab.phi[:qmax + 1], tab.mu[:qmax + 1], n).astype(float)
+        hq[:len(windows)] -= _window_sums(windows)
+    cq = _ramanujan_from_sieves(tab.q[:qmax], tab.phi, tab.mu, n)
     return fsum((cq * hq).tolist()) / Q ** 2
 
 

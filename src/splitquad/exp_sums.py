@@ -477,8 +477,8 @@ def _ramanujan_row(phi: np.ndarray | None, mu: np.ndarray | None, t: int, X: int
     """c_q(t) for q = 1..X as exact int32: phi(q) at t = 0, else the divisor
     sum of d mu(q/d) over d | t, one strided add per divisor d <= X.  It beats
     the gcd pass of delta_kernel._ramanujan_from_sieves at X = 1e5, t = 36 or
-    100 (0.25-0.35 ms against 5.5-6.2 ms, best of 9, 2-core VM), which wins
-    over a 401-level delta sweep at q <= 60 (about 3 ms against 7 ms)."""
+    100 (0.23-0.27 ms against 4.0-4.2 ms, best of 9, 2-core VM), which wins
+    over a 401-level delta sweep at q <= 60 (3.0-3.3 ms against 8.4-9.7 ms)."""
     if t == 0:
         return phi[1:X + 1]
     t = abs(int(t))

@@ -486,6 +486,18 @@ def test_delta_term_cap_exit_code():
     assert r.stderr.startswith("error:") and "cap" in r.stderr
 
 
+@pytest.mark.parametrize("args", [("--n", "1" + "0" * 400, "--Q", "60"),
+                                  ("--n", "3", "--Q", "1e200"),
+                                  ("--n", "0", "--Q", "5e5")])
+def test_delta_oversized_input_exit_code(args):
+    # an n past float range, or a Q whose square overflows, meets the term cap
+    # before either is converted or squared; at n = 0 and Q = 5e5 the h1
+    # windows alone pass the cap
+    r = RUNNER.invoke(main, ["delta", *args])
+    assert r.exit_code == 3
+    assert r.stderr.startswith("error:") and "cap" in r.stderr
+
+
 def test_sigma_p_prime_test_bound_exit_code():
     r = RUNNER.invoke(main, ["sigma-p", "--p", "3317044064679887385961981", "--d", "6"])
     assert r.exit_code == 3
@@ -529,6 +541,7 @@ def test_check_suite_all_runs_every_check():
         "PASS [integral] Gaussian I(0) vs closed form 2",
         "PASS [integral] Gaussian I(1) vs 4*pi*K1(2*pi)",
         "PASS [integral] x vs y disintegration at t=0.5",
+        "PASS [integral] appendix-example x vs y fibre quadrature at t=0.25",
     ]
     assert "FAIL" not in r.output and r.output.endswith("# all checks passed\n")
 

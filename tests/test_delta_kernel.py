@@ -113,12 +113,12 @@ def test_array_h_checks_every_x():
 
 
 def test_array_h_window_cap_before_allocation(monkeypatch):
-    # one total over every window of a call, checked before the windows are laid out
+    # one total over every window of a call, checked before any window is walked
     def refuse(*args, **kwargs):
-        raise AssertionError("windows laid out")
+        raise AssertionError("windows walked")
     xs = np.full(4, dk.MIN_X)              # 4 x 500001 h1 window terms
     with monkeypatch.context() as m:
-        m.setattr(np, "repeat", refuse)
+        m.setattr(dk, "_window_sums", refuse)
         with pytest.raises(CapabilityError, match="window terms"):
             dk.h1(xs)
         with pytest.raises(CapabilityError, match="window terms"):
@@ -181,6 +181,23 @@ def test_delta_sweep_builds_one_sieve(monkeypatch):
     assert calls == {"_phi_sieve": [60], "_mu_sieve": [60]}
 
 
+def test_delta_sum_makes_at_most_one_exp_call(monkeypatch):
+    # once c_Q and the tables are set, the h2 terms of a delta sum go through
+    # one np.exp call, and a sum with no h2 window (|n| < Q/2) makes none
+    cfg = dk.DeltaKernelConfig(Q=60.0)
+    dk.calibrate_cQ(cfg)
+    exp, calls = np.exp, []
+
+    def counted(a):
+        calls.append(len(a))
+        return exp(a)
+    monkeypatch.setattr(np, "exp", counted)
+    for n in (*range(-200, 201), 1799, -1799):      # qmax stays 60
+        calls.clear()
+        dk.delta_sum(n, cfg)
+        assert len(calls) == (0 if abs(n) < 30 else 1), n
+
+
 def test_cQ_recalibrated_when_Q_changes():
     cfg = dk.DeltaKernelConfig(Q=20.0)
     dk.delta_sum(0, cfg)
@@ -203,6 +220,18 @@ def test_delta_term_cap():
             dk.delta_sum(2 * 10 ** 6, cfg10)   # qmax 4e5
         # a refused call leaves the tables as calibration or the first call built them
         assert [c.tables.x.size for c in (cfg, cfg10)] == ([60, 140] if built else [60, 10])
+
+
+def test_delta_term_cap_without_h2_windows(monkeypatch):
+    # at n = 0 there is no h2 window, and qmax plus the h1 windows (about
+    # 3e6 terms at Q = 5e5) is refused before the tables are built
+    def refuse(*args, **kwargs):
+        raise AssertionError("windows walked")
+    monkeypatch.setattr(dk, "_window_sums", refuse)
+    cfg = dk.DeltaKernelConfig(Q=5e5)
+    with pytest.raises(CapabilityError, match="kernel terms"):
+        dk.delta_sum(0, cfg)
+    assert cfg.tables is None
 
 
 def test_delta_sum_needs_integral_n():

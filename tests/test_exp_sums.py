@@ -513,14 +513,15 @@ def test_divisor_row_matches_gcd_pass(t):
     # c_q(t) = sum_{d | (q, t)} d mu(q/d) against mu(q/g) phi(q) / phi(q/g)
     X = 5000
     phi, mu = es._phi_sieve(X), es._mu_sieve(X)
-    assert np.array_equal(es._ramanujan_row(phi, mu, t, X), _ramanujan_from_sieves(phi, mu, t))
+    assert np.array_equal(es._ramanujan_row(phi, mu, t, X),
+                          _ramanujan_from_sieves(np.arange(1, X + 1), phi, mu, t))
 
 
 def test_divisor_row_matches_gcd_pass_past_int64():
     X, t = 300, 2 ** 64 * 720720 + 2 ** 64
     phi, mu = es._phi_sieve(X), es._mu_sieve(X)
     row = es._ramanujan_row(phi, mu, t, X)
-    assert np.array_equal(row, _ramanujan_from_sieves(phi, mu, t))
+    assert np.array_equal(row, _ramanujan_from_sieves(np.arange(1, X + 1), phi, mu, t))
     assert row.tolist() == [es.ramanujan(q, t) for q in range(1, X + 1)]
 
 
