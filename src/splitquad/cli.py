@@ -5,9 +5,10 @@ orderings, so identical inputs give byte-identical output.  Exit codes:
 0 success, 1 check failure, 2 usage error, 3 capability/accuracy error.
 
 A JSON config file (--config) mirrors the flags; explicit flags win.
-Schema keys: d1, m, L, L_list, weight, eps, cutoffs {primes, q},
-quadrature {radial, angular, plane, r_min, r_max}, budget; any other key is
-a usage error.
+Each command takes only the keys it reads: count d1, L, m, weight, eps,
+budget; predict d1, L, m, weight, quadrature {angular}; verify d1, m,
+weight, L_list, eps, budget, quadrature {angular}; sigma-infty and i-grid
+only quadrature {angular}.  Any other key is a usage error.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .weights import parse_weight
 
 FMT = "%.12e"
 EPSILON = 0.5   # the epsilon of the error-term exponent d/2 + epsilon
+DIRICHLET_CUTOFF = 10 ** 5   # the q of the definitional series of the main term
+PRIME_CUTOFF = 10 ** 4       # the primes of its remark5 product
 
 
 def _f(x: float) -> str:
@@ -56,14 +59,11 @@ class ConvergenceRow:
     fitted_error_exponent: float | None = None
 
 
-# schema key -> (type, default); null or absent means the default
+# key -> (type, default); null or absent means the default.  L_list is
+# checked by _L_values and quadrature is an object of _QUADRATURE keys.
 _SCHEMA = {"d1": (int, None), "L": (float, None), "m": (float, 0.0), "weight": (str, None),
            "eps": (float, 1e-8), "budget": (int, counter.DEFAULT_BUDGET)}
-_CUTOFFS = {"q": (int, 10 ** 5), "primes": (int, 10 ** 4)}
-_QUADRATURE = {"radial": (int, None), "angular": (int, None), "plane": (int, None),
-               "r_min": (float, None), "r_max": (float, None)}
-_QUAD_FIELDS = {"radial": "radial_panels", "angular": "angular_order",
-                "plane": "plane_order", "r_min": "r_min", "r_max": "r_max"}
+_QUADRATURE = {"angular": (int, None)}
 _KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
@@ -91,10 +91,11 @@ def _typed_keys(raw: dict, schema: dict, prefix: str = "", untyped=()) -> dict:
             for k, (kind, default) in schema.items()}
 
 
-def _merge_config(config_path, flags: dict, required=()) -> dict:
+def _merge_config(config_path, flags: dict, required=(), config_only=()) -> dict:
     """The config file's keys overridden by the flags that are set, each
-    schema key converted to its type once, with its default filled in; a
-    key in required must come from one of them."""
+    key converted to its type once, with its default filled in.  The keys
+    are those of flags and config_only; a key in required must come from
+    a flag or the file."""
     cfg = {}
     if config_path:
         with open(config_path) as fh:
@@ -110,18 +111,21 @@ def _merge_config(config_path, flags: dict, required=()) -> dict:
     missing = [f"--{k.replace('_', '-')}" for k in required if cfg.get(k) is None]
     if missing:
         raise click.UsageError(f"missing {', '.join(missing)} (as a flag or a config key)")
-    cfg.update(_typed_keys(cfg, _SCHEMA, untyped=("L_list", "cutoffs", "quadrature")))
-    for k, schema in (("cutoffs", _CUTOFFS), ("quadrature", _QUADRATURE)):
-        sub = cfg.get(k) or {}
+    keys = [*flags, *config_only]
+    cfg.update(_typed_keys(cfg, {k: _SCHEMA[k] for k in keys if k in _SCHEMA},
+                           untyped=[k for k in keys if k not in _SCHEMA]))
+    if "quadrature" in keys:
+        sub = cfg.get("quadrature") or {}
         if not isinstance(sub, dict):
-            raise click.UsageError(f"config key {k} must be an object, got {sub!r}")
-        cfg[k] = _typed_keys(sub, schema, f"{k}.")
+            raise click.UsageError(f"config key quadrature must be an object, got {sub!r}")
+        cfg["quadrature"] = _typed_keys(sub, _QUADRATURE, "quadrature.")
     return cfg
 
 
 def _quad_config(w, cfg: dict):
-    kw = {_QUAD_FIELDS[k]: v for k, v in cfg["quadrature"].items() if v is not None}
-    return replace(sing_integral.default_config(w), **kw)
+    """The weight's default quadrature, with the config's angular order if set."""
+    qc, angular = sing_integral.default_config(w), cfg["quadrature"]["angular"]
+    return qc if angular is None else replace(qc, angular_order=angular)
 
 
 def _main_terms(d1: int, m: float, Ls, weight_spec: str, cfg: dict):
@@ -131,13 +135,12 @@ def _main_terms(d1: int, m: float, Ls, weight_spec: str, cfg: dict):
     d = 2 * d1
     exp_sums.half_dim(d)        # an odd d or d <= 4 exits 2 before any work
     specs = [LatticeSpec(L=L, m=m) for L in Ls]
-    cuts = cfg["cutoffs"]
     w = parse_weight(weight_spec, d)
     # sigma_infty runs before the sieve: the other order leaves the benchmark
     # process's peak RSS about 0.7 MB higher
     sig_inf = sing_integral.sigma_infty(w, m, _quad_config(w, cfg))
-    sig_def = exp_sums.sigma_dirichlet_levels(cuts["q"], d, [spec.t for spec in specs])
-    sig_r5 = exp_sums.sigma_remark5_product(cuts["primes"], d1).value
+    sig_def = exp_sums.sigma_dirichlet_levels(DIRICHLET_CUTOFF, d, [spec.t for spec in specs])
+    sig_r5 = exp_sums.sigma_remark5_product(PRIME_CUTOFF, d1).value
     terms = []
     for spec in specs:
         sig = sig_def[spec.t].value
@@ -210,7 +213,7 @@ def count(d1, L, m, weight, eps, budget, config_path):
 def predict(d1, L, m, weight, config_path):
     """Main-term prediction sigma_infty * sigma * L^{d-2} for both sigma variants."""
     cfg = _merge_config(config_path, dict(d1=d1, L=L, m=m, weight=weight),
-                        ("d1", "L", "weight"))
+                        ("d1", "L", "weight"), ("quadrature",))
 
     def run():
         mv, Lv = cfg["m"], cfg["L"]
@@ -251,7 +254,8 @@ def _fit_exponent(Ls, errs):
 def verify(d1, m, weight, L_list, eps, config_path):
     """Convergence table N_L vs prediction across L, with error-exponent fit."""
     cfg = _merge_config(config_path, dict(d1=d1, m=m, weight=weight, L_list=L_list,
-                                          eps=eps), ("d1", "weight", "L_list"))
+                                          eps=eps), ("d1", "weight", "L_list"),
+                        ("budget", "quadrature"))
 
     def run():
         Ls = _L_values(cfg["L_list"])
@@ -343,7 +347,7 @@ def sigma_p_cmd(p, d, t):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def sigma_infty_cmd(d1, m, weight, check, config_path):
     """Singular integral sigma_infty = I(m; w)."""
-    cfg = _merge_config(config_path, {})
+    cfg = _merge_config(config_path, {}, config_only=("quadrature",))
 
     def run():
         w = parse_weight(weight, 2 * d1)
@@ -362,7 +366,7 @@ def sigma_infty_cmd(d1, m, weight, check, config_path):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def i_grid(d1, weight, t_min, t_max, n, config_path):
     """Sample the level-set integral I(t; w) on a uniform t grid (CSV t,I)."""
-    cfg = _merge_config(config_path, {})
+    cfg = _merge_config(config_path, {}, config_only=("quadrature",))
 
     def run():
         w = parse_weight(weight, 2 * d1)

@@ -16,20 +16,20 @@ with eps' = eps / L^(d-2).  There are two paths:
 * Fibres, for the other weights with a bounded support that are biradial
   (AppendixExample), where R is the support radius and nothing is
   truncated.  With a block_support (rx, ry), w(x, y) = 0 unless |x| <= rx
-  and |y| <= ry, u_x runs over |u_x| <= Rx = min(R, rx) L and u_y over
-  |u_y| <= Ry = min(R, ry) L (else both radii are R L).  A level
-  |t| > Rx Ry has no solution and counts 0 before anything else.  A
-  biradial weight depends on u only through |u_x| and |u_y|, and a signed
-  permutation applied to u_x and u_y together keeps both norms and
-  u_x . u_y.  So the fibre of u_x has the same weight sum as that of any
-  u_x in its orbit, and one admissible u_x per orbit, 0 <= x_1 <= ... <= x_d1,
-  is solved for its last coordinate, its largest and positive: y_1 ..
-  y_{d1-1} run over the ball of radius Ry, and
-  y_d1 = (t - sum_{j < d1} x_j y_j) / x_d1 is kept when it is an integer,
-  |u_y| <= Ry and |u|^2 <= (R L)^2, and counted orbit-size times.  The
-  u_x = 0 stratum (t = 0 only) is the u_y ball of radius Ry, taken over
-  the orbits of u_y likewise.  The solve runs in float64, in blocks of
-  about BLOCK candidates, exact while (Rx^2 + 1)(Ry^2 + 1) < 2^53 and
+  and |y| <= ry, u_x runs over |u_x| <= Rx = rx L and u_y over
+  |u_y| <= Ry = ry L (else both radii are R L); a solution outside the
+  support adds its weight there, exactly 0.  A level |t| > Rx Ry has no
+  solution and counts 0 before anything else.  A biradial weight depends
+  on u only through |u_x| and |u_y|, and a signed permutation applied to
+  u_x and u_y together keeps both norms and u_x . u_y.  So the fibre of
+  u_x has the same weight sum as that of any u_x in its orbit, and one
+  admissible u_x per orbit, 0 <= x_1 <= ... <= x_d1, is solved for its
+  last coordinate, its largest and positive: y_1 .. y_{d1-1} run over the
+  ball of radius Ry, and y_d1 = (t - sum_{j < d1} x_j y_j) / x_d1 is kept
+  when it is an integer and |u_y| <= Ry, and counted orbit-size times.
+  The u_x = 0 stratum (t = 0 only) is the u_y ball of radius Ry, taken
+  over the orbits of u_y likewise.  The solve runs in float64, in blocks
+  of about BLOCK candidates, exact while (Rx^2 + 1)(Ry^2 + 1) < 2^53 and
   refused past it.  The weight is evaluated once per distinct
   (|u_x|^2, |u_y|^2) of a block, times its count.  tail_estimate bounds
   the rounding of the sum.  A weight with no pair_factors is refused
@@ -264,9 +264,8 @@ def _count_fibres(w: WeightFunction, t: int, L: float, R: float,
     checked against a lower bound before any ball is built, and exactly
     before any fibre is solved."""
     d1 = w.dim // 2
-    Ru = R * L
     rx, ry = w.block_support or (R, R)
-    Rx, Ry = min(R, rx) * L, min(R, ry) * L
+    Rx, Ry = rx * L, ry * L
     if abs(t) > Rx * Ry:                               # |u_x . u_y| <= Rx Ry: no solution
         return CountResult(0.0, 0, R, 0.0)
     # an orbit has at most 2^d1 d1! members, so the floor over that bounds the orbit work
@@ -282,7 +281,7 @@ def _count_fibres(w: WeightFunction, t: int, L: float, R: float,
         raise _over_budget(visited, budget, L, w.dim - 1)
     ny = math.floor(Ry * Ry) + 1                       # |u_y|^2 < ny
     terms, points = [], 0
-    for a, b, n in _fibre_solutions(t, *rows, Ry, Ru * Ru):
+    for a, b, n in _fibre_solutions(t, *rows, Ry):
         points += int(np.sum(n))
         a, b, count = _tally(a, b, n, ny)              # w once per distinct (|u_x|^2, |u_y|^2)
         terms.append(fsum((count * w.eval_biradial(np.sqrt(a) / L, np.sqrt(b) / L)).tolist()))
@@ -356,13 +355,12 @@ def _tally(a: np.ndarray, b: np.ndarray, n: np.ndarray, ny: int):
 
 
 def _fibre_solutions(t: int, UX: np.ndarray, mult: np.ndarray, F: np.ndarray, stratum,
-                     Ry: float, radius2: float):
+                     Ry: float):
     """Yield blocks (|u_x|^2, |u_y|^2, m) of the solutions u of u_x . u_y = t
     with u_x a row of UX, the d1 - 1 free coordinates of u_y a row of F (the
-    ball of radius Ry), |u_y| <= Ry and |u|^2 <= radius2; m holds the
-    multiplicity (mult) of each solution's u_x row.  The u_x = 0 stratum
-    (rows, mult) of u_y, None unless t = 0, comes first, with the stratum's
-    multiplicities.
+    ball of radius Ry) and |u_y| <= Ry; m holds the multiplicity (mult) of
+    each solution's u_x row.  The u_x = 0 stratum (rows, mult) of u_y, None
+    unless t = 0, comes first, with the stratum's multiplicities.
 
     Each u_x is an orbit row 0 <= x_1 <= ... <= x_d1, nonzero, so its last
     coordinate is its largest and positive, and u_x is solved for y_d1: the
@@ -395,9 +393,7 @@ def _fibre_solutions(t: int, UX: np.ndarray, mult: np.ndarray, F: np.ndarray, st
         o &= np.less_equal(z, y_room, out=fits[:n])
         i, j = np.divmod(np.flatnonzero(o), len(F))
         yk = y[i, j]
-        a, b = sX[s + i], sF[j] + yk * yk
-        keep = a + b <= radius2
-        yield a[keep], b[keep], mult[s + i[keep]]
+        yield sX[s + i], sF[j] + yk * yk, mult[s + i]
 
 
 def brute_force_N_L(w: WeightFunction, spec: LatticeSpec, box_radius: int) -> float:

@@ -115,20 +115,29 @@ _BAD_CONFIG = {
     "config d1 a string": (("count", *_G), '{"d1": "x", "L": 2}'),
     "config quadrature a list": (("predict", "--d1", "3", "--L", "4", *_G),
                                  '{"quadrature": [1]}'),
-    "config cutoffs a list": (("predict", "--d1", "3", "--L", "4", *_G), '{"cutoffs": [1]}'),
     "config budget a string": (("count", "--d1", "3", "--L", "2", *_G), '{"budget": "x"}'),
     "config eps a string": (("count", "--d1", "3", "--L", "2", *_G), '{"eps": "x"}'),
     "config m a list": (("count", "--d1", "3", "--L", "2", *_G), '{"m": [1]}'),
-    "config cutoffs.q a string": (("predict", "--d1", "3", "--L", "4", *_G),
-                                  '{"cutoffs": {"q": "x"}}'),
     "config quadrature.angular a string": (("predict", "--d1", "3", "--L", "4", *_G),
                                            '{"quadrature": {"angular": "x"}}'),
     "config budget 0": (("count", "--d1", "3", "--L", "2", *_G), '{"budget": 0}'),
     "config unknown key": (("predict", "--d1", "3", "--L", "4", *_G), '{"Q": 10}'),
-    "config unknown cutoffs key": (("predict", "--d1", "3", "--L", "4", *_G),
-                                   '{"cutoffs": {"Q": 10}}'),
     "config unknown quadrature key": (("predict", "--d1", "3", "--L", "4", *_G),
                                       '{"quadrature": {"angualr": 8}}'),
+    # the main-term cutoffs are fixed, and the quadrature's radii and its
+    # orders other than angular come from the weight alone
+    "config deleted key cutoffs": (("predict", "--d1", "3", "--L", "4", *_G),
+                                   '{"cutoffs": {"q": 100000, "primes": 10000}}'),
+    "config deleted key quadrature.r_max": (("predict", "--d1", "3", "--L", "4", *_G),
+                                            '{"quadrature": {"r_max": 3.0}}'),
+    # a key the command does not read, though another command reads it
+    "config sigma-infty m": (("sigma-infty", "--d1", "3", *_G), '{"m": 0.5}'),
+    "config i-grid d1": (("i-grid", "--d1", "3", *_G, "--t-min", "0", "--t-max", "1"),
+                         '{"d1": 3}'),
+    "config count quadrature": (("count", "--d1", "3", "--L", "2", *_G),
+                                '{"quadrature": {"angular": 8}}'),
+    "config predict budget": (("predict", "--d1", "3", "--L", "4", *_G), '{"budget": 5}'),
+    "config verify L": (("verify", "--d1", "3", "--L-list", "2,4", *_G), '{"L": 4}'),
 }
 
 
@@ -145,6 +154,39 @@ def test_bad_input_is_a_usage_error(case, tmp_path):
     assert r.exit_code == 2, r.exception
     assert r.stdout == ""
     assert "Traceback" not in r.output and r.stderr.lstrip().startswith("Usage:")
+
+
+# command -> (its required flags, the config keys it reads)
+_READS = {
+    "count": ({"--d1": "3", "--L": "2", "--weight": "gaussian:a=1.0"},
+              {"d1", "L", "m", "weight", "eps", "budget"}),
+    "predict": ({"--d1": "3", "--L": "4", "--weight": "gaussian:a=1.0"},
+                {"d1", "L", "m", "weight", "quadrature"}),
+    "verify": ({"--d1": "3", "--L-list": "2,4", "--weight": "gaussian:a=1.0"},
+               {"d1", "m", "weight", "L_list", "eps", "budget", "quadrature"}),
+    "sigma-infty": ({"--d1": "3", "--weight": "gaussian:a=1.0"}, {"quadrature"}),
+    "i-grid": ({"--d1": "3", "--weight": "gaussian:a=1.0", "--t-min": "0", "--t-max": "1"},
+               {"quadrature"}),
+}
+# a malformed value of every key some command reads
+_MALFORMED = {"d1": "x", "L": "x", "m": "x", "weight": 1, "eps": "x", "budget": "x",
+              "L_list": "x", "quadrature": {"angular": "x"}}
+
+
+def test_each_command_reads_only_its_config_keys(tmp_path):
+    # a key the command reads exits 2 as malformed, any other as unknown
+    cfg = tmp_path / "cfg.json"
+    for command, (flags, reads) in _READS.items():
+        for key, value in _MALFORMED.items():
+            cfg.write_text(json.dumps({key: value}))
+            # the file's key stands in for its flag, which would override it
+            args = [a for f, v in flags.items()
+                    if not (key in reads and f == "--" + key.replace("_", "-"))
+                    for a in (f, v)]
+            r = RUNNER.invoke(main, [command, *args, "--config", str(cfg)])
+            assert r.exit_code == 2 and r.stdout == "", (command, key)
+            unknown = f"unknown config key {key}" in r.stderr
+            assert unknown == (key not in reads), (command, key, r.stderr)
 
 
 def test_sigma_methods():

@@ -397,7 +397,7 @@ def test_fibre_tally_counts_match_a_literal_scan(monkeypatch, L, m):
     assert sum(want.values()) == int(np.sum(keep)) > 0
     got = {}
     _, fibres = ct._fibre_rows(d1, spec.t, Rx, Ry)
-    for a, b, n in ct._fibre_solutions(spec.t, *fibres, Ry, float(L * L)):
+    for a, b, n in ct._fibre_solutions(spec.t, *fibres, Ry):
         for ka, kb, c in zip(*ct._tally(a, b, n, ny)):
             got[ka, kb] = got.get((ka, kb), 0) + int(c)
     assert got == want
