@@ -235,13 +235,13 @@ def sigma_infty(w: WeightFunction, m: float, cfg: QuadratureConfig | None = None
     """The archimedean factor: I(m; w) for the split form.
 
     With check=True a refined configuration is run as well and an
-    AccuracyError is raised when the two differ by more than 1e-5.
+    AccuracyError is raised when the two differ by more than 1e-6 |ref|.
     """
     cfg = cfg or default_config(w)
     val = i_x_projection(w, m, cfg)
     if check:
         ref = i_x_projection(w, m, cfg.refined())
-        if abs(val - ref) > 1e-5:
+        if abs(val - ref) > 1e-6 * abs(ref):
             raise AccuracyError(
                 f"quadrature not converged: {val} vs refined {ref}")
         return ref

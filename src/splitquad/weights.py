@@ -1,4 +1,5 @@
-"""Weight function families: evaluation, derivatives, decay and norm metadata.
+"""Weight function families: evaluation, decay radii and the pieces the
+counter and the singular-integral quadrature read.
 
 Four closed families are supported (no arbitrary callables):
 
@@ -8,19 +9,12 @@ Four closed families are supported (no arbitrary callables):
 * ``AppendixExample``           F(|x|^2) g(|y|^2) with smooth bumps F, g and
                                 0 not in supp g
 
-Each family carries a regularity exponent gamma (certified analytically,
-not numerically: Gaussians by their explicit Fourier transform, bump
-products by repeated integration by parts), a decay radius solver and a
-certified over-estimate of the norm
-
-    ||w||_{n1,n2} = sup_z max_{|alpha|<=n1} |d^alpha w(z)| <z>^{n2},
-
-where <z> = max(1, |z|).  Analytic partial derivatives are provided up
-to order 2; orders 3-4 fall back to central finite differences.  The bump
-families take every derivative from ``bump_w0(x, k)``, the 1-d bump w0 or
-its derivative of order k <= 2: ProductBump through w0(z_i / scale), and
-AppendixExample through the profiles s -> w0(a s + b) that ``_profile``
-builds.  The family parameters must be finite.
+Each family evaluates itself on arrays and gives a decay radius: the
+support radius for the bump families, and a bisection on the Gaussian
+envelope otherwise.  The bump families are built from ``bump_w0``, the 1-d
+bump w0: ProductBump through w0(z_i / scale), and AppendixExample through
+the profiles s -> w0(a s + b) that ``_profile`` builds.  The family
+parameters must be finite.
 
 The Gaussians and ProductBump factor over the coordinate pairs (x_i, y_i);
 their ``pair_factors`` method samples the 1-d factors on an integer box for
@@ -34,68 +28,34 @@ counter's fibre path enumerates only that block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ArgumentError, CapabilityError
-
-_FD_EPS = np.finfo(float).eps ** (1.0 / 3.0)
+from .errors import ArgumentError
 
 
-def bracket(z) -> float:
-    """Japanese bracket <z> = max(1, |z|)."""
-    return max(1.0, float(np.linalg.norm(z)))
-
-
-def bump_w0(x, k: int = 0):
-    """The C0-infinity bump w0(x) = exp(1/(x^2-1)) on (-1, 1), 0 outside, or
-    its derivative w0^(k) of order k <= 2."""
-    if k not in (0, 1, 2):
-        raise ArgumentError(f"bump derivative order {k} > 2")
+def bump_w0(x):
+    """The C0-infinity bump w0(x) = exp(1/(x^2-1)) on (-1, 1), 0 outside."""
     x = np.asarray(x, dtype=float)
     out = np.zeros_like(x)
     inside = np.abs(x) < 1.0
     xi = x[inside]
-    u = xi * xi - 1.0
-    w = np.exp(1.0 / u)
-    if k == 1:
-        w = w * (-2.0 * xi / (u * u))
-    elif k == 2:
-        w = w * ((6.0 * xi * xi + 2.0) / u ** 3 + (2.0 * xi / (u * u)) ** 2)
-    out[inside] = w
+    out[inside] = np.exp(1.0 / (xi * xi - 1.0))
     return out if out.ndim else float(out)
 
 
 def _profile(a: float, b: float):
-    """The profile s -> w0(a s + b), called as f(s, k) for its k-th derivative
-    a^k w0^(k)(a s + b) in s."""
-    def f(s, k: int = 0):
-        return a ** k * bump_w0(a * np.asarray(s, float) + b, k)
+    """The profile s -> w0(a s + b)."""
+    def f(s):
+        return bump_w0(a * np.asarray(s, float) + b)
     return f
-
-
-def _grid_sup(f, lo: float, hi: float) -> float:
-    """Grid supremum: 6 rounds of n points, each zoomed to 4 steps about the argmax."""
-    n = 4001
-    best = 0.0
-    a, b = lo, hi
-    for _ in range(6):
-        xs = np.linspace(a, b, n)
-        vals = np.abs(f(xs))
-        k = int(np.argmax(vals))
-        best = max(best, float(vals[k]))
-        step = (b - a) / (n - 1)
-        a, b = max(lo, xs[k] - 2 * step), min(hi, xs[k] + 2 * step)
-    return best
 
 
 class WeightFunction:
     """Base class; subclasses implement the family-specific pieces."""
 
     dim: int
-    gamma: float = 1.0        # regularity exponent of eq-style decay metadata
     # w depends on (|x|, |y|) only; such a weight has fiber_integral or
     # eval_biradial(rx, ry) for the singular-integral quadrature
     is_biradial = False
@@ -115,41 +75,7 @@ class WeightFunction:
         """Vectorized evaluation on an (N, dim) array."""
         raise NotImplementedError
 
-    # -- derivatives --------------------------------------------------------
-
-    def eval_partial(self, z, multi_index) -> float:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,):
-            raise ArgumentError(f"vector length {z.shape} != dim {self.dim}")
-        alpha = tuple(int(a) for a in multi_index)
-        if len(alpha) != self.dim or any(a < 0 for a in alpha):
-            raise ArgumentError(f"bad multi-index {multi_index}")
-        order = sum(alpha)
-        if order == 0:
-            return self.eval(z)
-        if order <= 2:
-            return self._partial_analytic(z, alpha)
-        if order <= 4:
-            return self.eval_partial_fd(z, alpha)
-        raise CapabilityError(f"derivative order {order} > 4 not supported")
-
-    def _partial_analytic(self, z, alpha) -> float:
-        raise NotImplementedError
-
-    def eval_partial_fd(self, z, multi_index) -> float:
-        """Central-difference path, usable at any order <= 4 (testing oracle)."""
-        alpha = tuple(int(a) for a in multi_index)
-        i = next(k for k, a in enumerate(alpha) if a > 0)
-        rest = tuple(a - 1 if k == i else a for k, a in enumerate(alpha))
-        h = _FD_EPS * max(1.0, float(np.linalg.norm(z)))
-        zp, zm = np.array(z, dtype=float), np.array(z, dtype=float)
-        zp[i] += h
-        zm[i] -= h
-        if sum(rest) == 0:
-            return (self.eval(zp) - self.eval(zm)) / (2 * h)
-        return (self.eval_partial_fd(zp, rest) - self.eval_partial_fd(zm, rest)) / (2 * h)
-
-    # -- decay and norms ----------------------------------------------------
+    # -- decay --------------------------------------------------------------
 
     def decay_radius(self, eps: float, n: int = 0) -> float:
         """R with sup_{|z| >= R} |w(z)| |z|^n <= eps."""
@@ -161,21 +87,6 @@ class WeightFunction:
 
     def _decay_radius_unbounded(self, eps: float, n: int) -> float:
         raise NotImplementedError
-
-    def norm_bound(self, n1: int, n2: float) -> float:
-        """Certified upper bound for ||w||_{n1,n2}; never below the supremum."""
-        if n1 < 0 or n1 > 2:
-            raise ArgumentError("norm_bound supports n1 <= 2 only")
-        if n2 < 0:
-            raise ArgumentError("n2 must be >= 0")
-        return self._norm_bound(int(n1), float(n2))
-
-    def _norm_bound(self, n1: int, n2: float) -> float:
-        raise NotImplementedError
-
-    def rescaled(self, L: float) -> "WeightFunction":
-        """The weight z -> w(z/L) as a member of the same family."""
-        raise CapabilityError(f"{type(self).__name__} has no in-family rescaling")
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -205,7 +116,6 @@ class GaussianWeight(WeightFunction):
     a: float
     dim: int
     shift: np.ndarray | None = None
-    gamma: float = field(default=2.0, init=False)
 
     def __post_init__(self):
         if not 0 < self.a < math.inf:
@@ -231,16 +141,6 @@ class GaussianWeight(WeightFunction):
         U = Z if self.shift is None else Z - self.shift
         return np.exp(-self.a * math.pi * np.sum(U * U, axis=-1))
 
-    def _partial_analytic(self, z, alpha):
-        u = z if self.shift is None else z - self.shift
-        w = float(self.eval_array(np.asarray(z, float)[None, :])[0])
-        c = 2.0 * self.a * math.pi
-        idx = [k for k, a in enumerate(alpha) for _ in range(a)]
-        if len(idx) == 1:
-            return -c * u[idx[0]] * w
-        i, j = idx
-        return (c * c * u[i] * u[j] - (c if i == j else 0.0)) * w
-
     def _decay_radius_unbounded(self, eps, n):
         a, c = self.a, self._c
         # envelope in u = |z - shift|: e^{-a pi u^2} (u + c)^n, monotone past its peak
@@ -258,25 +158,6 @@ class GaussianWeight(WeightFunction):
             else:
                 hi = mid
         return hi + c
-
-    def _norm_bound(self, n1, n2):
-        a, c = self.a, self._c
-        ap = a * math.pi
-
-        # order 0: exact maximization of e^{-ap u^2} max(1, u+c)^{n2} over u >= 0
-        bound = 1.0  # u = 0 gives w = 1 and bracket 1
-        if n2 > 0:
-            r = (-c + math.sqrt(c * c + 2 * n2 / ap)) / 2.0
-            bound = max(bound, math.exp(-ap * r * r) * max(1.0, r + c) ** n2)
-        hi = math.sqrt((80.0 + 4.0 * n2) / ap) + c + 5.0
-        if n1 >= 1:
-            env1 = lambda u: 2 * ap * u * np.exp(-ap * u * u) * np.maximum(1.0, u + c) ** n2
-            bound = max(bound, 1.05 * _grid_sup(env1, 0.0, hi))
-        if n1 >= 2:
-            env2 = lambda u: (2 * ap + (2 * ap * u) ** 2) * np.exp(-ap * u * u) \
-                * np.maximum(1.0, u + c) ** n2
-            bound = max(bound, 1.05 * _grid_sup(env2, 0.0, hi))
-        return bound
 
     def pair_factors(self, L: float, R: float) -> PairFactors:
         """Per-coordinate factors of w(u/L) on the box |u_j| <= ceil(R L).
@@ -323,10 +204,6 @@ class GaussianWeight(WeightFunction):
         exponent = np.sum(near * near, axis=-1) + along * along
         return np.exp(-self.a * math.pi * exponent) * self.a ** (-(d1 - 1) / 2.0)
 
-    def rescaled(self, L):
-        shift = None if self.shift is None else L * self.shift
-        return GaussianWeight(self.a / L ** 2, self.dim, shift)
-
     def spec_string(self):
         if self.shift is None:
             return f"gaussian:a={self.a!r}"
@@ -349,25 +226,6 @@ class ProductBump(WeightFunction):
     def eval_array(self, Z):
         return np.prod(bump_w0(np.asarray(Z, float) / self.scale), axis=-1)
 
-    def _partial_analytic(self, z, alpha):
-        s = self.scale
-        out = 1.0
-        for k, a in enumerate(alpha):
-            out *= bump_w0(z[k] / s, a) / s ** a
-        return float(out)
-
-    def _norm_bound(self, n1, n2):
-        s = self.scale
-        A = [_grid_sup(partial(bump_w0, k=k), -1.0, 1.0) / s ** k for k in range(3)]
-        br = max(1.0, self.support_radius) ** n2
-        best = A[0] ** self.dim
-        if n1 >= 1:
-            best = max(best, A[1] * A[0] ** (self.dim - 1))
-        if n1 >= 2:
-            best = max(best, A[2] * A[0] ** (self.dim - 1),
-                       A[1] ** 2 * A[0] ** (self.dim - 2))
-        return 1.05 * best * br
-
     def pair_factors(self, L: float, R: float) -> PairFactors:
         """Per-coordinate factors of w(u/L) on the box |u_j| <= ceil(scale L).
 
@@ -378,9 +236,6 @@ class ProductBump(WeightFunction):
         f = bump_w0(np.arange(-B, B + 1) / L / self.scale)
         F = np.broadcast_to(f, (self.dim // 2, f.size))
         return PairFactors(F, F, 0.0)
-
-    def rescaled(self, L):
-        return ProductBump(self.scale * L, self.dim)
 
     def spec_string(self):
         return f"bump:scale={self.scale!r}"
@@ -428,44 +283,6 @@ class AppendixExample(WeightFunction):
     def eval_biradial(self, rx, ry):
         rx, ry = np.asarray(rx, float), np.asarray(ry, float)
         return _F(rx * rx) * self._g(ry * ry)
-
-    def _partial_analytic(self, z, alpha):
-        d1 = self.d1
-        x, y = z[:d1], z[d1:]
-        sx, sy = float(x @ x), float(y @ y)
-        F, F1, F2 = (_F(sx, k) for k in range(3))
-        g, g1, g2 = (self._g(sy, k) for k in range(3))
-        idx = [k for k, a in enumerate(alpha) for _ in range(a)]
-        def d_one(k):
-            if k < d1:
-                return F1 * 2 * x[k] * g
-            return F * g1 * 2 * y[k - d1]
-        if len(idx) == 1:
-            return float(d_one(idx[0]))
-        i, j = idx
-        if i < d1 and j < d1:
-            val = (F2 * 4 * x[i] * x[j] + (2 * F1 if i == j else 0.0)) * g
-        elif i >= d1 and j >= d1:
-            val = F * (g2 * 4 * y[i - d1] * y[j - d1] + (2 * g1 if i == j else 0.0))
-        else:
-            xi = x[min(i, j)]
-            yj = y[max(i, j) - d1]
-            val = F1 * 2 * xi * g1 * 2 * yj
-        return float(val)
-
-    def _norm_bound(self, n1, n2):
-        supF = [_grid_sup(partial(_F, k=k), -0.6, 0.6) for k in range(3)]
-        supg = [_grid_sup(partial(self._g, k=k), 0.0, 0.6) for k in range(3)]
-        r = math.sqrt(0.5)   # |x|, |y| <= sqrt(1/2) on the support; <z> = 1
-        best = supF[0] * supg[0]
-        if n1 >= 1:
-            best = max(best, 2 * r * supF[1] * supg[0], 2 * r * supF[0] * supg[1])
-        if n1 >= 2:
-            best = max(best,
-                       (4 * r * r * supF[2] + 2 * supF[1]) * supg[0],
-                       supF[0] * (4 * r * r * supg[2] + 2 * supg[1]),
-                       4 * r * r * supF[1] * supg[1])
-        return 1.05 * best
 
     def spec_string(self):
         return "appendix-example:variant=generic" if self.generic else "appendix-example"

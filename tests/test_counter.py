@@ -119,10 +119,9 @@ def test_enumerate_matches_brute_force():
 
 def test_scaling_identity():
     # summing w(u/L) over u_x . u_y = m L^2 equals the unit-lattice count of
-    # the rescaled weight at the integer level m L^2
-    w = GaussianWeight(1.0, 6)
-    a = ct.enumerate_N_L(w, LatticeSpec(L=2, m=1), eps=1e-10)
-    b = ct.enumerate_N_L(w.rescaled(2.0), LatticeSpec(L=1, m=4), eps=1e-10)
+    # the rescaled weight w(z/2) = exp(-pi |z|^2 / 4) at the integer level m L^2
+    a = ct.enumerate_N_L(GaussianWeight(1.0, 6), LatticeSpec(L=2, m=1), eps=1e-10)
+    b = ct.enumerate_N_L(GaussianWeight(0.25, 6), LatticeSpec(L=1, m=4), eps=1e-10)
     assert a.value == pytest.approx(b.value,
                                     abs=a.tail_estimate + b.tail_estimate + 1e-12)
 

@@ -30,12 +30,6 @@ def test_sigma_infty_continuity_at_zero():
     assert abs(si.sigma_infty(w, 1e-3) - si.sigma_infty(w, 0.0)) < 5e-3
 
 
-def test_sigma_infty_norm_bound_envelope():
-    for w in (GaussianWeight(1.0, 6), AppendixExample(6)):
-        val = abs(si.sigma_infty(w, 0.0))
-        assert val <= 5.0 * w.norm_bound(0, w.dim - 1)
-
-
 def test_projection_symmetry_biradial():
     w = AppendixExample(6)
     for t in (0.05, 0.3, 1.0):
@@ -85,7 +79,6 @@ class _ShearedWeight(WeightFunction):
         self.base = base
         self.t = t
         self.dim = base.dim
-        self.gamma = base.gamma
 
     def eval_array(self, Z):
         d1 = self.dim // 2
