@@ -246,12 +246,13 @@ def _fit_exponent(Ls, errs):
 @click.option("--L-list", "L_list", type=str, default=None,
               help="comma-separated distinct L values")
 @click.option("--eps", type=float, default=None)
+@click.option("--budget", type=int, default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-def verify(d1, m, weight, L_list, eps, config_path):
+def verify(d1, m, weight, L_list, eps, budget, config_path):
     """Convergence table N_L vs prediction across L, with error-exponent fit."""
     cfg = _merge_config(config_path, dict(d1=d1, m=m, weight=weight, L_list=L_list,
-                                          eps=eps), ("d1", "weight", "L_list"),
-                        ("budget", "quadrature"))
+                                          eps=eps, budget=budget),
+                        ("d1", "weight", "L_list"), ("quadrature",))
 
     def run():
         Ls = _L_values(cfg["L_list"])
@@ -448,13 +449,15 @@ def _check_integral():
     ref = float(4 * math.pi * besselk(1, 2 * math.pi))
     e1 = abs(sing_integral.i_x_projection(w, 1.0) - ref)
     yield ("Gaussian I(1) vs 4*pi*K1(2*pi)", e1, e1 <= 1e-6)
-    # the Gaussian's two projections take the same closed-form fibre sums, so
-    # they would agree whatever the quadrature does; appendix-example's go
-    # through _fibre_rule (at t=0.5 both of them are 0, hence t=0.25)
+    # appendix-example's projections go through _fibre_rule (at t=0.5 both
+    # are 0, hence t=0.25); the reference shares neither the projection nor
+    # the nodes with the value checked
     a = AppendixExample(6)
-    da = abs(sing_integral.i_x_projection(a, 0.25)
-             - sing_integral.i_y_projection(a, 0.25))
-    yield ("appendix-example x vs y fibre quadrature at t=0.25", da, da <= 2e-6)
+    ref = sing_integral.i_x_projection(a, 0.25, sing_integral.default_config(a)
+                                       .refined().refined())
+    da = abs(sing_integral.i_y_projection(a, 0.25) - ref)
+    yield ("appendix-example y-projection vs twice-refined x-projection at t=0.25",
+           da, da <= 2e-6)
 
 
 _SUITES = {"kernel": _check_kernel, "sums": _check_sums, "integral": _check_integral}

@@ -11,7 +11,9 @@ c_x.c_y = 0 mod q, the exact integer q^{d1} c_q(t) with c_q the Ramanujan
 sum (when t = 0 mod q, q^{d1} c_q(c_x.c_y)); c_q is the product of its
 prime-power closed forms.  Otherwise a float loop over the units sums the
 roots of unity, and its value carries a derived rounding bound of order
-q^{d1} phi(q) 2^-53; an imaginary part beyond it raises AccuracyError.  A
+q^{d1} phi(q) 2^-53; an imaginary part beyond it raises AccuracyError.
+Both evaluators return an ExpSumValue: the value, its exact integer when
+known, and that bound.  A
 literal-summation oracle (S_q_naive) retains every term of the double sum,
 grouped per coordinate pair, and never touches modular inverses.
 
@@ -166,9 +168,6 @@ class ExpSumValue:
     rounding and raises AccuracyError.
     """
 
-    q: int
-    c: tuple
-    t: int
     value_complex: complex
     value_exact: int | None = None
     round_bound: float = 0.0
@@ -210,7 +209,7 @@ def S_q_naive(form: QuadraticFormF0, q: int, c, t: int) -> ExpSumValue:
             f"q = {q} beyond the naive cap {NAIVE_Q_CAP}; use S_q_factored")
     cx, cy = _split_c(form, c)
     if q == 1:
-        return ExpSumValue(1, tuple(c), int(t), 1.0 + 0.0j, 1)
+        return ExpSumValue(1.0 + 0.0j, 1)
     X, Y = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
     total, drift = 0.0 + 0.0j, 0.0
     for a in range(1, q):
@@ -234,7 +233,7 @@ def S_q_naive(form: QuadraticFormF0, q: int, c, t: int) -> ExpSumValue:
     per_a = n ** form.d1 * math.expm1(
         math.log1p(err) + form.d1 * (math.log1p(e) + math.log1p(3 * _U)))
     bound = (q - 1) * per_a + _U * drift
-    return ExpSumValue(q, tuple(int(v) for v in c), int(t), complex(total), round_bound=bound)
+    return ExpSumValue(complex(total), round_bound=bound)
 
 
 def S_q_factored(form: QuadraticFormF0, q: int, c, t: int) -> ExpSumValue:
@@ -249,8 +248,7 @@ def S_q_factored(form: QuadraticFormF0, q: int, c, t: int) -> ExpSumValue:
     t = int(t)
     if s % q == 0 or t % q == 0:
         exact = q ** form.d1 * ramanujan(q, s + t)
-        return ExpSumValue(q, tuple(int(v) for v in c), t,
-                           complex(float(exact)), exact)
+        return ExpSumValue(complex(float(exact)), exact)
     if q > FACTORED_Q_CAP:
         raise CapabilityError(
             f"q = {q} beyond the Kloosterman loop cap {FACTORED_Q_CAP}")
@@ -266,7 +264,7 @@ def S_q_factored(form: QuadraticFormF0, q: int, c, t: int) -> ExpSumValue:
     # u |acc|; the scaling by q^d1 (a float past 2^53) adds two roundings
     bound = q ** form.d1 * ((q - 1) * _root_err(q, q) + _U * drift) * (1 + 4 * _U) \
         + 2 * _U * abs(val)
-    return ExpSumValue(q, tuple(int(v) for v in c), t, complex(val), round_bound=bound)
+    return ExpSumValue(complex(val), round_bound=bound)
 
 
 def remark5_sigma_p(p: int, d1: int) -> Fraction:

@@ -1,7 +1,8 @@
 """The split quadratic form F0(x, y) = x.y and lattice scaling data.
 
-Vectors are flat arrays of length 2*d1 with the (x, y) split fixed at
-index d1.  The gradient of F0 is the coordinate swap (x, y) -> (y, x),
+The form carries only its dimension, checked d1 >= 1, for the exponential
+sums.  Vectors are flat arrays of length 2*d1 with the (x, y) split fixed
+at index d1.  The gradient of F0 is the coordinate swap (x, y) -> (y, x),
 so |grad F0(z)| = |z|; this norm is the density of the surface measure
 used by the singular integral.
 """
@@ -10,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ArgumentError
 
@@ -29,34 +28,6 @@ class QuadraticFormF0:
     @property
     def d(self) -> int:
         return 2 * self.d1
-
-    def _check(self, z) -> np.ndarray:
-        z = np.asarray(z)
-        if z.shape[-1] != self.d:
-            raise ArgumentError(f"vector length {z.shape[-1]} != d = {self.d}")
-        return z
-
-    def eval(self, z) -> float:
-        """F0(z) = sum_i x_i * y_i.  Exact for integer input."""
-        z = self._check(z)
-        x, y = z[..., : self.d1], z[..., self.d1 :]
-        vals = (x * y).sum(axis=-1)
-        if z.dtype == object or np.issubdtype(z.dtype, np.integer) or z.ndim > 1:
-            return vals
-        return float(vals)
-
-    def eval_exact(self, z) -> int:
-        """Integer-arithmetic path; rejects non-integral entries."""
-        z = self._check(np.asarray(z, dtype=object))
-        vals = [int(v) for v in z]
-        if any(v != w for v, w in zip(vals, z)):
-            raise ArgumentError("eval_exact needs integer entries")
-        return sum(vals[i] * vals[self.d1 + i] for i in range(self.d1))
-
-    def grad(self, z) -> np.ndarray:
-        """grad F0(z) = (y, x)."""
-        z = self._check(z)
-        return np.concatenate([z[..., self.d1 :], z[..., : self.d1]], axis=-1)
 
 
 @dataclass(frozen=True)

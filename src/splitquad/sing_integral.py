@@ -79,7 +79,6 @@ class IFunctionGrid:
 
     t_values: np.ndarray
     I_values: np.ndarray
-    config: QuadratureConfig
 
     def __post_init__(self):
         self.t_values = np.asarray(self.t_values, dtype=float)
@@ -277,7 +276,7 @@ def build_i_grid(w: WeightFunction, t_lo: float, t_hi: float, n: int,
     cfg = cfg or default_config(w)
     ts = np.linspace(t_lo, t_hi, n)
     vals = np.array([i_x_projection(w, t, cfg) for t in ts])
-    return IFunctionGrid(ts, vals, cfg)
+    return IFunctionGrid(ts, vals)
 
 
 def smeared_sigma(w: WeightFunction, m: float, x: float,

@@ -9,9 +9,11 @@ Four closed families are supported (no arbitrary callables):
 * ``AppendixExample``           F(|x|^2) g(|y|^2) with smooth bumps F, g and
                                 0 not in supp g
 
-Each family evaluates itself on arrays and gives a decay radius: the
-support radius for the bump families, and a bisection on the Gaussian
-envelope otherwise.  The bump families are built from ``bump_w0``, the 1-d
+Each family evaluates itself on (N, dim) arrays (``eval_array``; the
+biradial AppendixExample also on radius pairs, ``eval_biradial``) and gives
+a decay radius: the support radius for the bump families, and a bisection
+on the Gaussian envelope otherwise.  ``parse_weight`` builds a weight from
+its CLI spec string.  The bump families are built from ``bump_w0``, the 1-d
 bump w0: ProductBump through w0(z_i / scale), and AppendixExample through
 the profiles s -> w0(a s + b) that ``_profile`` builds.  The family
 parameters must be finite.
@@ -65,12 +67,6 @@ class WeightFunction:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, z) -> float:
-        z = np.asarray(z, dtype=float)
-        if z.shape != (self.dim,):
-            raise ArgumentError(f"vector length {z.shape} != dim {self.dim}")
-        return float(self.eval_array(z[None, :])[0])
-
     def eval_array(self, Z: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (N, dim) array."""
         raise NotImplementedError
@@ -86,9 +82,6 @@ class WeightFunction:
         return self._decay_radius_unbounded(float(eps), int(n))
 
     def _decay_radius_unbounded(self, eps: float, n: int) -> float:
-        raise NotImplementedError
-
-    def spec_string(self) -> str:
         raise NotImplementedError
 
 
@@ -204,12 +197,6 @@ class GaussianWeight(WeightFunction):
         exponent = np.sum(near * near, axis=-1) + along * along
         return np.exp(-self.a * math.pi * exponent) * self.a ** (-(d1 - 1) / 2.0)
 
-    def spec_string(self):
-        if self.shift is None:
-            return f"gaussian:a={self.a!r}"
-        coords = ",".join(repr(float(s)) for s in self.shift)
-        return f"gaussian:a={self.a!r}:shift={coords}"
-
 
 @dataclass
 class ProductBump(WeightFunction):
@@ -237,9 +224,6 @@ class ProductBump(WeightFunction):
         F = np.broadcast_to(f, (self.dim // 2, f.size))
         return PairFactors(F, F, 0.0)
 
-    def spec_string(self):
-        return f"bump:scale={self.scale!r}"
-
 
 # radial-x profile in s = |x|^2, supported on (-1/2, 1/2)
 _F = _profile(2.0, 0.0)
@@ -263,7 +247,6 @@ class AppendixExample(WeightFunction):
     is_biradial = True
     # F(|x|^2) and g(|y|^2) vanish unless |x|^2 < 1/2 and |y|^2 < 1/2
     block_support = (math.sqrt(0.5), math.sqrt(0.5))
-    G_SUPPORT_LOWER = 0.25   # default g(s) = 0 for s <= 1/4
 
     def __post_init__(self):
         if self.dim % 2:
@@ -283,9 +266,6 @@ class AppendixExample(WeightFunction):
     def eval_biradial(self, rx, ry):
         rx, ry = np.asarray(rx, float), np.asarray(ry, float)
         return _F(rx * rx) * self._g(ry * ry)
-
-    def spec_string(self):
-        return "appendix-example:variant=generic" if self.generic else "appendix-example"
 
 
 def parse_weight(spec: str, dim: int) -> WeightFunction:

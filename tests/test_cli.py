@@ -44,6 +44,21 @@ def test_count_budget_exit_code():
     assert "feasible L" in r.output
 
 
+def test_verify_budget_flag_exit_code(tmp_path):
+    args = ["verify", "--d1", "3", "--weight", "gaussian:a=1.0", "--L-list", "2"]
+    r = RUNNER.invoke(main, [*args, "--budget", "5"])
+    assert r.exit_code == 3 and r.stdout == ""
+    assert "work budget 5 exceeded" in r.stderr
+    # the flag wins over the config's budget, either way round
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"budget": 1000000}')
+    r = RUNNER.invoke(main, [*args, "--budget", "5", "--config", str(cfg)])
+    assert r.exit_code == 3 and "work budget 5 exceeded" in r.stderr
+    cfg.write_text('{"budget": 5}')
+    r = RUNNER.invoke(main, [*args, "--budget", "1000000", "--config", str(cfg)])
+    assert r.exit_code == 0 and r.stdout.startswith("L,exact,")
+
+
 def test_count_usage_error_exit_code():
     r = RUNNER.invoke(main, ["count", "--d1", "3", "--L", "2",
                              "--weight", "not-a-weight"])
@@ -593,7 +608,7 @@ def test_check_suite_all_runs_every_check():
         "PASS [sums] local density equals truncated sigma_p series",
         "PASS [integral] Gaussian I(0) vs closed form 2",
         "PASS [integral] Gaussian I(1) vs 4*pi*K1(2*pi)",
-        "PASS [integral] appendix-example x vs y fibre quadrature at t=0.25",
+        "PASS [integral] appendix-example y-projection vs twice-refined x-projection at t=0.25",
     ]
     assert "FAIL" not in r.output and r.output.endswith("# all checks passed\n")
 

@@ -181,15 +181,14 @@ def test_S_q_factored_real_kloosterman_zero(d1, q, s):
 
 
 def test_exp_sum_value_refuses_imaginary_part_beyond_rounding():
-    c = (0, 0, 0, 0)
-    assert es.ExpSumValue(5, c, 1, complex(2.0, -1e-3), round_bound=1e-3).value == 2.0
+    assert es.ExpSumValue(complex(2.0, -1e-3), round_bound=1e-3).value == 2.0
     with pytest.raises(AccuracyError, match="imaginary part"):
-        es.ExpSumValue(5, c, 1, complex(2.0, 2e-3), round_bound=1e-3)
+        es.ExpSumValue(complex(2.0, 2e-3), round_bound=1e-3)
     # an exact value has no rounding to excuse any imaginary part
     with pytest.raises(AccuracyError, match="imaginary part"):
-        es.ExpSumValue(5, c, 1, complex(2.0, 1e-300), value_exact=2)
+        es.ExpSumValue(complex(2.0, 1e-300), value_exact=2)
     with pytest.raises(AccuracyError, match="disagree"):
-        es.ExpSumValue(5, c, 1, complex(2.5), value_exact=2, round_bound=0.25)
+        es.ExpSumValue(complex(2.5), value_exact=2, round_bound=0.25)
 
 
 def test_S_q_naive_cap():

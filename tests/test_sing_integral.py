@@ -205,6 +205,28 @@ def test_biradial_closed_form_fibre_matches_rho_grid(d1, a, swap):
         assert abs(got - ref) <= 1e-13 * abs(ref), t
 
 
+class _MirroredAppendix(AppendixExample):
+    """AppendixExample with x and y exchanged in eval_biradial, the only
+    evaluator _fibre_rule calls on a biradial weight."""
+
+    def eval_biradial(self, rx, ry):
+        return super().eval_biradial(ry, rx)
+
+
+@pytest.mark.parametrize("t", [0.25, -0.1])
+def test_fibre_rule_swap_is_the_mirrored_weight(t):
+    # the y-fibres of w are the x-fibres of its mirror, bit for bit; a swap
+    # branch that evaluated w in the unswapped order would give w's own
+    # x-fibres, which differ pointwise although they integrate alike
+    w, mirror = AppendixExample(6), _MirroredAppendix(6)
+    cfg = si.default_config(w)
+    r, _ = si._radial_nodes(cfg, dense=True)
+    thetas = np.eye(3)[:1]
+    got = si._fibre_rule(w, cfg, r, thetas, t, swap=True)
+    assert np.array_equal(got, si._fibre_rule(mirror, cfg, r, thetas, t, swap=False))
+    assert not np.array_equal(got, si._fibre_rule(w, cfg, r, thetas, t, swap=False))
+
+
 def test_derivative_fd_k1_oracle():
     w = GaussianWeight(1.0, 6)
     z = 2 * math.pi
@@ -230,14 +252,13 @@ def test_derivative_fd_argument_checks():
 
 
 def test_i_function_grid_validation():
-    cfg = si.QuadratureConfig()
-    si.IFunctionGrid([0.0, 1.0], [1.0, 2.0], cfg)
+    si.IFunctionGrid([0.0, 1.0], [1.0, 2.0])
     with pytest.raises(ArgumentError):
-        si.IFunctionGrid([1.0, 0.0], [1.0, 2.0], cfg)
+        si.IFunctionGrid([1.0, 0.0], [1.0, 2.0])
     with pytest.raises(ArgumentError):
-        si.IFunctionGrid([0.0, 1.0], [1.0, float("nan")], cfg)
+        si.IFunctionGrid([0.0, 1.0], [1.0, float("nan")])
     with pytest.raises(ArgumentError):
-        si.IFunctionGrid([0.0, 1.0], [1.0], cfg)
+        si.IFunctionGrid([0.0, 1.0], [1.0])
 
 
 def test_quadrature_config_validation():

@@ -11,16 +11,16 @@ RNG = np.random.default_rng(20240817)
 
 def test_gaussian_eval_values():
     w = GaussianWeight(1.0, 6)
-    assert w.eval(np.zeros(6)) == 1.0
-    e1 = np.zeros(6)
-    e1[0] = 1.0
-    assert w.eval(e1) == pytest.approx(math.exp(-math.pi), rel=1e-12)
+    assert w.eval_array(np.zeros((1, 6)))[0] == 1.0
+    e1 = np.zeros((1, 6))
+    e1[0, 0] = 1.0
+    assert w.eval_array(e1)[0] == pytest.approx(math.exp(-math.pi), rel=1e-12)
 
 
 def test_product_bump_outside_support():
     w = ProductBump(1.5, 4)
-    z = np.full(4, 1.6)
-    assert w.eval(z) == 0.0
+    z = np.full((1, 4), 1.6)
+    assert w.eval_array(z)[0] == 0.0
     assert w.support_radius == pytest.approx(1.5 * 2.0)
 
 
@@ -40,13 +40,13 @@ def test_decay_radius_bump_is_support():
 
 def test_appendix_zero_below_g_support():
     w = AppendixExample(6)
-    z = np.array([0.1, 0.0, 0.0, 0.3, 0.2, 0.0])   # |y|^2 = 0.13 < 1/4
-    assert np.dot(z[3:], z[3:]) < w.G_SUPPORT_LOWER
-    assert w.eval(z) == 0.0
+    z = np.array([[0.1, 0.0, 0.0, 0.3, 0.2, 0.0]])   # |y|^2 = 0.13
+    assert np.dot(z[0, 3:], z[0, 3:]) < 0.25        # the default g(s) = 0 for s <= 1/4
+    assert w.eval_array(z)[0] == 0.0
     # the generic variant has mass at y = 0 instead
     wg = AppendixExample(6, generic=True)
-    assert wg.eval(z) > 0.0
-    assert wg.eval(np.zeros(6)) > 0.0
+    assert wg.eval_array(z)[0] > 0.0
+    assert wg.eval_array(np.zeros((1, 6)))[0] > 0.0
 
 
 @pytest.mark.parametrize("generic", [False, True])
@@ -73,14 +73,17 @@ def test_appendix_zero_outside_block_support(dim, generic):
     assert np.any(w.eval_array(Z[~outside]) > 0.0)
 
 
-def test_parse_weight_round_trip():
-    for spec in ("gaussian:a=1.5", "gaussian:a=0.5:shift=1.0,0.0,0.0,2.0",
-                 "bump:scale=2.0", "appendix-example",
-                 "appendix-example:variant=generic"):
+def test_parse_weight_builds_each_family():
+    Z = RNG.uniform(-1, 1, size=(64, 4))
+    for spec, built in (("gaussian:a=1.5", GaussianWeight(1.5, 4)),
+                        ("gaussian:a=0.5:shift=1.0,0.0,0.0,2.0",
+                         GaussianWeight(0.5, 4, np.array([1.0, 0.0, 0.0, 2.0]))),
+                        ("bump:scale=2.0", ProductBump(2.0, 4)),
+                        ("appendix-example", AppendixExample(4)),
+                        ("appendix-example:variant=generic", AppendixExample(4, generic=True))):
         w = parse_weight(spec, 4)
-        w2 = parse_weight(w.spec_string(), 4)
-        z = RNG.uniform(-1, 1, size=4)
-        assert w.eval(z) == w2.eval(z)
+        assert type(w) is type(built), spec
+        assert np.array_equal(w.eval_array(Z), built.eval_array(Z)), spec
 
 
 def test_parse_weight_errors():
