@@ -9,7 +9,7 @@ against the main term sigma_infty * sigma * L^{d-2}.
 """
 
 from .errors import AccuracyError, ArgumentError, CapabilityError
-from .forms import LatticeSpec, QuadraticFormF0
+from .forms import LatticeSpec
 from .weights import (AppendixExample, GaussianWeight, ProductBump,
                       WeightFunction, parse_weight)
 from .delta_kernel import DeltaKernelConfig, calibrate_cQ, delta_sum, h, omega, smear
@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AccuracyError", "ArgumentError", "CapabilityError",
-    "LatticeSpec", "QuadraticFormF0",
+    "LatticeSpec",
     "AppendixExample", "GaussianWeight", "ProductBump", "WeightFunction",
     "parse_weight",
     "DeltaKernelConfig", "calibrate_cQ", "delta_sum", "h", "omega", "smear",

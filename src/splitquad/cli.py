@@ -9,6 +9,10 @@ Each command takes only the keys it reads: count d1, L, m, weight, eps,
 budget; predict d1, L, m, weight, quadrature {angular}; verify d1, m,
 weight, L_list, eps, budget, quadrature {angular}; sigma-infty and i-grid
 only quadrature {angular}.  Any other key is a usage error.
+
+sigma_infty of the Gaussians and the product bump is the theta integral
+(sing_integral.i_theta), for any d1 >= 2; quadrature.angular, the sphere
+rule's polar order, tunes only the projection that appendix-example takes.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import counter, delta_kernel, exp_sums, sing_integral
 from .errors import AccuracyError, ArgumentError, CapabilityError
-from .forms import LatticeSpec, QuadraticFormF0
+from .forms import LatticeSpec
 from .weights import parse_weight
 
 FMT = "%.12e"
@@ -123,9 +127,11 @@ def _merge_config(config_path, flags: dict, required=(), config_only=()) -> dict
 
 
 def _quad_config(w, cfg: dict):
-    """The weight's default quadrature, with the config's angular order if set."""
-    qc, angular = sing_integral.default_config(w), cfg["quadrature"]["angular"]
-    return qc if angular is None else replace(qc, angular_order=angular)
+    """The weight's default projection rule with the config's angular order,
+    or None (the default, built only if the projection runs) when unset."""
+    angular = cfg["quadrature"]["angular"]
+    return None if angular is None else replace(sing_integral.default_config(w),
+                                                angular_order=angular)
 
 
 def _main_terms(d1: int, m: float, Ls, weight_spec: str, cfg: dict):
@@ -136,10 +142,11 @@ def _main_terms(d1: int, m: float, Ls, weight_spec: str, cfg: dict):
     exp_sums.half_dim(d)        # an odd d or d <= 4 exits 2 before any work
     specs = [LatticeSpec(L=L, m=m) for L in Ls]
     w = parse_weight(weight_spec, d)
-    # sigma_infty runs before the sieve: the other order leaves the benchmark
-    # process's peak RSS about 0.7 MB higher
-    sig_inf = sing_integral.sigma_infty(w, m, _quad_config(w, cfg))
+    # the sieve runs before sigma_infty: the other order leaves the peak RSS
+    # of a predict or verify process about 1 MB higher (35.1 against 33.8 MB
+    # for the benchmark's shifted predict), though sigma_infty allocates little
     sig_def = exp_sums.sigma_dirichlet_levels(DIRICHLET_CUTOFF, d, [spec.t for spec in specs])
+    sig_inf = sing_integral.sigma_infty(w, m, _quad_config(w, cfg))
     sig_r5 = exp_sums.sigma_remark5_product(PRIME_CUTOFF, d1).value
     terms = []
     for spec in specs:
@@ -389,8 +396,7 @@ def gauss_sum(d1, q, t, c_str):
                                  param_hint="--c") from None
 
     def run():
-        form = QuadraticFormF0(d1)
-        val = exp_sums.S_q_factored(form, q, [0] * form.d if c is None else c, t)
+        val = exp_sums.S_q_factored(d1, q, [0] * (2 * d1) if c is None else c, t)
         exact = "" if val.value_exact is None else str(val.value_exact)
         click.echo("q,t,value,value_exact")
         click.echo(",".join([str(q), str(t), _f(val.value), exact]))
@@ -424,12 +430,11 @@ def _check_kernel():
 
 
 def _check_sums():
-    form = QuadraticFormF0(3)
     worst = 0.0
     for q in (2, 3, 4, 5, 6, 8, 9, 12):
         for t in (0, 1, 6):
-            a = exp_sums.S_q_naive(form, q, [0] * 6, t).value
-            b = exp_sums.S_q_factored(form, q, [0] * 6, t).value
+            a = exp_sums.S_q_naive(3, q, [0] * 6, t).value
+            b = exp_sums.S_q_factored(3, q, [0] * 6, t).value
             worst = max(worst, abs(a - b) / (1.0 + abs(b)))
     yield ("naive vs factored S_q, q<=12, rel error", worst, worst <= 1e-8)
     ok = True
@@ -442,9 +447,14 @@ def _check_sums():
 
 def _check_integral():
     from .weights import AppendixExample, GaussianWeight
+    # sigma_infty of a Gaussian is the theta integral; the projections share
+    # neither its rule nor its closed forms
     w = GaussianWeight(1.0, 6)
-    e0 = abs(sing_integral.sigma_infty(w, 0.0) - 2.0)
-    yield ("Gaussian I(0) vs closed form 2", e0, e0 <= 1e-6)
+    e0 = abs(sing_integral.sigma_infty(w, 0.0) - sing_integral.i_x_projection(w, 0.0))
+    yield ("Gaussian I(0) theta integral vs x-projection", e0, e0 <= 1e-6)
+    ws = GaussianWeight(1.0, 6, np.array([0.1, -0.2, 0.05, 0.0, 0.15, -0.1]))
+    es = abs(sing_integral.sigma_infty(ws, 0.25) - sing_integral.i_y_projection(ws, 0.25))
+    yield ("shifted Gaussian I(0.25) theta integral vs y-projection", es, es <= 1e-6)
     from mpmath import besselk
     ref = float(4 * math.pi * besselk(1, 2 * math.pi))
     e1 = abs(sing_integral.i_x_projection(w, 1.0) - ref)

@@ -57,7 +57,6 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AccuracyError, ArgumentError, CapabilityError
-from .forms import QuadraticFormF0
 
 NAIVE_Q_CAP = 64
 FACTORED_Q_CAP = 10 ** 6  # the float unit sum of S_q_factored, about 4.5 us a step
@@ -187,27 +186,35 @@ class ExpSumValue:
             else self.value_complex.real
 
 
-def _split_c(form: QuadraticFormF0, c):
+def _check_q_d1(q: int, d1: int) -> int:
+    """q as an int, after the checks q >= 1 and d1 >= 1 (usage errors)."""
+    q = int(q)
+    if q < 1:
+        raise ArgumentError("q must be >= 1")
+    if d1 < 1:
+        raise ArgumentError(f"d1 must be a positive integer, got {d1}")
+    return q
+
+
+def _split_c(d1: int, c):
     c = [int(v) for v in c]
-    if len(c) != form.d:
-        raise ArgumentError(f"c has length {len(c)}, expected {form.d}")
-    return c[: form.d1], c[form.d1 :]
+    if len(c) != 2 * d1:
+        raise ArgumentError(f"c has length {len(c)}, expected {2 * d1}")
+    return c[:d1], c[d1:]
 
 
-def S_q_naive(form: QuadraticFormF0, q: int, c, t: int) -> ExpSumValue:
+def S_q_naive(d1: int, q: int, c, t: int) -> ExpSumValue:
     """Literal summation over a coprime to q and all b mod q.
 
     The b-sum is evaluated pair by coordinate pair (plain Fubini
     regrouping of the same q^d terms), keeping the cost at
     phi(q) * d1 * q^2 so the oracle reaches q = 64.
     """
-    q = int(q)
-    if q < 1:
-        raise ArgumentError("q must be >= 1")
+    q = _check_q_d1(q, d1)
     if q > NAIVE_Q_CAP:
         raise CapabilityError(
             f"q = {q} beyond the naive cap {NAIVE_Q_CAP}; use S_q_factored")
-    cx, cy = _split_c(form, c)
+    cx, cy = _split_c(d1, c)
     if q == 1:
         return ExpSumValue(1.0 + 0.0j, 1)
     X, Y = np.meshgrid(np.arange(q), np.arange(q), indexing="ij")
@@ -216,7 +223,7 @@ def S_q_naive(form: QuadraticFormF0, q: int, c, t: int) -> ExpSumValue:
         if math.gcd(a, q) != 1:
             continue
         term = e_q(-a * int(t), q)
-        for i in range(form.d1):
+        for i in range(d1):
             term = term * np.sum(e_q(a * X * Y + cx[i] * X + cy[i] * Y, q))
         total += term
         drift += abs(total)
@@ -230,24 +237,22 @@ def S_q_naive(form: QuadraticFormF0, q: int, c, t: int) -> ExpSumValue:
     err = _root_err(max((q - 1) ** 3 + 2 * (q - 1) * max(map(abs, cx + cy)),
                         (q - 1) * abs(int(t))), q)
     e = err + n * _U * (1 + err)
-    per_a = n ** form.d1 * math.expm1(
-        math.log1p(err) + form.d1 * (math.log1p(e) + math.log1p(3 * _U)))
+    per_a = n ** d1 * math.expm1(
+        math.log1p(err) + d1 * (math.log1p(e) + math.log1p(3 * _U)))
     bound = (q - 1) * per_a + _U * drift
     return ExpSumValue(complex(total), round_bound=bound)
 
 
-def S_q_factored(form: QuadraticFormF0, q: int, c, t: int) -> ExpSumValue:
+def S_q_factored(d1: int, q: int, c, t: int) -> ExpSumValue:
     """Closed form q^{d1} sum*_a e_q(-a t - abar c_x.c_y): the exact integer
     q^{d1} c_q(c_x.c_y + t) when c_x.c_y or t is 0 mod q, else a float loop
     of q - 1 steps, refused past FACTORED_Q_CAP."""
-    q = int(q)
-    if q < 1:
-        raise ArgumentError("q must be >= 1")
-    cx, cy = _split_c(form, c)
+    q = _check_q_d1(q, d1)
+    cx, cy = _split_c(d1, c)
     s = sum(a * b for a, b in zip(cx, cy))
     t = int(t)
     if s % q == 0 or t % q == 0:
-        exact = q ** form.d1 * ramanujan(q, s + t)
+        exact = q ** d1 * ramanujan(q, s + t)
         return ExpSumValue(complex(float(exact)), exact)
     if q > FACTORED_Q_CAP:
         raise CapabilityError(
@@ -259,10 +264,10 @@ def S_q_factored(form: QuadraticFormF0, q: int, c, t: int) -> ExpSumValue:
         abar = pow(a, -1, q)
         acc += e_q(-(a * t + abar * s) % q, q)
         drift += abs(acc)
-    val = q ** form.d1 * acc
+    val = q ** d1 * acc
     # rounding: at most q - 1 roots with arguments in [0, q), each add off by
     # u |acc|; the scaling by q^d1 (a float past 2^53) adds two roundings
-    bound = q ** form.d1 * ((q - 1) * _root_err(q, q) + _U * drift) * (1 + 4 * _U) \
+    bound = q ** d1 * ((q - 1) * _root_err(q, q) + _U * drift) * (1 + 4 * _U) \
         + 2 * _U * abs(val)
     return ExpSumValue(complex(val), round_bound=bound)
 

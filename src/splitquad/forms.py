@@ -1,10 +1,9 @@
-"""The split quadratic form F0(x, y) = x.y and lattice scaling data.
+"""Lattice scaling data for the split quadratic form F0(x, y) = x.y.
 
-The form carries only its dimension, checked d1 >= 1, for the exponential
-sums.  Vectors are flat arrays of length 2*d1 with the (x, y) split fixed
-at index d1.  The gradient of F0 is the coordinate swap (x, y) -> (y, x),
-so |grad F0(z)| = |z|; this norm is the density of the surface measure
-used by the singular integral.
+Vectors are flat arrays of length 2*d1 with the (x, y) split fixed at
+index d1; the exponential sums take d1 itself.  The gradient of F0 is the
+coordinate swap (x, y) -> (y, x), so |grad F0(z)| = |z|; this norm is the
+density of the surface measure used by the singular integral.
 """
 
 from __future__ import annotations
@@ -13,21 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ArgumentError
-
-
-@dataclass(frozen=True)
-class QuadraticFormF0:
-    """The form x.y on R^(2*d1)."""
-
-    d1: int
-
-    def __post_init__(self):
-        if self.d1 < 1:
-            raise ArgumentError(f"d1 must be a positive integer, got {self.d1}")
-
-    @property
-    def d(self) -> int:
-        return 2 * self.d1
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,18 @@
 """Quadrature of the level-set integral I(t; w) over the quadric x.y = t.
 
+A weight that factors over the pairs (x_i, y_i) and gives their Fourier
+transforms Psi_i (``pair_transform``: the Gaussians, ProductBump) takes the
+theta side (i_theta):
+
+    I(t; w) = int prod_i Psi_i(theta) e(-theta t) dtheta,
+
+with the large-theta model w(0) (c^2 + theta^2)^{-d1/2} integrated in
+closed form and the remainder on a fixed Gauss-Legendre rule, for any
+d1 >= 2.  For the Gaussians the tail past the rule has a certified bound;
+for ProductBump it is estimated.  sigma_infty and build_i_grid route those
+weights there; the projections below serve the other weights
+(AppendixExample) and stay, unchanged, as the independent oracle.
+
 The measure |z|^{-1} d(surface) on the quadric disintegrates through the
 projection (x, y) -> x into affine fibers x^perp + t x/|x|^2 with plain
 Lebesgue fiber measure, giving
@@ -21,29 +34,33 @@ rule and serves every d1.  F has two sources:
 * closed form: a weight with a ``fiber_integral`` method (the Gaussians)
   returns the exact fibre integrals;
 * quadrature (_fibre_rule): a biradial weight (AppendixExample) takes a
-  rule over the fibre radius rho in (0, r_max); any other weight
-  (ProductBump) a tensor rule on [-r_max, r_max] in each axis of the fibre
-  plane, spanned by a deterministic Householder frame (reflecting e1 to
-  theta).  The tensor rule is also the test oracle of the closed form.
+  rule over the fibre radius rho in (0, r_max); any other weight a tensor
+  rule on [-r_max, r_max] in each axis of the fibre plane, spanned by a
+  deterministic Householder frame (reflecting e1 to theta).  The tensor
+  rule is the test oracle of the closed form; sigma_infty no longer
+  reaches it.
 
 The mirror disintegration through (x, y) -> y gives an independent
 evaluation of the same number.
 
 sigma_infty(w, m) is I(m; w): for the split form the measure density
 |A z|^{-1} equals |z|^{-1}, so the leading-term integral and I coincide.
+QuadratureConfig (and so a command's ``quadrature.angular``) tunes only the
+projection rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from math import fsum
 
 import numpy as np
 
 from . import delta_kernel
 from .errors import AccuracyError, ArgumentError, CapabilityError
-from .weights import WeightFunction
+from .weights import WeightFunction, pair_model
 
 
 @dataclass(frozen=True)
@@ -91,18 +108,20 @@ class IFunctionGrid:
             raise ArgumentError("t grid must be strictly increasing")
 
 
+@lru_cache(maxsize=None)
 def _gl(order: int):
+    # cached: leggauss solves an eigenproblem on every call; callers never
+    # write into the arrays
     return np.polynomial.legendre.leggauss(order)
 
 
 def _panel_nodes(edges: np.ndarray, order: int):
+    """Gauss-Legendre nodes and weights of the given order on each panel
+    between consecutive edges, panel after panel."""
     x, wt = _gl(order)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * x)
-        weights.append(half * wt)
-    return np.concatenate(nodes), np.concatenate(weights)
+    e = np.asarray(edges, dtype=float)
+    mid, half = 0.5 * (e[:-1] + e[1:]), 0.5 * (e[1:] - e[:-1])
+    return (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * wt).ravel()
 
 
 def _radial_nodes(cfg: QuadratureConfig, dense: bool = False):
@@ -229,17 +248,144 @@ def i_y_projection(w: WeightFunction, t: float, cfg: QuadratureConfig | None = N
     return _i_projection(w, t, cfg, swap=True)
 
 
+def _model_transform(d1: int, c: float, t: float) -> tuple[float, float]:
+    """int (c^2 + theta^2)^{-d1/2} e(-theta t) dtheta in closed form, and a
+    bound on its rounding error.
+
+    Basset's integral gives 2 sqrt(pi) / Gamma(d1/2) (pi |t| / c)^nu
+    K_nu(2 pi c |t|) with nu = (d1 - 1)/2, that is
+    2 sqrt(pi) / Gamma(d1/2) (2 c^2)^{-nu} x^nu K_nu(x) at x = 2 pi c |t|,
+    and its limit sqrt(pi) Gamma(nu) / Gamma(d1/2) c^{1-d1} at t = 0.
+    e^x x^nu K_nu(x) = int_0^inf exp(-2x sinh^2(u/2)) x^nu cosh(nu u) du
+    comes from the trapezoid rule, which converges geometrically for this
+    integrand (analytic in a strip); the step resolves the peak's width
+    1/sqrt(x), and the sum stops where the integrand underflows.  Its
+    rounding grows with the exponents, x and nu |log x|.
+    """
+    nu = 0.5 * (d1 - 1)
+    if t == 0:
+        value = math.sqrt(math.pi) * math.gamma(nu) / math.gamma(0.5 * d1) * c ** (1 - d1)
+        return value, 2.0 ** -52 * 8.0 * value
+    x = 2.0 * math.pi * c * abs(t)
+    h = min(0.125, 0.5 / math.sqrt(x))
+    # acosh(1 + 745/x), which overflows for x below about 1e-306
+    U = math.log(1490.0 / x) if x < 1e-3 else math.acosh(1.0 + 745.0 / x)
+    u = np.arange(0.0, U + h, h)
+    # x^nu cosh(nu u) in the exponent, so that neither factor overflows
+    f = np.exp(-2.0 * x * np.sinh(0.5 * u) ** 2 + nu * (u + math.log(x))
+               + np.log1p(np.exp(-2.0 * nu * u)) - math.log(2.0))
+    k = h * (float(np.sum(f)) - 0.5 * float(f[0]))
+    value = 2.0 * math.sqrt(math.pi) / math.gamma(0.5 * d1) * (2.0 * c * c) ** -nu \
+        * k * math.exp(-x)
+    return value, 2.0 ** -52 * (8.0 + x + nu * abs(math.log(x))) * value
+
+
+def i_theta(w: WeightFunction, t: float, refined: bool = False) -> tuple[float, float]:
+    """I(t; w) as the Fourier integral int prod_i Psi_i(theta) e(-theta t)
+    dtheta of a pair-factor weight, and a bound on the error.
+
+    The product is w(0) |theta|^{-d1} (1 + o(1)) at large |theta|.  The
+    model M = w(0) (c^2 + theta^2)^{-d1/2}, c = ``w.transform_scale``,
+    carries that tail: its integral is _model_transform, in closed form.
+    The remainder R = prod_i Psi_i - M goes on a fixed rule of 16-point
+    Gauss-Legendre panels (24 points and halved panels when refined), as
+    2 Re int_0^inf R e(-theta t) dtheta:
+
+    * on [0, T] along the real axis, in panels no wider than half a
+      period of e(-theta t), T = c for the Gaussians and
+      ``w.transform_reach`` for ProductBump;
+    * for the Gaussians, whose transforms continue analytically off
+      +-ic, past T on the ray T - i sgn(t) y, y in [0, Y], where
+      e(-theta t) decays like e^{-2 pi |t| y}; panels double in width
+      from min(c, 1/(2 pi |t|))/8.  Past Y, |R| <= B |theta|^{-d1-1}
+      (``w.remainder_bound``), so the tail is at most 2 B Y^{-d1} / d1;
+      Y is chosen to bring that under 2^-52 w(0) c^{1-d1}.
+
+    For ProductBump the remainder past T is estimated, not bounded, as 2T
+    times the largest |R| on the last panel (there |Psi - model| is below
+    2e-15).  The bound returned adds that tail to a rounding bound on the
+    sum.
+    """
+    d1 = w.dim // 2
+    if w.transform_scale is None:
+        raise ArgumentError("the theta integral needs a weight with pair transforms")
+    if d1 < 2:
+        raise ArgumentError("the theta integral needs d1 >= 2")
+    t = float(t)
+    if not math.isfinite(t):
+        raise ArgumentError(f"level t must be finite, got {t}")
+    order = 24 if refined else 16
+    c = w.transform_scale
+    w0 = float(w.eval_array(np.zeros((1, w.dim)))[0])
+    omega = 2.0 * math.pi * t
+
+    def rule(edges):
+        if refined:             # every panel halved
+            edges = np.sort(np.concatenate([edges, 0.5 * (edges[1:] + edges[:-1])]))
+        return _panel_nodes(edges, order)
+
+    def remainder(theta):
+        psi = w.pair_transform(theta)
+        # the model is multiplied out as the transforms are, so that a
+        # weight whose transforms are the model's leaves R = 0 exactly
+        model = w0 * np.prod(np.broadcast_to(pair_model(theta, c), psi.shape), axis=0)
+        return np.prod(psi, axis=0) - model, np.abs(model)
+
+    analytic = hasattr(w, "remainder_bound")
+    T = c if analytic else w.transform_reach
+    width = min(math.pi * c, 0.5 / abs(t)) if t else math.pi * c
+    # np.union1d would load numpy.ma
+    edges = np.sort(np.concatenate([[0.25 * c, 0.5 * c, c],
+                                    np.linspace(0.0, T, math.ceil(T / width) + 1)]))
+    edges = edges[(edges <= T) & (np.diff(edges, prepend=-1.0) > 0)]
+    th, wt = rule(edges)
+    R, M = remainder(th)
+    acc = complex(np.sum(wt * R * np.exp(-1j * omega * th)))
+    size = float(np.sum(wt * (np.abs(R) + 2.0 * M)))
+    if analytic:
+        B = w.remainder_bound(2.0 * c)
+        tol = 2.0 ** -52 * w0 * c ** (1 - d1)
+        Y = max(2.0 * c, (2.0 * B / (d1 * tol)) ** (1.0 / d1))
+        y0 = min(c, 1.0 / abs(omega) if t else c) / 8.0
+        y_edges = np.concatenate([[0.0], y0 * 2.0 ** np.arange(math.ceil(math.log2(Y / y0)) + 1)])
+        y, wy = rule(y_edges)
+        sgn = 1.0 if t >= 0 else -1.0
+        R, M = remainder(T - 1j * sgn * y)
+        decay = np.exp(-abs(omega) * y)
+        acc += -1j * sgn * np.exp(-1j * omega * T) * complex(np.sum(wy * R * decay))
+        size += float(np.sum(wy * (np.abs(R) + 2.0 * M) * decay))
+        tail = 2.0 * B * y_edges[-1] ** -d1 / d1
+    else:
+        tail = 2.0 * T * float(np.max(np.abs(R[-order:])))
+    model, model_err = _model_transform(d1, c, t)
+    value = w0 * model + 2.0 * acc.real
+    rounding = 2.0 ** -52 * (d1 + 4) * 2.0 * size + w0 * model_err
+    return value, tail + rounding
+
+
+def _level_value(w: WeightFunction, t: float, cfg: QuadratureConfig | None,
+                 refined: bool) -> float:
+    """I(t; w) by the theta integral for a weight with pair transforms,
+    else by the x-projection on cfg (default: the weight's)."""
+    if w.transform_scale is not None:
+        return i_theta(w, t, refined)[0]
+    cfg = cfg or default_config(w)
+    return i_x_projection(w, t, cfg.refined() if refined else cfg)
+
+
 def sigma_infty(w: WeightFunction, m: float, cfg: QuadratureConfig | None = None,
                 check: bool = False) -> float:
     """The archimedean factor: I(m; w) for the split form.
 
-    With check=True a refined configuration is run as well and an
-    AccuracyError is raised when the two differ by more than 1e-6 |ref|.
+    A weight with pair transforms (the Gaussians, ProductBump) takes
+    i_theta and ignores cfg; any other weight the x-projection on cfg.
+    With check=True the refined rule (theta rule or configuration) is run
+    as well and an AccuracyError is raised when the two differ by more
+    than 1e-6 |ref|.
     """
-    cfg = cfg or default_config(w)
-    val = i_x_projection(w, m, cfg)
+    val = _level_value(w, m, cfg, refined=False)
     if check:
-        ref = i_x_projection(w, m, cfg.refined())
+        ref = _level_value(w, m, cfg, refined=True)
         if abs(val - ref) > 1e-6 * abs(ref):
             raise AccuracyError(
                 f"quadrature not converged: {val} vs refined {ref}")
@@ -273,9 +419,10 @@ def build_i_grid(w: WeightFunction, t_lo: float, t_hi: float, n: int,
                  cfg: QuadratureConfig | None = None) -> IFunctionGrid:
     if n < 0:
         raise ArgumentError(f"grid size n must be >= 0, got {n}")
-    cfg = cfg or default_config(w)
+    if cfg is None and w.transform_scale is None:
+        cfg = default_config(w)
     ts = np.linspace(t_lo, t_hi, n)
-    vals = np.array([i_x_projection(w, t, cfg) for t in ts])
+    vals = np.array([_level_value(w, t, cfg, refined=False) for t in ts])
     return IFunctionGrid(ts, vals)
 
 

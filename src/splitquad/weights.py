@@ -20,7 +20,10 @@ parameters must be finite.
 
 The Gaussians and ProductBump factor over the coordinate pairs (x_i, y_i);
 their ``pair_factors`` method samples the 1-d factors on an integer box for
-the counter's pair-convolution path.  The Gaussians also integrate
+the counter's pair-convolution path, and ``pair_transform`` gives the
+Fourier transforms Psi_i(theta) of the pair factors for the theta side of
+the singular integral (the Gaussians in closed form, the bump as the
+cosine transform of its pair density).  The Gaussians also integrate
 themselves in closed form over the affine fibres of the singular-integral
 quadrature (``fiber_integral``).  AppendixExample declares a
 ``block_support`` (rx, ry), outside of which it vanishes, so that the
@@ -31,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,6 +58,14 @@ def _profile(a: float, b: float):
     return f
 
 
+def pair_model(theta, c: float) -> np.ndarray:
+    """(c^2 + theta^2)^{-1/2} on complex theta (principal branch): the pair
+    transform of exp(-c pi (x^2 + y^2)), and the per-pair factor of the
+    large-theta model w(0) (c^2 + theta^2)^{-d1/2} of a pair-factor weight."""
+    theta = np.asarray(theta, dtype=complex)
+    return 1.0 / np.sqrt(c * c + theta * theta)    # a quarter of the cost of ** -0.5
+
+
 class WeightFunction:
     """Base class; subclasses implement the family-specific pieces."""
 
@@ -64,6 +76,11 @@ class WeightFunction:
     support_radius: float | None = None   # None = unbounded support
     # (rx, ry) with w(x, y) = 0 unless |x| <= rx and |y| <= ry; None = no such block
     block_support: tuple | None = None
+    # a weight that factors over the pairs (x_i, y_i) may give the Fourier
+    # transforms Psi_i(theta) = int int w_i(x, y) e(theta x y) dx dy of its
+    # pair factors (``pair_transform``) and the scale c of the model
+    # w(0) (c^2 + theta^2)^{-d1/2} of their product at large |theta|
+    transform_scale: float | None = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -144,12 +161,14 @@ class GaussianWeight(WeightFunction):
         while env(hi) > eps:
             hi *= 2.0
         lo = peak
+        # once the bracket stops moving every further halving repeats the
+        # same step, so stopping there returns what 200 halvings return
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if env(mid) > eps:
-                lo = mid
-            else:
-                hi = mid
+            bracket = (mid, hi) if env(mid) > eps else (lo, mid)
+            if bracket == (lo, hi):
+                break
+            lo, hi = bracket
         return hi + c
 
     def pair_factors(self, L: float, R: float) -> PairFactors:
@@ -173,6 +192,49 @@ class GaussianWeight(WeightFunction):
         theta = 1.0 + L / math.sqrt(self.a)
         d1 = self.dim // 2
         return PairFactors(F[:d1], F[d1:], outside * theta ** (self.dim - 1))
+
+    @property
+    def transform_scale(self) -> float:
+        return self.a
+
+    def pair_transform(self, theta) -> np.ndarray:
+        """Psi_i(theta) for each pair i, shape (d1, len(theta)), in closed form:
+
+            (a^2 + theta^2)^{-1/2}
+              exp(pi a^2 (a |s_i|^2 + 2 i theta s_xi s_yi) / (a^2 + theta^2) - pi a |s_i|^2)
+
+        with s_i = (s_xi, s_yi) the shift of pair i.  It continues
+        analytically to complex theta off the points +-ia.  Without a shift
+        every row is ``pair_model(theta, a)`` itself, so the product is the
+        large-theta model exactly.
+        """
+        d1 = self.dim // 2
+        theta = np.asarray(theta, dtype=complex)
+        m = pair_model(theta, self.a)
+        if self.shift is None:
+            return np.broadcast_to(m, (d1,) + m.shape)
+        sx, sy = self.shift[:d1, None], self.shift[d1:, None]
+        n2 = sx * sx + sy * sy
+        a = self.a
+        return m * np.exp(math.pi * a * a * (a * n2 + 2j * theta * sx * sy)
+                          / (a * a + theta * theta) - math.pi * a * n2)
+
+    def remainder_bound(self, Y: float) -> float:
+        """B with |prod_i Psi_i(theta) - w(0) (a^2 + theta^2)^{-d1/2}|
+        <= B |theta|^{-d1-1} for every complex theta with |theta| >= Y >= 2a.
+
+        With q = a^2 + theta^2 the difference is w(0) q^{-d1/2} (e^X - 1),
+        X = pi a^2 (a |s|^2 + 2 i theta s_x.s_y) / q.  For |theta| >= Y >= 2a,
+        |q| >= 3 |theta|^2 / 4, so |X| <= K / |theta| with
+        K = (4/3) pi a^2 (a |s|^2 / Y + 2 |s_x.s_y|), and |e^X - 1| <= |X| e^|X|.
+        """
+        a, d1 = self.a, self.dim // 2
+        if not Y >= 2 * a:
+            raise ArgumentError(f"remainder bound needs Y >= 2a, got Y = {Y}")
+        s = np.zeros(self.dim) if self.shift is None else self.shift
+        n2, sig = float(s @ s), abs(float(s[:d1] @ s[d1:]))
+        K = 4.0 / 3.0 * math.pi * a * a * (a * n2 / Y + 2.0 * sig)
+        return math.exp(-math.pi * a * n2) * (4.0 / 3.0) ** (d1 / 2.0) * K * math.exp(K / Y)
 
     def fiber_integral(self, r, thetas, t: float, swap: bool) -> np.ndarray:
         """Exact integral of w over the fibres of the projection quadrature.
@@ -223,6 +285,78 @@ class ProductBump(WeightFunction):
         f = bump_w0(np.arange(-B, B + 1) / L / self.scale)
         F = np.broadcast_to(f, (self.dim // 2, f.size))
         return PairFactors(F, F, 0.0)
+
+    @property
+    def transform_scale(self) -> float:
+        # the pair transform's large-theta expansion in odd powers of 1/theta
+        # agrees with that of exp(-2) (c^2 + theta^2)^{-1/2} through theta^-9
+        # (w0's even Taylor coefficients 1, -1, -1/2, -1/6, 1/24 square to
+        # 1/k!^2), so the model leaves a remainder below 2e-11 at
+        # scale^2 theta = 16, checked against a 2-d rule in the tests
+        return 1.0 / (math.pi * self.scale ** 2)
+
+    @property
+    def transform_reach(self) -> float:
+        """The |theta| up to which pair_transform is resolved; past it the
+        pair transform differs from the model's pair factor by less than
+        2e-15 (measured)."""
+        return _BUMP_REACH / self.scale ** 2
+
+    def pair_transform(self, theta) -> np.ndarray:
+        """Psi(theta), the same for every pair, shape (d1, len(theta)), for
+        real |theta| <= transform_reach: scale^2 Psi_1(scale^2 theta), with
+        Psi_1 the cosine transform 2 int_0^1 g(s) cos(2 pi theta s) ds of the
+        pair density g(s) = 2 int_s^1 w0(x) w0(s/x) dx/x of x y (g is even,
+        supported in [-1, 1] and log-singular at 0)."""
+        s, wg = _bump_pair_density()
+        u = np.asarray(theta, dtype=float) * self.scale ** 2
+        psi = 2.0 * self.scale ** 2 * (np.cos(2.0 * math.pi * np.outer(u, s)) @ wg)
+        return np.broadcast_to(psi, (self.dim // 2,) + psi.shape)
+
+
+_BUMP_REACH = 32.0
+
+
+@lru_cache(maxsize=1)
+def _bump_pair_density():
+    """Nodes s on (0, 1) and weights times g(s) for Psi_1 up to _BUMP_REACH.
+
+    The s panels are geometric toward the log singularity at 0 (down to
+    s ~ 1e-21, below which g contributes under 1e-19), then narrow enough
+    for cos(2 pi _BUMP_REACH s), graded toward the flat end at 1.  Each
+    g(s) is 2 int_{-L}^0 w0(e^u) w0(s e^-u) du, L = -log s, on 16-point
+    Gauss-Legendre panels in u graded geometrically toward both ends, where
+    the factors flatten out, with at most unit panels in between; the s
+    nodes with the same number of panels are done at once.
+    """
+    from numpy.polynomial.legendre import leggauss   # loaded only when needed
+    x, wt = leggauss(16)
+
+    def panels(edges):          # nodes and weights on each row of edges
+        lo, hi = edges[..., :-1], edges[..., 1:]
+        return 0.5 * (hi + lo)[..., None] + 0.5 * (hi - lo)[..., None] * x, \
+            0.5 * (hi - lo)[..., None] * wt
+
+    s1 = 1.0 / _BUMP_REACH
+    uni = np.linspace(s1, 1.0, math.ceil((1.0 - s1) * _BUMP_REACH) + 1)
+    s, ws = (a.ravel() for a in panels(np.concatenate([
+        s1 * 4.0 ** -np.arange(32, 0, -1), uni[:-1],
+        1.0 - (1.0 - uni[-2]) * 2.0 ** -np.arange(1, 7), [1.0]])))
+    L = -np.log(s)
+    inner = np.maximum(1, np.ceil(L - 2.0)).astype(int)
+    grade = 2.0 ** -np.arange(7)                 # 1 .. 1/64
+    g = np.empty_like(s)
+    for k in sorted(set(inner.tolist())):
+        i = inner == k
+        Lk = L[i, None]
+        h = np.minimum(1.0, 0.5 * Lk)
+        edges = np.concatenate([-Lk, h * grade[::-1] - Lk,
+                                h - Lk + (Lk - 2 * h) * np.linspace(0, 1, k + 1)[1:-1],
+                                -h * grade, np.zeros_like(Lk)], axis=1)
+        u, wu = panels(edges)
+        f = bump_w0(np.exp(u)) * bump_w0(s[i, None, None] * np.exp(-u))
+        g[i] = 2.0 * np.sum(wu * f, axis=(1, 2))
+    return s, ws * g
 
 
 # radial-x profile in s = |x|^2, supported on (-1/2, 1/2)

@@ -13,7 +13,7 @@ import pytest
 from mpmath import besselk
 
 from splitquad import counter, delta_kernel, exp_sums, sing_integral
-from splitquad.forms import LatticeSpec, QuadraticFormF0
+from splitquad.forms import LatticeSpec
 from splitquad.weights import AppendixExample, GaussianWeight, ProductBump, bump_w0
 
 RNG = np.random.default_rng(20260823)
@@ -57,19 +57,19 @@ def test_criterion_02_kernel_bounds():
 
 
 def test_criterion_03_exponential_sum_oracles():
-    form = QuadraticFormF0(3)
+    d1 = 3
     cs = [tuple(int(v) for v in RNG.integers(-10, 11, size=6)) for _ in range(10)]
     worst = 0.0
     for q in range(1, 21):
         for t in (0, 1, -1, 6, -6):
             for c in cs:
-                a = exp_sums.S_q_naive(form, q, c, t).value
-                b = exp_sums.S_q_factored(form, q, c, t).value
+                a = exp_sums.S_q_naive(d1, q, c, t).value
+                b = exp_sums.S_q_factored(d1, q, c, t).value
                 worst = max(worst, abs(a - b) / (1.0 + abs(b)))
     assert worst <= 1e-8
     for q in range(1, 51):
         for t in (0, 1, 6):
-            assert exp_sums.S_q_factored(form, q, [0] * 6, t).value_exact \
+            assert exp_sums.S_q_factored(d1, q, [0] * 6, t).value_exact \
                 == q ** 3 * exp_sums.ramanujan(q, t)
     pairs = 0
     q1 = 2
@@ -78,9 +78,9 @@ def test_criterion_03_exponential_sum_oracles():
         if math.gcd(q1, q2) != 1:
             continue
         for t in (0, 6):
-            lhs = exp_sums.S_q_factored(form, q1 * q2, [0] * 6, t).value_exact
-            rhs = (exp_sums.S_q_factored(form, q1, [0] * 6, t).value_exact
-                   * exp_sums.S_q_factored(form, q2, [0] * 6, t).value_exact)
+            lhs = exp_sums.S_q_factored(d1, q1 * q2, [0] * 6, t).value_exact
+            rhs = (exp_sums.S_q_factored(d1, q1, [0] * 6, t).value_exact
+                   * exp_sums.S_q_factored(d1, q2, [0] * 6, t).value_exact)
             assert lhs == rhs
         pairs += 1
         q1 = q1 % 37 + int(RNG.integers(1, 5))

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -356,27 +357,27 @@ _MAIN_TERM_GOLDEN = {
         "1.108939026927e+00,1.056716814356e+03,8.973005247235e+02,NA,"
         "5.000000000000e-01,60,49,82\n",
     "verify --d1 3 --m 0 --weight gaussian:a=1.0 --L-list 2,4,6,8": _VERIFY_HEAD +
-        "2.000000000000e+00,3.030680120411e+01,4.378965434601e+01,4.179057458737e+01,"
-        "6.920995759555e-01,7.252066166439e-01,NA\n"
-        "4.000000000000e+00,5.927572409656e+02,7.006344695362e+02,6.686491933979e+02,"
-        "8.460292302746e-01,8.864995977238e-01,NA\n"
-        "6.000000000000e+00,3.182909385673e+03,3.546962002027e+03,3.385036541577e+03,"
-        "8.973621323980e-01,9.402880431508e-01,NA\n"
-        "8.000000000000e+00,1.034724268691e+04,1.121015151258e+04,1.069838709437e+04,"
-        "9.230243387259e-01,9.671778180810e-01,3.000003458351e+00\n"
+        "2.000000000000e+00,3.030680120411e+01,4.378965434766e+01,4.179057458895e+01,"
+        "6.920995759294e-01,7.252066166166e-01,NA\n"
+        "4.000000000000e+00,5.927572409656e+02,7.006344695626e+02,6.686491934231e+02,"
+        "8.460292302427e-01,8.864995976903e-01,NA\n"
+        "6.000000000000e+00,3.182909385673e+03,3.546962002161e+03,3.385036541705e+03,"
+        "8.973621323641e-01,9.402880431154e-01,NA\n"
+        "8.000000000000e+00,1.034724268691e+04,1.121015151300e+04,1.069838709477e+04,"
+        "9.230243386911e-01,9.671778180445e-01,3.000003458609e+00\n"
         "# verdict: sigma variant converging best = remark5 "
-        "(|ratio-1| = 3.282218191902e-02 at L = 8)\n"
-        "# fitted error exponent (definitional): 3.000003458351e+00\n"
-        "# fitted error exponent (remark5): 2.494699895861e+00\n",
+        "(|ratio-1| = 3.282218195552e-02 at L = 8)\n"
+        "# fitted error exponent (definitional): 3.000003458609e+00\n"
+        "# fitted error exponent (remark5): 2.494699896534e+00\n",
     "verify --d1 3 --m 0 --weight gaussian:a=1.0 --L-list 2,5": _VERIFY_HEAD +
-        "2.000000000000e+00,3.030680120411e+01,4.378965434601e+01,4.179057458737e+01,"
-        "6.920995759555e-01,7.252066166439e-01,NA\n"
-        "5.000000000000e+00,1.499858744734e+03,1.710533372891e+03,1.632444319819e+03,"
-        "8.768368793644e-01,9.187809510714e-01,3.000026149480e+00\n"
+        "2.000000000000e+00,3.030680120411e+01,4.378965434766e+01,4.179057458895e+01,"
+        "6.920995759294e-01,7.252066166166e-01,NA\n"
+        "5.000000000000e+00,1.499858744734e+03,1.710533372956e+03,1.632444319881e+03,"
+        "8.768368793313e-01,9.187809510367e-01,3.000026149680e+00\n"
         "# verdict: sigma variant converging best = remark5 "
-        "(|ratio-1| = 8.121904892862e-02 at L = 5)\n"
-        "# fitted error exponent (definitional): 3.000026149480e+00\n"
-        "# fitted error exponent (remark5): 2.669778458679e+00\n",
+        "(|ratio-1| = 8.121904896329e-02 at L = 5)\n"
+        "# fitted error exponent (definitional): 3.000026149680e+00\n"
+        "# fitted error exponent (remark5): 2.669778459036e+00\n",
     "verify --d1 3 --m 1 --weight gaussian:a=1.0 --L-list 1,2,3,4": _VERIFY_HEAD +
         "1.000000000000e+00,1.541355687339e-02,1.031811241475e-02,1.619771100343e-02,"
         "1.493834943235e+00,9.515885837279e-01,NA\n"
@@ -385,10 +386,10 @@ _MAIN_TERM_GOLDEN = {
         "3.000000000000e+00,9.492424294842e-01,9.389482297426e-01,1.312014591278e+00,"
         "1.010963543479e+00,7.234999029696e-01,NA\n"
         "4.000000000000e+00,3.526769480130e+00,3.518476333431e+00,4.146614016878e+00,"
-        "1.002357027848e+00,8.505179082921e-01,5.238227230449e-01\n"
+        "1.002357027848e+00,8.505179082921e-01,5.238227230436e-01\n"
         "# verdict: sigma variant converging best = definitional "
-        "(|ratio-1| = 2.357027847520e-03 at L = 4)\n"
-        "# fitted error exponent (definitional): 5.238227230449e-01\n"
+        "(|ratio-1| = 2.357027847516e-03 at L = 4)\n"
+        "# fitted error exponent (definitional): 5.238227230436e-01\n"
         "# fitted error exponent (remark5): 4.984396841015e+00\n",
 }
 
@@ -396,8 +397,8 @@ _MAIN_TERM_GOLDEN = {
 @pytest.mark.parametrize("args", sorted(_MAIN_TERM_GOLDEN))
 def test_main_term_golden_stdout(args, tmp_path):
     # the rows printed while predict and verify each assembled the main term
-    # themselves; the 96-direction quadrature keeps the shifted Gaussian's
-    # sigma_infty under a second, and the isotropic one is closed form
+    # themselves; sigma_infty of a Gaussian comes from the theta integral,
+    # which the config's angular order (a projection-rule setting) leaves alone
     cfg = tmp_path / "quadrature.json"
     cfg.write_text(json.dumps({"quadrature": {"angular": 8}}))
     r = run(*args.split(), "--config", str(cfg))
@@ -422,16 +423,25 @@ def test_sigma_infty_command():
 
 
 def test_sigma_infty_check_is_relative():
-    # the default and refined rules differ by 4e-3 relative here, but by only
-    # 1.4e-7 in absolute terms
-    r = RUNNER.invoke(main, ["sigma-infty", "--d1", "2", "--m", "1.0",
-                             "--weight", "bump:scale=1.0", "--check"])
+    # the default and refined projection rules differ by 2.1e-6 relative here,
+    # but by only 1.2e-10 in absolute terms
+    r = RUNNER.invoke(main, ["sigma-infty", "--d1", "2", "--m", "0.45",
+                             "--weight", "appendix-example", "--check"])
     assert r.exit_code == 3
     assert "quadrature not converged" in r.output
 
 
+@pytest.mark.parametrize("args", ["--d1 2 --m 1.0", "--d1 3 --m 0"])
+def test_sigma_infty_check_bump_theta_rule(args):
+    # the bump takes the theta integral, whose refined rule agrees to rounding;
+    # the tensor projection rule it replaced failed this check (4e-3 and
+    # 5e-4 relative)
+    r = run("sigma-infty", *args.split(), "--weight", "bump:scale=1.0", "--check")
+    assert r.exit_code == 0
+
+
 _SIGMA_INFTY_GOLDEN = {
-    "--d1 2 --m 0.2 --weight bump:scale=1.0": "2.000000000000e-01,3.998151443647e-02",
+    "--d1 2 --m 0.2 --weight bump:scale=1.0": "2.000000000000e-01,4.000428582954e-02",
     "--d1 2 --m 0.2 --weight appendix-example": "2.000000000000e-01,8.762242189930e-02",
     "--d1 2 --m 0.2 --weight appendix-example:variant=generic":
         "2.000000000000e-01,1.010677379821e-01",
@@ -444,20 +454,85 @@ _SIGMA_INFTY_GOLDEN = {
 
 @pytest.mark.parametrize("args", sorted(_SIGMA_INFTY_GOLDEN))
 def test_sigma_infty_golden_stdout(args):
-    # the rows printed while each fibre source had its own projection routine:
-    # the tensor rule (bump), the rho rule (appendix-example), closed-form
-    # fibres on the sphere rule (shifted Gaussian) and on one direction
-    # (isotropic Gaussian)
+    # the rows printed while each fibre source had its own projection routine,
+    # kept byte for byte where the theta integral (bump, Gaussians) agrees to
+    # 12 digits; the bump row moved with it (the tensor rule was 5.7e-4 low)
     r = run("sigma-infty", *args.split())
     assert r.exit_code == 0
     assert r.output == "m,sigma_infty\n" + _SIGMA_INFTY_GOLDEN[args] + "\n"
 
 
 def test_sigma_infty_d1_4_isotropic_gaussian():
-    # the isotropic Gaussian stays on the biradial path, which needs no sphere rule
+    # the theta integral needs no sphere rule; for the isotropic Gaussian it is
+    # the closed-form model alone
     r = run("sigma-infty", "--d1", "4", "--weight", "gaussian:a=1.0")
     assert r.exit_code == 0
     assert abs(float(r.output.strip().splitlines()[1].split(",")[1]) - math.pi / 2) < 1e-9
+
+
+_SHIFT8 = "0.1,-0.2,0.05,0.0,0.15,-0.1,0.2,0.05"
+
+
+def _shifted_gaussian_reference(a, shift, t):
+    """2 Re int_0^inf prod_i Psi_i(theta) e(-theta t) dtheta in mpmath, with
+    the closed-form Gaussian pair transforms."""
+    import mpmath
+    mpmath.mp.dps = 20
+    s = [mpmath.mpf(v) for v in shift]
+    d1 = len(s) // 2
+    n2, sig = sum(v * v for v in s), sum(x * y for x, y in zip(s[:d1], s[d1:]))
+
+    def f(th):
+        q = a * a + th * th
+        P = q ** (-mpmath.mpf(d1) / 2) * mpmath.exp(
+            mpmath.pi * a * a * (a * n2 + 2j * th * sig) / q - mpmath.pi * a * n2)
+        return 2 * mpmath.re(P * mpmath.expj(-2 * mpmath.pi * th * t))
+    if t == 0:
+        return float(mpmath.quad(f, [0, 1, 10, mpmath.inf]))
+    return float(mpmath.quadosc(f, [0, mpmath.inf], omega=2 * mpmath.pi * abs(t)))
+
+
+def _bump_reference(d1):
+    """I(0) = 2 int_0^inf Psi(theta)^d1 dtheta for bump:scale=1.0, with Psi
+    from a 2-d Gauss-Legendre rule over [0, 1]^2 (panels halving toward the
+    flat end at 1) and, past theta = 32, the stationary-phase expansion
+    Psi = e^-2 / theta (1 - 1 / (2 pi^2 theta^2) + O(theta^-4))."""
+    import mpmath
+    from numpy.polynomial.legendre import leggauss
+    x, wt = leggauss(20)
+    edges = np.concatenate([np.linspace(0, 0.75, 17), 1 - 0.25 * 2.0 ** -np.arange(1, 8), [1.0]])
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    u = (mid[:, None] + half[:, None] * x).ravel()
+    f = (half[:, None] * wt).ravel() * np.exp(1.0 / (u * u - 1.0))
+    xy = np.outer(u, u)
+    mpmath.mp.dps = 15
+    head = mpmath.quad(lambda th: (4.0 * f @ np.cos(2 * np.pi * float(th) * xy) @ f) ** d1,
+                       [0, 0.5, 1, 2, 4, 8, 16, 32])
+    tail = mpmath.quad(lambda th: (math.exp(-2) / th * (1 - 1 / (2 * math.pi ** 2 * th ** 2)))
+                       ** d1, [32, mpmath.inf])
+    return 2 * float(head + tail)
+
+
+@pytest.mark.parametrize("weight,m", [("bump:scale=1.0", "0"),
+                                      ("gaussian:a=1.0:shift=" + _SHIFT8, "0.25")])
+def test_predict_and_verify_at_d1_4(weight, m):
+    # the theta integral serves every d1: at d = 8 the bump and the shifted
+    # Gaussian, which have no sphere rule there, predict and verify
+    if weight.startswith("bump"):
+        ref = _bump_reference(4)
+    else:
+        ref = _shifted_gaussian_reference(1.0, [float(v) for v in _SHIFT8.split(",")], 0.25)
+    r = run("predict", "--d1", "4", "--L", "4", "--m", m, "--weight", weight)
+    assert r.exit_code == 0
+    head, row = r.output.strip().splitlines()
+    cols = dict(zip(head.split(","), row.split(",")))
+    assert abs(float(cols["sigma_infty"]) - ref) <= 1e-11 * ref
+    r = run("verify", "--d1", "4", "--m", m, "--weight", weight, "--L-list", "2,4")
+    assert r.exit_code == 0
+    last = r.output.strip().splitlines()[2].split(",")
+    want = ref * float(cols["sigma_definitional"]) * 4.0 ** 6
+    assert float(last[0]) == 4.0
+    assert abs(float(last[2]) - want) <= 1e-11 * want
 
 
 def test_i_grid_rows():
@@ -606,7 +681,8 @@ def test_check_suite_all_runs_every_check():
         "PASS [kernel] calibration constant |c_Q - 1| at Q=20",
         "PASS [sums] naive vs factored S_q, q<=12, rel error",
         "PASS [sums] local density equals truncated sigma_p series",
-        "PASS [integral] Gaussian I(0) vs closed form 2",
+        "PASS [integral] Gaussian I(0) theta integral vs x-projection",
+        "PASS [integral] shifted Gaussian I(0.25) theta integral vs y-projection",
         "PASS [integral] Gaussian I(1) vs 4*pi*K1(2*pi)",
         "PASS [integral] appendix-example y-projection vs twice-refined x-projection at t=0.25",
     ]

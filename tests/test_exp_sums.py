@@ -15,7 +15,6 @@ from sympy import (divisors, factorint, isprime, mobius, multiplicity, nextprime
 from splitquad import exp_sums as es
 from splitquad.delta_kernel import _ramanujan_from_sieves
 from splitquad.errors import AccuracyError, ArgumentError, CapabilityError
-from splitquad.forms import QuadraticFormF0
 
 RNG = np.random.default_rng(421)
 
@@ -147,22 +146,22 @@ def test_ramanujan_multiplicative(q1, q2, n):
 
 
 def test_S_q_spec_values():
-    form = QuadraticFormF0(3)
-    assert es.S_q_factored(form, 2, [0] * 6, 0).value_exact == 8
-    assert es.S_q_factored(form, 4, [0] * 6, 6).value_exact == -128
-    v = es.S_q_factored(form, 4, [1, 0, 0, 1, 0, 0], 0)
+    d1 = 3
+    assert es.S_q_factored(d1, 2, [0] * 6, 0).value_exact == 8
+    assert es.S_q_factored(d1, 4, [0] * 6, 6).value_exact == -128
+    v = es.S_q_factored(d1, 4, [1, 0, 0, 1, 0, 0], 0)
     assert abs(v.value) < 1e-9
 
 
 def test_S_q_naive_matches_factored():
-    form = QuadraticFormF0(3)
+    d1 = 3
     cs = [tuple(int(v) for v in RNG.integers(-5, 6, size=6)) for _ in range(4)]
     cs.append((0,) * 6)
     for q in (2, 3, 4, 5, 8, 9, 12):
         for c in cs:
             for t in (0, 1, -6):
-                a = es.S_q_naive(form, q, c, t)
-                b = es.S_q_factored(form, q, c, t)
+                a = es.S_q_naive(d1, q, c, t)
+                b = es.S_q_factored(d1, q, c, t)
                 assert a.value == pytest.approx(b.value, rel=1e-8, abs=1e-6 * q ** 3)
                 assert abs(a.value_complex - b.value_complex) <= a.round_bound + b.round_bound
 
@@ -173,8 +172,7 @@ def test_S_q_factored_real_kloosterman_zero(d1, q, s):
     # the float loop's whole value is rounding and lies within round_bound,
     # which is of order q^d1 phi(q) 2^-53.  The fixed threshold
     # 1e-6 (1 + |real|) refused d1 = 10, q = 25 (imaginary part 0.17).
-    form = QuadraticFormF0(d1)
-    v = es.S_q_factored(form, q, [s] + [0] * (d1 - 1) + [1] + [0] * (d1 - 1), 1)
+    v = es.S_q_factored(d1, q, [s] + [0] * (d1 - 1) + [1] + [0] * (d1 - 1), 1)
     assert v.value_exact is None
     assert abs(v.value_complex) <= v.round_bound
     assert v.round_bound < 1e-12 * q ** d1
@@ -192,26 +190,26 @@ def test_exp_sum_value_refuses_imaginary_part_beyond_rounding():
 
 
 def test_S_q_naive_cap():
-    form = QuadraticFormF0(3)
+    d1 = 3
     with pytest.raises(CapabilityError):
-        es.S_q_naive(form, 65, [0] * 6, 0)
+        es.S_q_naive(d1, 65, [0] * 6, 0)
 
 
 def test_S_q_zero_c_closed_form():
-    form = QuadraticFormF0(3)
+    d1 = 3
     for q in range(1, 30):
         for t in (0, 1, 6):
-            assert es.S_q_factored(form, q, [0] * 6, t).value_exact \
+            assert es.S_q_factored(d1, q, [0] * 6, t).value_exact \
                 == q ** 3 * es.ramanujan(q, t)
 
 
 def test_S_q_multiplicative_exact():
-    form = QuadraticFormF0(3)
+    d1 = 3
     for q1, q2 in ((2, 3), (3, 4), (4, 5), (5, 9), (7, 8), (8, 9)):
         for t in (0, 1, 6):
-            a = es.S_q_factored(form, q1 * q2, [0] * 6, t).value_exact
-            b = es.S_q_factored(form, q1, [0] * 6, t).value_exact
-            c = es.S_q_factored(form, q2, [0] * 6, t).value_exact
+            a = es.S_q_factored(d1, q1 * q2, [0] * 6, t).value_exact
+            b = es.S_q_factored(d1, q1, [0] * 6, t).value_exact
+            c = es.S_q_factored(d1, q2, [0] * 6, t).value_exact
             assert a == b * c
 
 

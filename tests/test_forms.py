@@ -3,15 +3,18 @@ import math
 import pytest
 
 from splitquad.errors import ArgumentError
-from splitquad.forms import LatticeSpec, QuadraticFormF0
+from splitquad.exp_sums import S_q_factored, S_q_naive
+from splitquad.forms import LatticeSpec
 
 
 def test_dimension_mismatch():
-    # the form's dimension d = 2 d1 is all it carries; d1 = 0 is refused
-    assert QuadraticFormF0(3).d == 6
-    assert QuadraticFormF0(1).d == 2
-    with pytest.raises(ArgumentError):
-        QuadraticFormF0(0)
+    # the sums take d1 itself: d1 = 0 is refused, and c must have length 2 d1
+    assert S_q_factored(1, 2, [0, 0], 0).value_exact == 2
+    for S in (S_q_naive, S_q_factored):
+        with pytest.raises(ArgumentError):
+            S(0, 2, [], 0)
+        with pytest.raises(ArgumentError):
+            S(3, 2, [0] * 4, 0)
 
 
 def test_lattice_spec_integrality():

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from math import fsum
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from mpmath import besselk
 
 from splitquad import sing_integral as si
 from splitquad.errors import ArgumentError, CapabilityError
-from splitquad.weights import (AppendixExample, GaussianWeight, WeightFunction,
-                               bump_w0)
+from splitquad.weights import (AppendixExample, GaussianWeight, ProductBump,
+                               WeightFunction, bump_w0)
 
 
 def K1_closed_form(t):
@@ -294,3 +295,149 @@ def test_smeared_sigma_coverage_error():
     grid = si.build_i_grid(w, -0.01, 0.01, 33)
     with pytest.raises(ArgumentError):
         si.smeared_sigma(w, 0.0, 0.2, grid)
+
+
+def _fourier_reference(a, shift, t):
+    """I(t) = 2 Re int_0^inf prod_i Psi_i(theta) e(-theta t) dtheta in
+    mpmath, with the closed-form Gaussian pair transforms; quadosc past the
+    oscillation."""
+    import mpmath
+    mpmath.mp.dps = 15
+    s = [mpmath.mpf(float(v)) for v in shift]
+    d1 = len(s) // 2
+    n2, sig = sum(v * v for v in s), sum(x * y for x, y in zip(s[:d1], s[d1:]))
+
+    def f(th):
+        q = a * a + th * th
+        P = q ** (-mpmath.mpf(d1) / 2) * mpmath.exp(
+            mpmath.pi * a * a * (a * n2 + 2j * th * sig) / q - mpmath.pi * a * n2)
+        return 2 * mpmath.re(P * mpmath.expj(-2 * mpmath.pi * th * t))
+    if t == 0:
+        return float(mpmath.quad(f, [0, a, 10 * a, mpmath.inf]))
+    return float(mpmath.quadosc(f, [0, mpmath.inf], omega=2 * mpmath.pi * abs(t)))
+
+
+def _perfbench_shift(seed):
+    import random
+    rng = random.Random(f"predict_shifted:{seed}")
+    return np.array([float(f"{rng.uniform(-0.3, 0.3):.6f}") for _ in range(6)])
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 2.0])
+@pytest.mark.parametrize("d1", [2, 3, 4])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_theta_integral_isotropic_vs_mpmath(a, d1, t):
+    # the value is the closed-form model alone (its remainder is exactly 0);
+    # the reference integrates the Fourier integral itself
+    import mpmath
+    w = GaussianWeight(a, 2 * d1)
+    val, bound = si.i_theta(w, t)
+    mpmath.mp.dps = 20
+
+    def f(th):
+        return 2 * mpmath.cos(2 * mpmath.pi * th * t) * (a * a + th * th) ** (-mpmath.mpf(d1) / 2)
+    ref = float(mpmath.quad(f, [0, a, 10 * a, mpmath.inf]) if t == 0
+                else mpmath.quadosc(f, [0, mpmath.inf], omega=2 * mpmath.pi * t))
+    assert abs(val - ref) <= min(1e-11 * ref, bound)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_theta_integral_perfbench_shifts_vs_mpmath(seed):
+    w = GaussianWeight(1.0, 6, _perfbench_shift(seed))
+    val, bound = si.i_theta(w, 0.5)
+    ref = _fourier_reference(1.0, w.shift, 0.5)
+    assert abs(val - ref) <= min(1e-11 * ref, bound)
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_theta_integral_matches_projection(seed):
+    # perfbench holds predict's sigma_infty to 1e-8 of this y-projection
+    w = GaussianWeight(1.0, 6, _perfbench_shift(seed))
+    cfg = replace(si.default_config(w), angular_order=8)
+    assert abs(si.sigma_infty(w, 0.5) - si.i_y_projection(w, 0.5, cfg)) <= 1e-11
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3, -0.3, 1.0])
+def test_theta_integral_d1_2_vs_mpmath(t):
+    # at d1 = 2, t = 0 the projection's apex cut leaves it 6.3e-6 low; the
+    # theta integral agrees with the reference
+    s = 0.25 * np.sin(np.arange(4) + 1.0)
+    w = GaussianWeight(1.5, 4, s)
+    val, bound = si.i_theta(w, t)
+    ref = _fourier_reference(1.5, s, t)
+    assert abs(val - ref) <= bound
+    assert abs(val - ref) <= 1e-12 * ref
+    if t == 0:
+        assert si.i_x_projection(w, t) / ref - 1 == pytest.approx(-6.3e-6, abs=1e-7)
+
+
+def test_theta_integral_bump_recorded_values():
+    # I(0) and I(0.5) at d1 = 3 as ROADMAP item 8 records them (11 digits,
+    # from an earlier model-subtracted computation); the tensor projection
+    # rule gave I(0) 6.1e-4 high
+    w = ProductBump(1.0, 6)
+    for t, proto in ((0.0, 0.012769770028), (0.5, 0.0019532640529)):
+        val, bound = si.i_theta(w, t)
+        assert bound < 1e-15
+        assert abs(val - proto) <= 5e-13 + bound
+        refined, _ = si.i_theta(w, t, refined=True)
+        assert abs(val - refined) <= 1e-16
+
+
+@pytest.mark.parametrize("w", [GaussianWeight(1.0, 6, [0.1, -0.2, 0.05, 0.0, 0.15, -0.1]),
+                               ProductBump(0.8, 6), GaussianWeight(1.0, 8, [0.1] * 8)])
+def test_theta_integral_integrates_to_the_mass(w):
+    # int I(t) dt = int w = prod_i Psi_i(0), the weight's mass; the bump's I
+    # vanishes past |t| = d1 scale^2
+    from numpy.polynomial.legendre import leggauss
+    x, wt = leggauss(12)
+    T = 1.92 if isinstance(w, ProductBump) else 4.0
+    half_edges = T * 2.0 ** -np.arange(10.0)          # graded toward the kink at 0
+    edges = np.concatenate([-half_edges, [0.0], half_edges[::-1]])
+    mid, half = 0.5 * (edges[1:] + edges[:-1]), 0.5 * (edges[1:] - edges[:-1])
+    ts, wts = (mid[:, None] + half[:, None] * x).ravel(), (half[:, None] * wt).ravel()
+    integral = fsum(wi * si.i_theta(w, ti)[0] for ti, wi in zip(ts, wts))
+    mass = float(np.prod(w.pair_transform(np.array([0.0]))).real)
+    assert integral == pytest.approx(mass, rel=1e-6)
+
+
+def test_theta_integral_argument_checks():
+    with pytest.raises(ArgumentError):
+        si.i_theta(AppendixExample(6), 0.5)
+    with pytest.raises(ArgumentError):
+        si.i_theta(GaussianWeight(1.0, 2), 0.5)
+    with pytest.raises(ArgumentError):
+        si.i_theta(GaussianWeight(1.0, 6), math.inf)
+
+
+def test_sigma_infty_takes_the_theta_integral():
+    # pair-factor weights ignore the projection config; other weights use it
+    w = GaussianWeight(1.0, 6, [0.1, -0.2, 0.05, 0.0, 0.15, -0.1])
+    coarse = replace(si.default_config(w), angular_order=4)
+    assert si.sigma_infty(w, 0.5, coarse) == si.i_theta(w, 0.5)[0]
+    a = AppendixExample(6)
+    cfg = si.default_config(a)
+    assert si.sigma_infty(a, 0.25, cfg) == si.i_x_projection(a, 0.25, cfg)
+    grid = si.build_i_grid(w, -1.0, 1.0, 3)
+    assert list(grid.I_values) == [si.i_theta(w, t)[0] for t in (-1.0, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("d1", [2, 3, 4, 5])
+def test_model_transform_vs_mpmath_besselk(d1):
+    # Basset's integral by the trapezoid rule, from t = 1e-300 (where x^nu
+    # and cosh(nu u) would overflow apart) to t = 10, within its bound
+    import mpmath
+    mpmath.mp.dps = 30
+    nu = mpmath.mpf(d1 - 1) / 2
+    for c in (0.5, 3.0):
+        for t in (1e-300, 1e-12, 0.01, 0.5, 2.0, 10.0):
+            val, err = si._model_transform(d1, c, t)
+            x = 2 * mpmath.pi * c * t
+            ref = float(2 * mpmath.sqrt(mpmath.pi) / mpmath.gamma(mpmath.mpf(d1) / 2)
+                        * (mpmath.pi * t / c) ** nu * mpmath.besselk(nu, x))
+            assert abs(val - ref) <= err, (c, t)
+            assert err <= 1e-12 * ref
+        val, err = si._model_transform(d1, c, 0.0)
+        assert val == pytest.approx(float(mpmath.sqrt(mpmath.pi) * mpmath.gamma(nu)
+                                          / mpmath.gamma(mpmath.mpf(d1) / 2)) * c ** (1 - d1),
+                                    rel=1e-15)

@@ -32,8 +32,9 @@ def test_instrument_patches_and_restore_puts_back_every_attribute():
         tracing.instrument(tracer)
         patched = list(tracer._patched)
         wrapped = [_attr(owner, attr) is not fn for owner, attr, fn in patched]
-        # one traced call: the wrappers' annotations read w.is_biradial
-        w = weights.GaussianWeight(1.0, 6)
+        # one traced call: the wrappers' annotations read w.is_biradial (a
+        # Gaussian takes the theta integral, appendix-example the x-projection)
+        w = weights.AppendixExample(6)
         val = tracer.run_op(0, "cli.test", lambda: sing_integral.sigma_infty(w, 0.0))
     finally:
         tracer.restore()
