@@ -11,8 +11,11 @@ weight, L_list, eps, budget, quadrature {angular}; sigma-infty and i-grid
 only quadrature {angular}.  Any other key is a usage error.
 
 sigma_infty of the Gaussians and the product bump is the theta integral
-(sing_integral.i_theta), for any d1 >= 2; quadrature.angular, the sphere
-rule's polar order, tunes only the projection that appendix-example takes.
+(sing_integral.i_theta), for any d1 >= 2, and that of appendix-example the
+projection on the weight's default rule.  quadrature.angular, an integral
+number >= 4, is checked and accepted but changes no printed number: no
+weight's sigma_infty reads it (appendix-example is biradial and takes a
+single direction).
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import click
 import numpy as np
@@ -123,18 +126,13 @@ def _merge_config(config_path, flags: dict, required=(), config_only=()) -> dict
         if not isinstance(sub, dict):
             raise click.UsageError(f"config key quadrature must be an object, got {sub!r}")
         cfg["quadrature"] = _typed_keys(sub, _QUADRATURE, "quadrature.")
+        angular = cfg["quadrature"]["angular"]
+        if angular is not None and angular < 4:
+            raise click.UsageError(f"quadrature.angular must be >= 4, got {angular}")
     return cfg
 
 
-def _quad_config(w, cfg: dict):
-    """The weight's default projection rule with the config's angular order,
-    or None (the default, built only if the projection runs) when unset."""
-    angular = cfg["quadrature"]["angular"]
-    return None if angular is None else replace(sing_integral.default_config(w),
-                                                angular_order=angular)
-
-
-def _main_terms(d1: int, m: float, Ls, weight_spec: str, cfg: dict):
+def _main_terms(d1: int, m: float, Ls, weight_spec: str):
     """The weight and the MainTerm at each L: sigma_infty and the remark5
     product once each, the definitional series at every level t = m L^2
     from one sieve."""
@@ -146,7 +144,7 @@ def _main_terms(d1: int, m: float, Ls, weight_spec: str, cfg: dict):
     # of a predict or verify process about 1 MB higher (35.1 against 33.8 MB
     # for the benchmark's shifted predict), though sigma_infty allocates little
     sig_def = exp_sums.sigma_dirichlet_levels(DIRICHLET_CUTOFF, d, [spec.t for spec in specs])
-    sig_inf = sing_integral.sigma_infty(w, m, _quad_config(w, cfg))
+    sig_inf = sing_integral.sigma_infty(w, m)
     sig_r5 = exp_sums.sigma_remark5_product(PRIME_CUTOFF, d1).value
     terms = []
     for spec in specs:
@@ -224,7 +222,7 @@ def predict(d1, L, m, weight, config_path):
 
     def run():
         mv, Lv = cfg["m"], cfg["L"]
-        _, (term,) = _main_terms(cfg["d1"], mv, [Lv], cfg["weight"], cfg)
+        _, (term,) = _main_terms(cfg["d1"], mv, [Lv], cfg["weight"])
         d = 2 * cfg["d1"]
         n1 = 2 * d * d - 2 * d
         n2, n3 = 7 * (d + 1), n1 + 3 * d + 4
@@ -263,7 +261,7 @@ def verify(d1, m, weight, L_list, eps, budget, config_path):
 
     def run():
         Ls = _L_values(cfg["L_list"])
-        w, terms = _main_terms(cfg["d1"], cfg["m"], Ls, cfg["weight"], cfg)
+        w, terms = _main_terms(cfg["d1"], cfg["m"], Ls, cfg["weight"])
         rows = []
         for term in terms:
             res = counter.enumerate_N_L(w, term.spec, cfg["eps"], cfg["budget"])
@@ -351,11 +349,11 @@ def sigma_p_cmd(p, d, t):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def sigma_infty_cmd(d1, m, weight, check, config_path):
     """Singular integral sigma_infty = I(m; w)."""
-    cfg = _merge_config(config_path, {}, config_only=("quadrature",))
+    _merge_config(config_path, {}, config_only=("quadrature",))   # checked, read by no rule
 
     def run():
         w = parse_weight(weight, 2 * d1)
-        val = sing_integral.sigma_infty(w, m, _quad_config(w, cfg), check=check)
+        val = sing_integral.sigma_infty(w, m, check=check)
         click.echo("m,sigma_infty")
         click.echo(",".join([_f(m), _f(val)]))
     _exit_mapped(run)
@@ -370,11 +368,11 @@ def sigma_infty_cmd(d1, m, weight, check, config_path):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def i_grid(d1, weight, t_min, t_max, n, config_path):
     """Sample the level-set integral I(t; w) on a uniform t grid (CSV t,I)."""
-    cfg = _merge_config(config_path, {}, config_only=("quadrature",))
+    _merge_config(config_path, {}, config_only=("quadrature",))   # checked, read by no rule
 
     def run():
         w = parse_weight(weight, 2 * d1)
-        grid = sing_integral.build_i_grid(w, t_min, t_max, n, _quad_config(w, cfg))
+        grid = sing_integral.build_i_grid(w, t_min, t_max, n)
         click.echo("t,I")
         for t, v in zip(grid.t_values, grid.I_values):
             click.echo(",".join([_f(t), _f(v)]))

@@ -1,21 +1,27 @@
 """Quadrature of the level-set integral I(t; w) over the quadric x.y = t.
 
-A weight that factors over the pairs (x_i, y_i) and gives their Fourier
-transforms Psi_i (``pair_transform``: the Gaussians, ProductBump) takes the
-theta side (i_theta):
+One route, _level_value, gives I(t) to sigma_infty, build_i_grid,
+i_derivative_fd and coarea_check.  A weight with a bounded support has
+I(t) = 0 exactly once |t| >= support_radius^2 / 2, since
+|x.y| <= |z|^2 / 2; that comes before any quadrature.  Otherwise:
 
-    I(t; w) = int prod_i Psi_i(theta) e(-theta t) dtheta,
+* a weight that factors over the pairs (x_i, y_i) and gives their Fourier
+  transforms Psi_i (``pair_transform``: the Gaussians, ProductBump) takes
+  the theta side (i_theta),
 
-with the large-theta model w(0) (c^2 + theta^2)^{-d1/2} integrated in
-closed form and the remainder on a fixed Gauss-Legendre rule, for any
-d1 >= 2.  For the Gaussians the tail past the rule has a certified bound;
-for ProductBump it is estimated.  sigma_infty and build_i_grid route those
-weights there; the projections below serve the other weights
-(AppendixExample) and stay, unchanged, as the independent oracle.
+      I(t; w) = int prod_i Psi_i(theta) e(-theta t) dtheta,
 
-The measure |z|^{-1} d(surface) on the quadric disintegrates through the
-projection (x, y) -> x into affine fibers x^perp + t x/|x|^2 with plain
-Lebesgue fiber measure, giving
+  with the large-theta model w(0) (c^2 + theta^2)^{-d1/2} integrated in
+  closed form and the remainder on a fixed Gauss-Legendre rule, for any
+  d1 >= 2.  For the Gaussians the tail past the rule has a certified
+  bound; for ProductBump it is estimated;
+* any other weight (AppendixExample) takes the x-projection below on the
+  weight's default rule.
+
+The projections serve that one family and stay the independent oracle of
+the theta side.  The measure |z|^{-1} d(surface) on the quadric
+disintegrates through the projection (x, y) -> x into affine fibers
+x^perp + t x/|x|^2 with plain Lebesgue fiber measure, giving
 
     I(t; w) = int_{R^{d1}} |x|^{-1} dx int_{x^perp} w(x, u + t x/|x|^2) du
             = int r^{d1-2} dr int_{sphere} dtheta int_{theta^perp} w(...) du.
@@ -24,29 +30,26 @@ Every weight takes the one product rule of _i_projection,
 
     I(t; w) ~ sum_ij wr_i r_i^{d1-2} F[i, j] wtheta_j,
 
-with Gauss-Legendre radial panels (r_i, wr_i), sphere nodes (theta_j,
-wtheta_j) and F[i, j] the integral of w over the fibre at r_i theta_j.
-A biradial weight, one that depends only on (|x|, |y|), has the same
-fibre integral in every direction: it takes a denser radial rule and the
-single direction e1 weighted by the sphere's area, so it needs no sphere
-rule and serves every d1.  F has two sources:
+with Gauss-Legendre radial panels (r_i, wr_i) on (0, r_max), sphere nodes
+(theta_j, wtheta_j) and F[i, j] the integral of w over the fibre at
+r_i theta_j.  A biradial weight, one that depends only on (|x|, |y|), has
+the same fibre integral in every direction: it takes a denser radial rule
+and the single direction e1 weighted by the sphere's area, so it needs no
+sphere rule and serves every d1.  F has two sources:
 
 * closed form: a weight with a ``fiber_integral`` method (the Gaussians)
   returns the exact fibre integrals;
 * quadrature (_fibre_rule): a biradial weight (AppendixExample) takes a
-  rule over the fibre radius rho in (0, r_max); any other weight a tensor
-  rule on [-r_max, r_max] in each axis of the fibre plane, spanned by a
-  deterministic Householder frame (reflecting e1 to theta).  The tensor
-  rule is the test oracle of the closed form; sigma_infty no longer
-  reaches it.
+  rule over the fibre radius rho in (0, r_max).
 
-The mirror disintegration through (x, y) -> y gives an independent
-evaluation of the same number.
+A weight with neither is refused with a CapabilityError.  The mirror
+disintegration through (x, y) -> y gives an independent evaluation of the
+same number.
 
 sigma_infty(w, m) is I(m; w): for the split form the measure density
 |A z|^{-1} equals |z|^{-1}, so the leading-term integral and I coincide.
-QuadratureConfig (and so a command's ``quadrature.angular``) tunes only the
-projection rule.
+QuadratureConfig tunes only the projections that i_x_projection and
+i_y_projection are asked for; the route takes each weight's default rule.
 """
 
 from __future__ import annotations
@@ -68,9 +71,9 @@ class QuadratureConfig:
     radial_panels: int = 8
     radial_order: int = 20
     angular_order: int = 12    # polar nodes; azimuth uses 2x
-    plane_order: int = 32      # fiber nodes per axis
-    r_min: float = 1e-6
-    r_max: float = 4.0         # radial rule on (r_min, r_max), fibre rule on (0, r_max)
+    plane_order: int = 32      # fibre-radius nodes per panel
+    r_min: float = 1e-6        # the apex panel [0, r_min] comes first
+    r_max: float = 4.0         # radial and fibre rules on (0, r_max)
 
     def __post_init__(self):
         if not (self.r_min > 0 and self.r_max > self.r_min):
@@ -125,12 +128,13 @@ def _panel_nodes(edges: np.ndarray, order: int):
 
 
 def _radial_nodes(cfg: QuadratureConfig, dense: bool = False):
-    # geometric panels resolve the apex region, linear panels the bulk
+    # one panel [0, r_min] at the apex, geometric panels on to 0.05 r_max,
+    # linear panels over the bulk
     split = 0.05 * cfg.r_max
     geom = np.geomspace(cfg.r_min, split, 21 if dense else 5)
     lin = np.linspace(split, cfg.r_max,
                       (6 * cfg.radial_panels if dense else cfg.radial_panels) + 1)
-    return _panel_nodes(np.concatenate([geom, lin[1:]]), cfg.radial_order)
+    return _panel_nodes(np.concatenate([[0.0], geom, lin[1:]]), cfg.radial_order)
 
 
 def _sphere_nodes(d1: int, cfg: QuadratureConfig):
@@ -154,75 +158,44 @@ def _sphere_nodes(d1: int, cfg: QuadratureConfig):
     raise CapabilityError(f"angular rules implemented for d1 in {{2, 3}}, got {d1}")
 
 
-def _fiber_nodes(d1: int, cfg: QuadratureConfig):
-    x, wt = _gl(cfg.plane_order)
-    x = x * cfg.r_max
-    wt = wt * cfg.r_max
-    if d1 == 2:
-        return x[:, None], wt
-    grids = np.meshgrid(x, x, indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    weights = (wt[:, None] * wt[None, :]).ravel()
-    return coords, weights
-
-
-def _householder_frame(theta: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of theta^perp: trailing columns of the reflection
-    mapping e1 to theta (deterministic in theta)."""
-    d1 = theta.shape[0]
-    e1 = np.zeros(d1)
-    e1[0] = 1.0
-    v = e1 - theta
-    nv = np.linalg.norm(v)
-    if nv < 1e-14:
-        H = np.eye(d1)
-    else:
-        v = v / nv
-        H = np.eye(d1) - 2.0 * np.outer(v, v)
-    return H[:, 1:]
-
-
 def _sphere_area(n: int) -> float:
     return 2.0 * math.pi ** (n / 2.0) / math.gamma(n / 2.0)
 
 
 def _fibre_rule(w: WeightFunction, cfg: QuadratureConfig, r: np.ndarray,
                 thetas: np.ndarray, t: float, swap: bool) -> np.ndarray:
-    """Fibre integrals by quadrature, laid out as ``fiber_integral``'s.
-
-    A biradial weight takes a rule over the fibre radius rho, the same in
-    every direction; any other weight is sampled on a tensor rule in the
-    fibre plane, spanned by the Householder frame of each direction.
-    """
+    """Fibre integrals of a biradial weight by a rule over the fibre radius
+    rho, the same in every direction, laid out as ``fiber_integral``'s."""
     d1 = w.dim // 2
-    if w.is_biradial:
-        rho, wrho = _panel_nodes(np.linspace(0.0, cfg.r_max, 33), cfg.plane_order)
-        RR, PP = np.meshgrid(r, rho, indexing="ij")
-        r_far = np.sqrt(PP ** 2 + (t / RR) ** 2)     # radius in the fibre block
-        vals = w.eval_biradial(r_far, RR) if swap else w.eval_biradial(RR, r_far)
-        inner = _sphere_area(d1 - 1) * (vals * PP ** (d1 - 2)) @ wrho
-        return np.broadcast_to(inner[:, None], (len(r), len(thetas)))
-    fib, wf = _fiber_nodes(d1, cfg)
-    F = np.empty((len(r), len(thetas)))
-    for j, theta in enumerate(thetas):
-        u_phys = fib @ _householder_frame(theta).T                # (nf, d1)
-        y = u_phys[None, :, :] + (t / r)[:, None, None] * theta  # (nr, nf, d1)
-        x = np.broadcast_to(r[:, None, None] * theta, y.shape)
-        z = np.concatenate([y, x] if swap else [x, y], axis=2)
-        F[:, j] = w.eval_array(z.reshape(-1, w.dim)).reshape(len(r), len(wf)) @ wf
-    return F
+    rho, wrho = _panel_nodes(np.linspace(0.0, cfg.r_max, 33), cfg.plane_order)
+    RR, PP = np.meshgrid(r, rho, indexing="ij")
+    r_far = np.sqrt(PP ** 2 + (t / RR) ** 2)     # radius in the fibre block
+    vals = w.eval_biradial(r_far, RR) if swap else w.eval_biradial(RR, r_far)
+    inner = _sphere_area(d1 - 1) * (vals * PP ** (d1 - 2)) @ wrho
+    return np.broadcast_to(inner[:, None], (len(r), len(thetas)))
+
+
+def _level(w: WeightFunction, t: float) -> float:
+    """t as a float, or an ArgumentError unless d1 >= 2 and t is finite."""
+    if w.dim < 4:
+        raise ArgumentError(f"I(t) needs d1 >= 2, got d1 = {w.dim // 2}")
+    t = float(t)
+    if not math.isfinite(t):
+        raise ArgumentError(f"level t must be finite, got {t}")
+    return t
 
 
 def _i_projection(w: WeightFunction, t: float, cfg: QuadratureConfig | None,
                   swap: bool) -> float:
     """I(t; w) through the x-projection (swap: the y-projection)."""
+    t = _level(w, t)
+    closed = hasattr(w, "fiber_integral")
+    if not (closed or (w.is_biradial and hasattr(w, "eval_biradial"))):
+        raise CapabilityError(f"{type(w).__name__} has neither closed-form fibre integrals "
+                              "(fiber_integral) nor a biradial form (is_biradial with "
+                              "eval_biradial), so no projection rule takes it")
     cfg = cfg or default_config(w)
     d1 = w.dim // 2
-    if d1 < 2:
-        raise ArgumentError("projection quadrature needs d1 >= 2")
-    t = float(t)
-    if not math.isfinite(t):
-        raise ArgumentError(f"level t must be finite, got {t}")
     if w.is_biradial:
         # the fibre integral is the same in every direction: one direction
         # carries the whole sphere, so every d1 is served
@@ -231,7 +204,7 @@ def _i_projection(w: WeightFunction, t: float, cfg: QuadratureConfig | None,
     else:
         r, wr = _radial_nodes(cfg)
         thetas, wth = _sphere_nodes(d1, cfg)
-    if hasattr(w, "fiber_integral"):
+    if closed:
         F = w.fiber_integral(r, thetas, t, swap)             # (nr, n_theta)
     else:
         F = _fibre_rule(w, cfg, r, thetas, t, swap)
@@ -306,14 +279,10 @@ def i_theta(w: WeightFunction, t: float, refined: bool = False) -> tuple[float, 
     2e-15).  The bound returned adds that tail to a rounding bound on the
     sum.
     """
-    d1 = w.dim // 2
     if w.transform_scale is None:
         raise ArgumentError("the theta integral needs a weight with pair transforms")
-    if d1 < 2:
-        raise ArgumentError("the theta integral needs d1 >= 2")
-    t = float(t)
-    if not math.isfinite(t):
-        raise ArgumentError(f"level t must be finite, got {t}")
+    t = _level(w, t)
+    d1 = w.dim // 2
     order = 24 if refined else 16
     c = w.transform_scale
     w0 = float(w.eval_array(np.zeros((1, w.dim)))[0])
@@ -363,29 +332,30 @@ def i_theta(w: WeightFunction, t: float, refined: bool = False) -> tuple[float, 
     return value, tail + rounding
 
 
-def _level_value(w: WeightFunction, t: float, cfg: QuadratureConfig | None,
-                 refined: bool) -> float:
-    """I(t; w) by the theta integral for a weight with pair transforms,
-    else by the x-projection on cfg (default: the weight's)."""
+def _level_value(w: WeightFunction, t: float, refined: bool) -> float:
+    """I(t; w): 0 where the quadric misses a bounded support, else the theta
+    integral for a weight with pair transforms, else the x-projection on the
+    weight's default rule.  refined takes the refined theta rule or
+    QuadratureConfig.refined()."""
+    t = _level(w, t)
+    if w.support_radius is not None and abs(t) >= 0.5 * w.support_radius ** 2:
+        return 0.0              # |x.y| <= |z|^2 / 2 on the whole support
     if w.transform_scale is not None:
         return i_theta(w, t, refined)[0]
-    cfg = cfg or default_config(w)
+    cfg = default_config(w)
     return i_x_projection(w, t, cfg.refined() if refined else cfg)
 
 
-def sigma_infty(w: WeightFunction, m: float, cfg: QuadratureConfig | None = None,
-                check: bool = False) -> float:
-    """The archimedean factor: I(m; w) for the split form.
+def sigma_infty(w: WeightFunction, m: float, check: bool = False) -> float:
+    """The archimedean factor: I(m; w) for the split form, by _level_value.
 
-    A weight with pair transforms (the Gaussians, ProductBump) takes
-    i_theta and ignores cfg; any other weight the x-projection on cfg.
     With check=True the refined rule (theta rule or configuration) is run
     as well and an AccuracyError is raised when the two differ by more
     than 1e-6 |ref|.
     """
-    val = _level_value(w, m, cfg, refined=False)
+    val = _level_value(w, m, refined=False)
     if check:
-        ref = _level_value(w, m, cfg, refined=True)
+        ref = _level_value(w, m, refined=True)
         if abs(val - ref) > 1e-6 * abs(ref):
             raise AccuracyError(
                 f"quadrature not converged: {val} vs refined {ref}")
@@ -400,8 +370,7 @@ _STENCILS = {
 }
 
 
-def i_derivative_fd(w: WeightFunction, t: float, k: int, step: float,
-                    cfg: QuadratureConfig | None = None) -> float:
+def i_derivative_fd(w: WeightFunction, t: float, k: int, step: float) -> float:
     """Central finite difference of order k <= 3 of t -> I(t; w)."""
     if k not in _STENCILS:
         raise ArgumentError("k must be 1, 2 or 3")
@@ -409,21 +378,16 @@ def i_derivative_fd(w: WeightFunction, t: float, k: int, step: float,
         raise ArgumentError("finite differences of I need t != 0")
     if not 0 < step <= abs(t) / 4.0:
         raise ArgumentError(f"step {step} must be in (0, |t|/4]")
-    cfg = cfg or default_config(w)
-    acc = [coeff * i_x_projection(w, t + off * step, cfg)
+    acc = [coeff * _level_value(w, t + off * step, refined=False)
            for off, coeff in _STENCILS[k]]
     return fsum(acc) / step ** k
 
 
-def build_i_grid(w: WeightFunction, t_lo: float, t_hi: float, n: int,
-                 cfg: QuadratureConfig | None = None) -> IFunctionGrid:
+def build_i_grid(w: WeightFunction, t_lo: float, t_hi: float, n: int) -> IFunctionGrid:
     if n < 0:
         raise ArgumentError(f"grid size n must be >= 0, got {n}")
-    if cfg is None and w.transform_scale is None:
-        cfg = default_config(w)
     ts = np.linspace(t_lo, t_hi, n)
-    vals = np.array([_level_value(w, t, cfg, refined=False) for t in ts])
-    return IFunctionGrid(ts, vals)
+    return IFunctionGrid(ts, np.array([_level_value(w, t, refined=False) for t in ts]))
 
 
 def smeared_sigma(w: WeightFunction, m: float, x: float,
@@ -450,20 +414,20 @@ def smeared_sigma(w: WeightFunction, m: float, x: float,
     return num / mass
 
 
-def coarea_check(w: WeightFunction, phi_grid: np.ndarray, phi_values: np.ndarray,
-                 cfg: QuadratureConfig | None = None):
+def coarea_check(w: WeightFunction, phi_grid: np.ndarray, phi_values: np.ndarray):
     """Both sides of the coarea identity
     int w(z) phi(F0(z)) dz = int phi(t) I(t; w) dt, for d = 4 only.
 
     phi is given by samples of a smooth compactly supported function;
     the left side is a 24-point Gauss-Legendre tensor quadrature over the
-    box [-r_max, r_max]^4 (the weight's decay makes the box act as the
-    ball), the right side a Gauss-Legendre sum of phi(t) I(t) over phi's
-    support.  Any other d raises CapabilityError.
+    box [-r_max, r_max]^4 of the weight's default rule (its decay makes
+    the box act as the ball), the right side a Gauss-Legendre sum of
+    phi(t) I(t) (by _level_value) over phi's support.  Any other d raises
+    CapabilityError.
     """
     if w.dim != 4:
         raise CapabilityError(f"coarea_check supports d = 4, got {w.dim}")
-    cfg = cfg or default_config(w)
+    r_max = default_config(w).r_max
     phi_grid = np.asarray(phi_grid, dtype=float)
     phi_values = np.asarray(phi_values, dtype=float)
     if phi_grid.shape != phi_values.shape or phi_grid.ndim != 1:
@@ -474,8 +438,8 @@ def coarea_check(w: WeightFunction, phi_grid: np.ndarray, phi_values: np.ndarray
     lo, hi = float(phi_grid[0]), float(phi_grid[-1])
 
     x1, wt1 = _gl(24)
-    x1 = x1 * cfg.r_max
-    wt1 = wt1 * cfg.r_max
+    x1 = x1 * r_max
+    wt1 = wt1 * r_max
     pts = np.stack([g.ravel() for g in np.meshgrid(x1, x1, x1, x1, indexing="ij")], axis=1)
     f0 = pts[:, 0] * pts[:, 2] + pts[:, 1] * pts[:, 3]
     mask = (f0 > lo) & (f0 < hi)
@@ -491,6 +455,6 @@ def coarea_check(w: WeightFunction, phi_grid: np.ndarray, phi_values: np.ndarray
     else:
         edges = np.linspace(lo, hi, 4)
     t_nodes, t_wts = _panel_nodes(edges, 16)
-    rhs = fsum(float(wt * phi(t) * i_x_projection(w, t, cfg))
+    rhs = fsum(float(wt * phi(t) * _level_value(w, t, refined=False))
                for t, wt in zip(t_nodes, t_wts))
     return lhs, rhs

@@ -139,6 +139,11 @@ _BAD_CONFIG = {
     "config quadrature.angular a string": (("predict", "--d1", "3", "--L", "4", *_G),
                                            '{"quadrature": {"angular": "x"}}'),
     "config budget 0": (("count", "--d1", "3", "--L", "2", *_G), '{"budget": 0}'),
+    # no sigma_infty reads quadrature.angular, but it keeps its range check
+    "config quadrature.angular 3": (("predict", "--d1", "3", "--L", "4", *_G),
+                                    '{"quadrature": {"angular": 3}}'),
+    "config sigma-infty quadrature.angular 3": (("sigma-infty", "--d1", "3", *_G),
+                                                '{"quadrature": {"angular": 3}}'),
     "config unknown key": (("predict", "--d1", "3", "--L", "4", *_G), '{"Q": 10}'),
     "config unknown quadrature key": (("predict", "--d1", "3", "--L", "4", *_G),
                                       '{"quadrature": {"angualr": 8}}'),
@@ -460,6 +465,34 @@ def test_sigma_infty_golden_stdout(args):
     r = run("sigma-infty", *args.split())
     assert r.exit_code == 0
     assert r.output == "m,sigma_infty\n" + _SIGMA_INFTY_GOLDEN[args] + "\n"
+
+
+@pytest.mark.parametrize("weight", ["gaussian:a=1.0",
+                                    "gaussian:a=1.5:shift=0.2,-0.1,0.05,0.15,0.1,-0.25",
+                                    "bump:scale=1.0", "appendix-example",
+                                    "appendix-example:variant=generic"])
+def test_sigma_infty_ignores_quadrature_angular(weight, tmp_path):
+    # the key is checked and accepted, but no weight's sigma_infty reads it:
+    # appendix-example is biradial and takes a single direction
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"quadrature": {"angular": 4}}))
+    for m in ("0", "0.25"):
+        args = ("sigma-infty", "--d1", "3", "--m", m, "--weight", weight)
+        plain, tuned = run(*args), run(*args, "--config", str(cfg))
+        assert plain.exit_code == tuned.exit_code == 0
+        assert tuned.output == plain.output
+
+
+def test_i_grid_prints_exact_zeros_past_the_bump_support():
+    # I(t) = 0 for |t| >= d1 scale^2 = 3, where the theta rule would print
+    # its rounding noise
+    r = run("i-grid", "--d1", "3", "--weight", "bump:scale=1.0",
+            "--t-min", "-4", "--t-max", "4", "--n", "33")
+    rows = [line.split(",") for line in r.output.strip().splitlines()[1:]]
+    past = [v for t, v in rows if abs(float(t)) >= 3.0]
+    assert len(past) == 10 and set(past) == {"0.000000000000e+00"}
+    # inside, the theta rule runs as before (its rounding noise included)
+    assert all(float(v) != 0.0 for t, v in rows if abs(float(t)) < 3.0)
 
 
 def test_sigma_infty_d1_4_isotropic_gaussian():

@@ -73,41 +73,6 @@ def test_d1_capability():
         si.i_x_projection(w, 0.0)
 
 
-class _ShearedWeight(WeightFunction):
-    """w composed with the shear (x, y) -> (x, y + t x / |x|^2)."""
-
-    def __init__(self, base, t):
-        self.base = base
-        self.t = t
-        self.dim = base.dim
-
-    def eval_array(self, Z):
-        d1 = self.dim // 2
-        X, Y = Z[:, :d1], Z[:, d1:]
-        n2 = np.sum(X * X, axis=1)
-        out = np.zeros(len(Z))
-        ok = n2 > 1e-12
-        shift = (self.t / n2[ok])[:, None] * X[ok]
-        out[ok] = self.base.eval_array(np.concatenate([X[ok], Y[ok] + shift], axis=1))
-        return out
-
-    def decay_radius(self, eps, n=0):
-        return self.base.decay_radius(eps, n)
-
-
-def test_shear_invariance():
-    # quadrature over the t = 0 level set of the sheared weight equals I(t)
-    w = GaussianWeight(1.0, 6)
-    t = 0.5
-    sheared = _ShearedWeight(w, t)
-    direct = si.i_x_projection(w, t)
-    # the sheared weight takes the tensor rule; its fibre sums depend on |x|
-    # alone (the base is isotropic), so a coarse sphere rule loses nothing
-    cfg = replace(si.default_config(sheared), angular_order=4)
-    via_shear = si.i_x_projection(sheared, 0.0, cfg)
-    assert via_shear == pytest.approx(direct, abs=5e-6)
-
-
 def _hook_on_sphere_rule(w, t, cfg, swap):
     """The closed-form fibres on the radial and sphere rules of a weight
     that is not biradial, whichever direction rule w itself takes."""
@@ -117,47 +82,38 @@ def _hook_on_sphere_rule(w, t, cfg, swap):
     return float((wr * r ** (d1 - 2)) @ w.fiber_integral(r, thetas, t, swap) @ wth)
 
 
-class _NoHook(WeightFunction):
-    """The same weight without fiber_integral, so the tensor rule takes its fibres."""
-
-    def __init__(self, w):
-        self.w, self.dim = w, w.dim
-
-    def eval_array(self, Z):
-        return self.w.eval_array(Z)
-
-    def decay_radius(self, eps, n=0):
-        return self.w.decay_radius(eps, n)
-
-
 @pytest.mark.parametrize("t", [0.3, 1.0])
 @pytest.mark.parametrize("d1", [2, 3])
 def test_fiber_hook_matches_tensor_rule(d1, t):
+    # the projection of a weight with closed-form fibres is the product of
+    # its radial and sphere rules with those fibres, bit for bit
     w = GaussianWeight(1.5, 2 * d1, shift=0.25 * np.sin(np.arange(2 * d1) + 1.0))
-    # both paths share the radial and sphere nodes; a coarse sphere rule
-    # keeps the tensor rule cheap without changing what is compared
     cfg = replace(si.default_config(w), angular_order=4)
-    hook = si.i_x_projection(w, t, cfg)
-    assert hook == _hook_on_sphere_rule(w, t, cfg, swap=False)
-    assert hook == pytest.approx(si.i_x_projection(_NoHook(w), t, cfg), abs=1e-8)
-    if d1 == 3:
-        fine = replace(cfg, plane_order=48)
-        assert hook == pytest.approx(si.i_x_projection(_NoHook(w), t, fine), abs=1e-10)
+    assert si.i_x_projection(w, t, cfg) == _hook_on_sphere_rule(w, t, cfg, swap=False)
+    assert si.i_y_projection(w, t, cfg) == _hook_on_sphere_rule(w, t, cfg, swap=True)
 
 
 @pytest.mark.parametrize("swap", [False, True])
-def test_fiber_integral_matches_plane_rule(swap):
-    # each entry against a Gauss-Legendre rule on its own fibre plane
-    w = GaussianWeight(1.5, 6, shift=[0.2, -0.1, 0.05, 0.15, 0.1, -0.25])
-    cfg = replace(si.default_config(w), plane_order=48)
-    fib, wf = si._fiber_nodes(3, cfg)
+@pytest.mark.parametrize("d1", [2, 3])
+def test_fiber_integral_matches_plane_rule(d1, swap):
+    # each entry against a 48-point Gauss-Legendre rule in each axis of its
+    # own fibre plane, spanned by the rows of the SVD that annihilate theta
+    shift = [0.2, -0.1, 0.05, 0.15, 0.1, -0.25] if d1 == 3 else [0.2, -0.1, 0.15, -0.25]
+    w = GaussianWeight(1.5, 2 * d1, shift=shift)
+    R = si.default_config(w).r_max
+    x, wx = np.polynomial.legendre.leggauss(48)
+    fib = np.stack([g.ravel() for g in np.meshgrid(*[R * x] * (d1 - 1), indexing="ij")], axis=1)
+    wf = np.prod(np.meshgrid(*[R * wx] * (d1 - 1), indexing="ij"), axis=0).ravel()
     r = np.array([0.3, 0.8, 1.7])
-    thetas = np.array([[1.0, 0.0, 0.0], [0.6, -0.48, 0.64], [0.0, 0.6, -0.8]])
+    thetas = (np.array([[1.0, 0.0, 0.0], [0.6, -0.48, 0.64], [0.0, 0.6, -0.8]]) if d1 == 3
+              else np.array([[1.0, 0.0], [0.6, -0.8], [0.0, 1.0]]))
     t = 0.4
     F = w.fiber_integral(r, thetas, t, swap)
     for i, ri in enumerate(r):
         for j, theta in enumerate(thetas):
-            v = fib @ si._householder_frame(theta).T + (t / ri) * theta
+            basis = np.linalg.svd(theta[None, :])[2][1:]      # (d1 - 1, d1)
+            assert np.allclose(basis @ theta, 0.0, atol=1e-15)
+            v = fib @ basis + (t / ri) * theta
             near = np.broadcast_to(ri * theta, v.shape)
             z = np.concatenate([v, near] if swap else [near, v], axis=1)
             assert F[i, j] == pytest.approx(float(w.eval_array(z) @ wf), rel=1e-12, abs=0)
@@ -359,16 +315,15 @@ def test_theta_integral_matches_projection(seed):
 
 @pytest.mark.parametrize("t", [0.0, 0.3, -0.3, 1.0])
 def test_theta_integral_d1_2_vs_mpmath(t):
-    # at d1 = 2, t = 0 the projection's apex cut leaves it 6.3e-6 low; the
-    # theta integral agrees with the reference
+    # the projection agrees too; at t = 0 that needs its apex panel
+    # [0, r_min], without which it came out 6.3e-6 low
     s = 0.25 * np.sin(np.arange(4) + 1.0)
     w = GaussianWeight(1.5, 4, s)
     val, bound = si.i_theta(w, t)
     ref = _fourier_reference(1.5, s, t)
     assert abs(val - ref) <= bound
     assert abs(val - ref) <= 1e-12 * ref
-    if t == 0:
-        assert si.i_x_projection(w, t) / ref - 1 == pytest.approx(-6.3e-6, abs=1e-7)
+    assert abs(si.i_x_projection(w, t) / ref - 1) <= 1e-9
 
 
 def test_theta_integral_bump_recorded_values():
@@ -411,15 +366,55 @@ def test_theta_integral_argument_checks():
 
 
 def test_sigma_infty_takes_the_theta_integral():
-    # pair-factor weights ignore the projection config; other weights use it
+    # pair-factor weights take the theta integral, other weights the
+    # x-projection on their default rule
     w = GaussianWeight(1.0, 6, [0.1, -0.2, 0.05, 0.0, 0.15, -0.1])
-    coarse = replace(si.default_config(w), angular_order=4)
-    assert si.sigma_infty(w, 0.5, coarse) == si.i_theta(w, 0.5)[0]
+    assert si.sigma_infty(w, 0.5) == si.i_theta(w, 0.5)[0]
     a = AppendixExample(6)
-    cfg = si.default_config(a)
-    assert si.sigma_infty(a, 0.25, cfg) == si.i_x_projection(a, 0.25, cfg)
+    assert si.sigma_infty(a, 0.25) == si.i_x_projection(a, 0.25, si.default_config(a))
     grid = si.build_i_grid(w, -1.0, 1.0, 3)
     assert list(grid.I_values) == [si.i_theta(w, t)[0] for t in (-1.0, 0.0, 1.0)]
+
+
+def test_projection_refuses_a_weight_without_fibre_rule():
+    # the bump has neither closed-form fibres nor a biradial form; its
+    # I(t) is the theta integral
+    with pytest.raises(CapabilityError, match="ProductBump has neither"):
+        si.i_x_projection(ProductBump(1.0, 6), 0.5)
+
+
+def test_derivative_fd_of_the_bump_is_its_stencil_over_sigma_infty():
+    w, t, step = ProductBump(1.0, 6), 0.5, 0.05
+    for k, stencil in si._STENCILS.items():
+        ref = fsum(c * si.sigma_infty(w, t + off * step) for off, c in stencil) / step ** k
+        assert si.i_derivative_fd(w, t, k, step) == ref
+
+
+def test_i_is_exactly_zero_past_a_bounded_support():
+    # |x.y| <= |z|^2 / 2: I(t) = 0 once |t| >= support_radius^2 / 2, that is
+    # d1 scale^2 for the bump and 1/2 for appendix-example; just inside, the
+    # theta integral runs as before
+    w = ProductBump(1.0, 6)
+    assert si.sigma_infty(w, 2.9) == si.i_theta(w, 2.9)[0]
+    grid = si.build_i_grid(w, -4.0, 4.0, 33)
+    past = np.abs(grid.t_values) >= 3.0
+    assert past.sum() == 10 and np.all(grid.I_values[past] == 0.0)
+    assert si.sigma_infty(ProductBump(0.5, 4), 0.5) == 0.0
+    a = AppendixExample(6)
+    for t in (0.5, -0.5, 2.0):
+        assert si.sigma_infty(a, t) == 0.0 == si.i_x_projection(a, t)
+    with pytest.raises(ArgumentError):
+        si.sigma_infty(w, math.inf)
+
+
+@pytest.mark.parametrize("d1", [2, 3])
+def test_apex_panel_mirror_projections_agree_at_zero(d1):
+    # at t = 0 the radial rule's apex panel [0, r_min] carries a share of
+    # I(0) that the x- and y-projections weigh differently; without it they
+    # differed by 3.7e-6 relative at d1 = 2
+    a = AppendixExample(2 * d1)
+    x, y = si.i_x_projection(a, 0.0), si.i_y_projection(a, 0.0)
+    assert abs(x - y) <= 1e-7 * abs(y)
 
 
 @pytest.mark.parametrize("d1", [2, 3, 4, 5])
