@@ -15,7 +15,8 @@ from .weights import (AppendixExample, GaussianWeight, ProductBump,
 from .delta_kernel import DeltaKernelConfig, calibrate_cQ, delta_sum, h, omega, smear
 from .exp_sums import (ExpSumValue, SigmaReport, S_q_factored, S_q_naive,
                        local_density, ramanujan, remark5_sigma_p, sigma_dirichlet,
-                       sigma_euler, sigma_p, sigma_remark5_product)
+                       sigma_euler, sigma_p, sigma_remark5, sigma_remark5_product,
+                       zeta_int)
 from .sing_integral import (IFunctionGrid, QuadratureConfig, build_i_grid,
                             coarea_check, i_derivative_fd, i_x_projection,
                             i_y_projection, sigma_infty, smeared_sigma)
@@ -32,7 +33,7 @@ __all__ = [
     "DeltaKernelConfig", "calibrate_cQ", "delta_sum", "h", "omega", "smear",
     "ExpSumValue", "SigmaReport", "S_q_factored", "S_q_naive", "local_density",
     "ramanujan", "remark5_sigma_p", "sigma_dirichlet", "sigma_euler", "sigma_p",
-    "sigma_remark5_product",
+    "sigma_remark5", "sigma_remark5_product", "zeta_int",
     "IFunctionGrid", "QuadratureConfig", "build_i_grid", "coarea_check",
     "i_derivative_fd", "i_x_projection", "i_y_projection", "sigma_infty",
     "smeared_sigma",

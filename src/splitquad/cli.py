@@ -36,7 +36,6 @@ from .weights import parse_weight
 FMT = "%.12e"
 EPSILON = 0.5   # the epsilon of the error-term exponent d/2 + epsilon
 DIRICHLET_CUTOFF = 10 ** 5   # the q of the definitional series of the main term
-PRIME_CUTOFF = 10 ** 4       # the primes of its remark5 product
 
 
 def _f(x: float) -> str:
@@ -134,8 +133,8 @@ def _merge_config(config_path, flags: dict, required=(), config_only=()) -> dict
 
 def _main_terms(d1: int, m: float, Ls, weight_spec: str):
     """The weight and the MainTerm at each L: sigma_infty and the remark5
-    product once each, the definitional series at every level t = m L^2
-    from one sieve."""
+    product over all primes (from zeta values) once each, the definitional
+    series at every level t = m L^2 from one sieve."""
     d = 2 * d1
     exp_sums.half_dim(d)        # an odd d or d <= 4 exits 2 before any work
     specs = [LatticeSpec(L=L, m=m) for L in Ls]
@@ -145,7 +144,7 @@ def _main_terms(d1: int, m: float, Ls, weight_spec: str):
     # for the benchmark's shifted predict), though sigma_infty allocates little
     sig_def = exp_sums.sigma_dirichlet_levels(DIRICHLET_CUTOFF, d, [spec.t for spec in specs])
     sig_inf = sing_integral.sigma_infty(w, m)
-    sig_r5 = exp_sums.sigma_remark5_product(PRIME_CUTOFF, d1).value
+    sig_r5 = exp_sums.sigma_remark5(d1).value
     terms = []
     for spec in specs:
         sig = sig_def[spec.t].value

@@ -26,13 +26,23 @@ only the public sigma_p and remark5_sigma_p build a Fraction.
 The singular series is assembled both as an Euler product and as the
 Dirichlet sum sum_{q<=X} q^{-d} S_q(0).
 
-The Euler product of the sigma_p and the remark-5 product share one loop
-over the sieve primes.  It multiplies those pairs into one Python int in
-fixed point with FIX_BITS fraction bits; each factor lies in (1/2, 2), so n
-factors carry a relative error below about 2n 2^{1-FIX_BITS}, far below
-the final rounding to a float.  Neither floor(num 2^FIX_BITS / den) nor
-the correctly rounded num / den depends on the pair being reduced.  The
-factors are exact, so the tail bound covers only the primes above P.
+The Euler product of the sigma_p and the remark-5 product to a cutoff P
+share one loop over the sieve primes.  Each builds the lists of its
+factors' numerators and denominators once; the loop multiplies those pairs
+into one Python int in fixed point with FIX_BITS fraction bits; each factor
+lies in (1/2, 2), so n factors carry a relative error below about
+2n 2^{1-FIX_BITS}, far below the final rounding to a float.  Neither
+floor(num 2^FIX_BITS / den) nor the correctly rounded num / den depends on
+the pair being reduced.  The factors are exact, so the tail bound covers
+only the primes above P.
+
+The remark-5 product over all primes (sigma_remark5, the one predict and
+verify print) takes no long prime loop: its factor f(1/p) is written as
+prod_n (1 - p^{-n})^{-e_n} with integer e_n, so the primes above 50 give
+prod_n zeta_{>50}(n)^{e_n} (Cohen 1998).  The zeta values come from
+zeta_int, an Euler-Maclaurin sum in floats with a certified bound, so no
+mpmath is imported; its tail bound covers the omitted zeta factors and the
+rounding, about 1e-15 relative.
 
 Primes come from one numpy sieve of Eratosthenes.  The phi and mu sieves
 on 0..X loop only over the primes up to isqrt(X) and finish the one prime
@@ -53,6 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import truediv
 
 import numpy as np
 
@@ -278,14 +289,15 @@ def remark5_sigma_p(p: int, d1: int) -> Fraction:
         raise ArgumentError(f"{p} is not prime")
     if d1 < 2:
         raise ArgumentError("d1 must be >= 2")
-    return Fraction(*_remark5_prime(int(p), d1))
+    (num,), (den,) = _remark5_factors([int(p)], d1)
+    return Fraction(num, den)
 
 
-def _remark5_prime(p: int, d1: int) -> tuple:
-    """remark5_sigma_p as (num, den) = (p^d1 + p - 1, p^d1), for a p known
-    to be prime and d1 >= 2."""
-    den = p ** d1
-    return den + p - 1, den
+def _remark5_factors(primes: list, d1: int) -> tuple[list, list]:
+    """remark5_sigma_p of each p in primes (known to be prime, d1 >= 2) as
+    the lists nums, dens with num / den = (p^d1 + p - 1) / p^d1."""
+    dens = [p ** d1 for p in primes]
+    return [den + p - 1 for p, den in zip(primes, dens)], dens
 
 
 def sigma_p(p: int, d: int, t: int) -> Fraction:
@@ -383,33 +395,148 @@ def _euler_omitted_tail(P: int, d1: int) -> float:
     return c * P ** (2 - d1) / (d1 - 2)
 
 
-def _euler_product(method: str, P: int, d1: int, local) -> SigmaReport:
-    """Product over primes p <= P of the exact local factors local(p) =
-    (num, den), in FIX_BITS-bit fixed point rounded once to a float."""
+def _euler_product(method: str, P: int, d1: int, factors) -> SigmaReport:
+    """Product of the exact local factors num / den of the primes p <= P,
+    given as the lists nums, dens = factors(primes), in FIX_BITS-bit fixed
+    point rounded once to a float."""
     if P < 2:
         raise ArgumentError("P must be >= 2")
+    primes = _primes_upto(P)
+    nums, dens = factors(primes)
     one = 1 << FIX_BITS
-    acc, per_prime = one, []
-    for p in _primes_upto(P):
-        num, den = local(p)
-        per_prime.append((p, num / den))
+    acc = one
+    for num, den in zip(nums, dens):
         acc = acc * ((num << FIX_BITS) // den) >> FIX_BITS
     value = acc / one        # int / int is correctly rounded
     tail_bound = abs(value) * math.expm1(1.2 * _euler_omitted_tail(P, d1))
+    per_prime = list(zip(primes, map(truediv, nums, dens)))
     return SigmaReport(method, int(P), value, tail_bound, per_prime)
 
 
 def sigma_euler(P: int, d: int, t: int) -> SigmaReport:
     """Product over primes p <= P of sigma_p, in FIX_BITS-bit fixed point."""
     d1, t = half_dim(d), int(t)
-    return _euler_product("euler_product", P, d1, lambda p: _sigma_prime(p, d1, t))
+    return _euler_product("euler_product", P, d1,
+                          lambda primes: zip(*[_sigma_prime(p, d1, t) for p in primes]))
 
 
 def sigma_remark5_product(P: int, d1: int) -> SigmaReport:
     """Product of the closed-form factors 1 + p^{1-d1} - p^{-d1} over p <= P."""
+    _check_remark5_d1(d1)
+    return _euler_product("remark5_product", P, d1,
+                          lambda primes: _remark5_factors(primes, d1))
+
+
+def _check_remark5_d1(d1: int):
     if d1 < 3:
         raise ArgumentError("d1 must be >= 3 (d = 2 d1 > 4)")
-    return _euler_product("remark5_product", P, d1, lambda p: _remark5_prime(p, d1))
+
+
+# sigma_remark5 multiplies the factors of the primes p <= REMARK5_PRIMES
+# exactly and the rest as zeta_{>P}(n)^{e_n} for n <= REMARK5_ZETA_TERMS
+REMARK5_PRIMES = 50
+REMARK5_ZETA_TERMS = 16
+
+
+def _zeta_exponents(d1: int, K: int) -> list:
+    """[e_0, ..., e_K] with 1 + x^{d1-1} - x^{d1} = prod_{n >= 1} (1 - x^n)^{-e_n}
+    up to O(x^{K+1}); e_0 = 0.
+
+    With a_n the coefficients of f = 1 + x^{d1-1} - x^{d1}, the logarithmic
+    derivative x f'/f = sum_m b_m x^m has b_m = m a_m - sum_{k<m} b_k a_{m-k}
+    and b_m = sum_{n | m} n e_n, inverted here divisor by divisor.  The e_n
+    are integers, since f has integer coefficients and f(0) = 1.
+    """
+    b, e = [0] * (K + 1), [0] * (K + 1)
+    for n in range(1, K + 1):
+        # only a_{d1-1} = 1 and a_{d1} = -1 are nonzero past a_0
+        b[n] = n * ((n == d1 - 1) - (n == d1))
+        if n > d1 - 1:
+            b[n] -= b[n - d1 + 1]
+        if n > d1:
+            b[n] += b[n - d1]
+        e[n] = (b[n] - sum(k * e[k] for k in range(1, n // 2 + 1) if n % k == 0)) // n
+    return e
+
+
+def sigma_remark5(d1: int) -> SigmaReport:
+    """The remark5 product prod_p f(1/p), f(x) = 1 + x^{d1-1} - x^{d1}, over
+    all primes, by factoring zeta values out of it (Cohen, "High precision
+    computation of Hardy-Littlewood constants", 1998).
+
+    With f = prod_n (1 - x^n)^{-e_n} (_zeta_exponents), the primes above
+    P = REMARK5_PRIMES give prod_n zeta_{>P}(n)^{e_n}, where
+    zeta_{>P}(n) = zeta(n) prod_{p <= P} (1 - p^{-n}).  The primes p <= P are
+    multiplied exactly; log zeta_{>P}(n) is the sum of log1p(zeta(n) - 1)
+    and the log1p(-p^{-n}), so zeta(n) - 1 ~ 2^{-n} keeps its digits.
+    The tail bound covers the factors n > K = REMARK5_ZETA_TERMS and the
+    rounding; the cutoff is P.
+    """
+    _check_remark5_d1(d1)
+    P, K = REMARK5_PRIMES, REMARK5_ZETA_TERMS
+    primes = _primes_upto(P)
+    nums, dens = _remark5_factors(primes, d1)
+    head = math.prod(nums) / math.prod(dens)     # exact, rounded once
+    logs, err = [], 0.0
+    for n, e in enumerate(_zeta_exponents(d1, K)):
+        if e == 0:
+            continue
+        zc, zc_bound = _zetac_int(n)
+        parts = [math.log1p(zc)] + [math.log1p(-1 / p ** n) for p in primes]
+        log_n = math.fsum(parts)
+        # each log1p takes a correctly rounded argument in (-1/2, 1) and
+        # errs by one ulp: below 4u of its value together; fsum rounds once
+        err_n = zc_bound / (1 + zc - zc_bound) \
+            + 4 * _U * math.fsum(map(abs, parts)) + _U * abs(log_n)
+        logs.append(e * log_n)
+        err += abs(e) * err_n + _U * abs(e * log_n)
+    S = math.fsum(logs)
+    # past K: the roots y of y^{d1} + y - 1 have |y| < 2, so |e_n| <= 2 d1 2^n / n,
+    # and log zeta_{>P}(n) <= 2 sum_{m > P} m^{-n} <= 2 (P+1)^{-n} (1 + (P+1)/(n-1))
+    r = 2 / (P + 1)
+    err += _U * abs(S) + 4 * d1 * (1 + (P + 1) / K) / (K + 1) * r ** (K + 1) / (1 - r)
+    value = head * math.exp(S)
+    # head, exp and the product each add a rounding: at most 5u together
+    return SigmaReport("remark5_zeta", P, value, value * (math.expm1(err) + 5 * _U))
+
+
+# Euler-Maclaurin for zeta(k) - 1: the terms n = 2..ZETA_EM_N - 1, then the
+# corrections B_2j / (2j)! (k)_{2j-1} ZETA_EM_N^{1-k-2j} for j = 1..6, as
+# (numerator, denominator) of B_2j / (2j)!; the seventh bounds the remainder
+ZETA_EM_N = 16
+_EM_COEFFS = tuple((bn, bd * math.factorial(2 * j)) for j, (bn, bd) in enumerate(
+    ((1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6)), 1))
+
+
+def _zetac_int(k: int) -> tuple[float, float]:
+    """(zeta(k) - 1, bound) for an integer k >= 2, from the Euler-Maclaurin
+    sum at N = ZETA_EM_N.
+
+    For x^{-k} the remainder after the j-th correction is at most the first
+    omitted one (Edwards, "Riemann's Zeta Function", 6.4).  Every term is
+    one correctly rounded int / int quotient and fsum rounds their sum once,
+    so the rounding is at most u (sum |terms| + |value|), doubled here.
+    """
+    N = ZETA_EM_N
+    terms = [1 / n ** k for n in range(2, N)]
+    terms += [1 / ((k - 1) * N ** (k - 1)), 1 / (2 * N ** k)]
+    rising = k                      # (k)_{2j-1} = k (k+1) ... (k+2j-2)
+    for j, (bn, bd) in enumerate(_EM_COEFFS[:-1], 1):
+        terms.append(bn * rising / (bd * N ** (k + 2 * j - 1)))
+        rising *= (k + 2 * j - 1) * (k + 2 * j)
+    bn, bd = _EM_COEFFS[-1]
+    J = len(_EM_COEFFS)
+    remainder = abs(bn) * rising / (bd * N ** (k + 2 * J - 1))
+    value = math.fsum(terms)
+    return value, remainder + 2 * _U * (math.fsum(map(abs, terms)) + abs(value))
+
+
+def zeta_int(k: int) -> tuple[float, float]:
+    """(zeta(k), bound) for an integer k >= 2: |value - zeta(k)| <= bound."""
+    if int(k) != k or k < 2:
+        raise ArgumentError(f"zeta_int needs an integer k >= 2, got {k}")
+    zc, bound = _zetac_int(int(k))
+    return 1.0 + zc, bound + _U * (1.0 + zc)
 
 
 def _primes_upto(P: int) -> list:
@@ -452,8 +579,13 @@ def _phi_sieve(X: int) -> np.ndarray:
             f[pk::pk] *= p
             s[pk::pk] *= p
             pk *= p
-    big = np.arange(X + 1, dtype=np.int32) // s
-    f *= np.maximum(big - 1, 1)
+    # n // s[n] by a float division, exact as s[n] | n < 2^53, and faster
+    # than int32 //; in place, so that the pass holds one array at a time
+    big = np.arange(X + 1, dtype=float)
+    big /= s
+    big -= 1
+    np.maximum(big, 1, out=big)
+    f *= big.astype(np.int32)
     f[:1] = 0
     return f
 

@@ -420,14 +420,17 @@ def coarea_check(w: WeightFunction, phi_grid: np.ndarray, phi_values: np.ndarray
 
     phi is given by samples of a smooth compactly supported function;
     the left side is a 24-point Gauss-Legendre tensor quadrature over the
-    box [-r_max, r_max]^4 of the weight's default rule (its decay makes
-    the box act as the ball), the right side a Gauss-Legendre sum of
+    weight's support_box, or where it declares none over the box
+    [-r_max, r_max]^4 of its default rule (a Gaussian's decay makes that
+    box act as the ball), the right side a Gauss-Legendre sum of
     phi(t) I(t) (by _level_value) over phi's support.  Any other d raises
     CapabilityError.
     """
     if w.dim != 4:
         raise CapabilityError(f"coarea_check supports d = 4, got {w.dim}")
-    r_max = default_config(w).r_max
+    box = w.support_box()
+    if box is None:
+        box = [default_config(w).r_max] * 4
     phi_grid = np.asarray(phi_grid, dtype=float)
     phi_values = np.asarray(phi_values, dtype=float)
     if phi_grid.shape != phi_values.shape or phi_grid.ndim != 1:
@@ -438,14 +441,14 @@ def coarea_check(w: WeightFunction, phi_grid: np.ndarray, phi_values: np.ndarray
     lo, hi = float(phi_grid[0]), float(phi_grid[-1])
 
     x1, wt1 = _gl(24)
-    x1 = x1 * r_max
-    wt1 = wt1 * r_max
-    pts = np.stack([g.ravel() for g in np.meshgrid(x1, x1, x1, x1, indexing="ij")], axis=1)
+    xs = [x1 * h for h in box]
+    wt = [wt1 * h for h in box]
+    pts = np.stack([g.ravel() for g in np.meshgrid(*xs, indexing="ij")], axis=1)
     f0 = pts[:, 0] * pts[:, 2] + pts[:, 1] * pts[:, 3]
     mask = (f0 > lo) & (f0 < hi)
     lhs = 0.0
     if np.any(mask):
-        wts = (wt1[:, None, None, None] * wt1[:, None, None] * wt1[:, None] * wt1).ravel()
+        wts = (wt[0][:, None, None, None] * wt[1][:, None, None] * wt[2][:, None] * wt[3]).ravel()
         lhs = float(wts[mask] @ (w.eval_array(pts[mask]) * phi(f0[mask])))
 
     if lo < 0.0 < hi:

@@ -27,7 +27,9 @@ cosine transform of its pair density).  The Gaussians also integrate
 themselves in closed form over the affine fibres of the singular-integral
 quadrature (``fiber_integral``).  AppendixExample declares a
 ``block_support`` (rx, ry), outside of which it vanishes, so that the
-counter's fibre path enumerates only that block.
+counter's fibre path enumerates only that block.  ``support_box`` gives the
+bump families' per-coordinate box of support, on which coarea_check's
+tensor rule runs.
 """
 
 from __future__ import annotations
@@ -87,6 +89,14 @@ class WeightFunction:
     def eval_array(self, Z: np.ndarray) -> np.ndarray:
         """Vectorized evaluation on an (N, dim) array."""
         raise NotImplementedError
+
+    def support_box(self) -> list | None:
+        """Half-widths h_j with w(z) = 0 unless |z_j| <= h_j for every j, from
+        the block_support; None if the weight declares no such box."""
+        if self.block_support is None:
+            return None
+        rx, ry = self.block_support
+        return [rx] * (self.dim // 2) + [ry] * (self.dim // 2)
 
     # -- decay --------------------------------------------------------------
 
@@ -274,6 +284,9 @@ class ProductBump(WeightFunction):
 
     def eval_array(self, Z):
         return np.prod(bump_w0(np.asarray(Z, float) / self.scale), axis=-1)
+
+    def support_box(self):
+        return [self.scale] * self.dim
 
     def pair_factors(self, L: float, R: float) -> PairFactors:
         """Per-coordinate factors of w(u/L) on the box |u_j| <= ceil(scale L).

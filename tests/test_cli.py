@@ -353,49 +353,49 @@ _PREDICT_HEAD = ("d,m,L,sigma_infty,sigma_remark5,sigma_definitional,main_term_r
 _VERIFY_HEAD = "L,exact,predicted_def,predicted_r5,ratio_def,ratio_r5,fitted_error_exponent\n"
 _MAIN_TERM_GOLDEN = {
     "predict --d1 3 --L 8 --m 0.5 --weight gaussian:a=1.0": _PREDICT_HEAD +
-        "6,5.000000000000e-01,8.000000000000e+00,2.130848243871e-01,1.305955455905e+00,"
-        "1.108939026927e+00,1.139831967657e+03,9.678769267042e+02,NA,"
+        "6,5.000000000000e-01,8.000000000000e+00,2.130848243871e-01,1.305968274168e+00,"
+        "1.108939026927e+00,1.139843155379e+03,9.678769267042e+02,NA,"
         "5.000000000000e-01,60,49,82\n",
     "predict --d1 3 --L 8 --m 0.5 --weight "
     "gaussian:a=1.0:shift=0.1,-0.2,0.05,0.0,0.15,-0.1": _PREDICT_HEAD +
-        "6,5.000000000000e-01,8.000000000000e+00,1.975469395518e-01,1.305955455905e+00,"
-        "1.108939026927e+00,1.056716814356e+03,8.973005247235e+02,NA,"
+        "6,5.000000000000e-01,8.000000000000e+00,1.975469395518e-01,1.305968274168e+00,"
+        "1.108939026927e+00,1.056727186282e+03,8.973005247235e+02,NA,"
         "5.000000000000e-01,60,49,82\n",
     "verify --d1 3 --m 0 --weight gaussian:a=1.0 --L-list 2,4,6,8": _VERIFY_HEAD +
-        "2.000000000000e+00,3.030680120411e+01,4.378965434766e+01,4.179057458895e+01,"
-        "6.920995759294e-01,7.252066166166e-01,NA\n"
-        "4.000000000000e+00,5.927572409656e+02,7.006344695626e+02,6.686491934231e+02,"
-        "8.460292302427e-01,8.864995976903e-01,NA\n"
-        "6.000000000000e+00,3.182909385673e+03,3.546962002161e+03,3.385036541705e+03,"
-        "8.973621323641e-01,9.402880431154e-01,NA\n"
-        "8.000000000000e+00,1.034724268691e+04,1.121015151300e+04,1.069838709477e+04,"
-        "9.230243386911e-01,9.671778180445e-01,3.000003458609e+00\n"
+        "2.000000000000e+00,3.030680120411e+01,4.378965434766e+01,4.179098477336e+01,"
+        "6.920995759294e-01,7.251994986113e-01,NA\n"
+        "4.000000000000e+00,5.927572409656e+02,7.006344695626e+02,6.686557563738e+02,"
+        "8.460292302427e-01,8.864908965716e-01,NA\n"
+        "6.000000000000e+00,3.182909385673e+03,3.546962002161e+03,3.385069766642e+03,"
+        "8.973621323641e-01,9.402788140555e-01,NA\n"
+        "8.000000000000e+00,1.034724268691e+04,1.121015151300e+04,1.069849210198e+04,"
+        "9.230243386911e-01,9.671683250576e-01,3.000003458609e+00\n"
         "# verdict: sigma variant converging best = remark5 "
-        "(|ratio-1| = 3.282218195552e-02 at L = 8)\n"
+        "(|ratio-1| = 3.283167494235e-02 at L = 8)\n"
         "# fitted error exponent (definitional): 3.000003458609e+00\n"
-        "# fitted error exponent (remark5): 2.494699896534e+00\n",
+        "# fitted error exponent (remark5): 2.494874936829e+00\n",
     "verify --d1 3 --m 0 --weight gaussian:a=1.0 --L-list 2,5": _VERIFY_HEAD +
-        "2.000000000000e+00,3.030680120411e+01,4.378965434766e+01,4.179057458895e+01,"
-        "6.920995759294e-01,7.252066166166e-01,NA\n"
-        "5.000000000000e+00,1.499858744734e+03,1.710533372956e+03,1.632444319881e+03,"
-        "8.768368793313e-01,9.187809510367e-01,3.000026149680e+00\n"
+        "2.000000000000e+00,3.030680120411e+01,4.378965434766e+01,4.179098477336e+01,"
+        "6.920995759294e-01,7.251994986113e-01,NA\n"
+        "5.000000000000e+00,1.499858744734e+03,1.710533372956e+03,1.632460342709e+03,"
+        "8.768368793313e-01,9.187719330720e-01,3.000026149680e+00\n"
         "# verdict: sigma variant converging best = remark5 "
-        "(|ratio-1| = 8.121904896329e-02 at L = 5)\n"
+        "(|ratio-1| = 8.122806692804e-02 at L = 5)\n"
         "# fitted error exponent (definitional): 3.000026149680e+00\n"
-        "# fitted error exponent (remark5): 2.669778459036e+00\n",
+        "# fitted error exponent (remark5): 2.669871359339e+00\n",
     "verify --d1 3 --m 1 --weight gaussian:a=1.0 --L-list 1,2,3,4": _VERIFY_HEAD +
-        "1.000000000000e+00,1.541355687339e-02,1.031811241475e-02,1.619771100343e-02,"
-        "1.493834943235e+00,9.515885837279e-01,NA\n"
-        "2.000000000000e+00,2.140188807842e-01,2.166803607098e-01,2.591633760549e-01,"
-        "9.877170228215e-01,8.258068097511e-01,NA\n"
-        "3.000000000000e+00,9.492424294842e-01,9.389482297426e-01,1.312014591278e+00,"
-        "1.010963543479e+00,7.234999029696e-01,NA\n"
-        "4.000000000000e+00,3.526769480130e+00,3.518476333431e+00,4.146614016878e+00,"
-        "1.002357027848e+00,8.505179082921e-01,5.238227230436e-01\n"
+        "1.000000000000e+00,1.541355687339e-02,1.031811241475e-02,1.619786998781e-02,"
+        "1.493834943235e+00,9.515792437516e-01,NA\n"
+        "2.000000000000e+00,2.140188807842e-01,2.166803607098e-01,2.591659198050e-01,"
+        "9.877170228215e-01,8.257987043407e-01,NA\n"
+        "3.000000000000e+00,9.492424294842e-01,9.389482297426e-01,1.312027469013e+00,"
+        "1.010963543479e+00,7.234928017159e-01,NA\n"
+        "4.000000000000e+00,3.526769480130e+00,3.518476333431e+00,4.146654716879e+00,"
+        "1.002357027848e+00,8.505095603388e-01,5.238227230436e-01\n"
         "# verdict: sigma variant converging best = definitional "
         "(|ratio-1| = 2.357027847516e-03 at L = 4)\n"
         "# fitted error exponent (definitional): 5.238227230436e-01\n"
-        "# fitted error exponent (remark5): 4.984396841015e+00\n",
+        "# fitted error exponent (remark5): 4.984288809012e+00\n",
 }
 
 
@@ -403,7 +403,9 @@ _MAIN_TERM_GOLDEN = {
 def test_main_term_golden_stdout(args, tmp_path):
     # the rows printed while predict and verify each assembled the main term
     # themselves; sigma_infty of a Gaussian comes from the theta integral,
-    # which the config's angular order (a projection-rule setting) leaves alone
+    # which the config's angular order (a projection-rule setting) leaves alone;
+    # sigma_remark5 is the product over all primes (exp_sums.sigma_remark5),
+    # 1.305968274168 where the product to p <= 10^4 printed 1.305955455905
     cfg = tmp_path / "quadrature.json"
     cfg.write_text(json.dumps({"quadrature": {"angular": 8}}))
     r = run(*args.split(), "--config", str(cfg))
@@ -695,6 +697,29 @@ def test_cli_import_loads_no_sympy_or_scipy():
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
         assert out.strip() == "[]", module
+
+
+def test_predict_verify_load_no_mpmath_scipy_or_sympy():
+    # predict and verify run in-process in a fresh interpreter: the main
+    # term takes its zeta values from exp_sums.zeta_int, not from mpmath,
+    # whose import alone would cost each process about 30 ms
+    import splitquad
+    src = str(Path(splitquad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys\n"
+            "from splitquad.cli import main\n"
+            "for args in (['predict', '--d1', '3', '--L', '8', '--m', '0.5', '--weight',\n"
+            "              'gaussian:a=1.0:shift=0.1,-0.2,0.05,0.0,0.15,-0.1'],\n"
+            "             ['verify', '--d1', '3', '--m', '0', '--weight', 'gaussian:a=1.0',\n"
+            "              '--L-list', '2,3']):\n"
+            "    main.main(args=args, prog_name='qc', standalone_mode=False)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('sympy', 'scipy', 'mpmath')))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert "sigma_remark5" in out and "predicted_r5" in out
+    assert out.splitlines()[-1] == "[]"
 
 
 def test_check_suites():

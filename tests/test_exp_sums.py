@@ -336,6 +336,100 @@ def test_sigma_remark5_product_matches_fraction_loop(d1):
     assert rep.tail_bound == value * math.expm1(1.2 * es._euler_omitted_tail(20000, d1))
 
 
+def test_zeta_int_matches_mpmath():
+    with mpmath.workdps(40):
+        for k in range(2, 65):
+            value, bound = es.zeta_int(k)
+            zc, zc_bound = es._zetac_int(k)
+            exact = mpmath.zeta(k)
+            assert abs(mpmath.mpf(value) - exact) <= bound <= 4e-16 * value, k
+            # zeta(k) - 1 ~ 2^-k keeps its own relative accuracy
+            assert abs(mpmath.mpf(zc) - (exact - 1)) <= zc_bound <= 1e-15 * zc, k
+    for k in (1, 0, 2.5):
+        with pytest.raises(ArgumentError, match="integer k >= 2"):
+            es.zeta_int(k)
+
+
+@pytest.mark.parametrize("d1", [3, 4, 5, 8, 12])
+def test_zeta_exponents_rebuild_the_local_factor(d1):
+    # prod_{n <= K} (1 - x^n)^{-e_n} agrees with 1 + x^{d1-1} - x^{d1}
+    # through x^K, in integer power-series arithmetic
+    K = 30
+    e = es._zeta_exponents(d1, K)
+    series = [1] + [0] * K
+    for n in range(1, K + 1):
+        for _ in range(abs(e[n])):
+            if e[n] > 0:            # times 1 / (1 - x^n)
+                for i in range(n, K + 1):
+                    series[i] += series[i - n]
+            else:                   # times (1 - x^n)
+                for i in range(K, n - 1, -1):
+                    series[i] -= series[i - n]
+    want = [0] * (K + 1)
+    want[0], want[d1 - 1], want[d1] = 1, 1, -1
+    assert series == want
+
+
+def _remark5_mpmath(d1, P=1000, K=80):
+    """prod_p (1 + p^{1-d1} - p^{-d1}) to 30 digits: the primes p <= P
+    multiplied out and zeta_{>P}(n)^{e_n}, n <= K, from mpmath.zeta."""
+    e = es._zeta_exponents(d1, K)
+    primes = list(primerange(2, P + 1))
+    with mpmath.workdps(30):
+        prod = mpmath.mpf(1)
+        for p in primes:
+            prod *= 1 + mpmath.mpf(p) ** (1 - d1) - mpmath.mpf(p) ** -d1
+        for n in range(2, K + 1):
+            if e[n]:
+                z = mpmath.zeta(n)
+                for p in primes:
+                    z *= 1 - mpmath.mpf(p) ** -n
+                prod *= z ** e[n]
+        return +prod
+
+
+@pytest.mark.parametrize("d1", [3, 4, 5, 6, 7, 8])
+def test_sigma_remark5_matches_mpmath(d1):
+    rep = es.sigma_remark5(d1)
+    want = _remark5_mpmath(d1)
+    err = abs(mpmath.mpf(rep.value) - want)
+    assert err <= rep.tail_bound <= 3e-15 * rep.value
+    assert err <= 3e-16 * rep.value
+    assert (rep.method, rep.cutoff) == ("remark5_zeta", es.REMARK5_PRIMES)
+
+
+def test_sigma_remark5_values():
+    # the values printed by predict and verify (cf. the 1.305955455905 of
+    # the product to p <= 10^4 at d1 = 3)
+    assert es.sigma_remark5(3).value == pytest.approx(1.30596827416754, rel=1e-14)
+    assert es.sigma_remark5(4).value == pytest.approx(1.10028622672436, rel=1e-14)
+    with pytest.raises(ArgumentError, match="d1 must be >= 3"):
+        es.sigma_remark5(2)
+
+
+@pytest.mark.parametrize("P,K", [(3, 5), (10, 4), (20, 8)])
+def test_sigma_remark5_tail_bound_covers_truncation(monkeypatch, P, K):
+    # few primes and few zeta factors: the truncation at K, not the
+    # rounding, makes the error, and the bound still covers it
+    monkeypatch.setattr(es, "REMARK5_PRIMES", P)
+    monkeypatch.setattr(es, "REMARK5_ZETA_TERMS", K)
+    for d1 in (3, 4, 6):
+        rep = es.sigma_remark5(d1)
+        err = abs(mpmath.mpf(rep.value) - _remark5_mpmath(d1))
+        assert err <= rep.tail_bound, (d1, float(err), rep.tail_bound)
+
+
+@pytest.mark.parametrize("P", [50, 997, 20000])
+@pytest.mark.parametrize("d1", [3, 4, 5])
+def test_sigma_remark5_exceeds_truncated_products(P, d1):
+    # every factor exceeds 1, so the truncated product falls short of the
+    # whole by at most its own tail bound
+    whole = es.sigma_remark5(d1)
+    part = es.sigma_remark5_product(P, d1)
+    gap = whole.value - part.value
+    assert -whole.tail_bound <= gap <= part.tail_bound + whole.tail_bound
+
+
 FIXED_LEVELS = (*range(41), 72, 100, 144, 3600, 10 ** 6)
 FIXED_CUTOFFS = (2, 3, 50, 997, 20000)
 

@@ -195,3 +195,16 @@ def test_bump_model_agrees_past_the_first_terms():
     theta = np.array([16.0, 24.0, 32.0])
     diff = w.pair_transform(theta)[0] - math.exp(-2.0) * pair_model(theta, w.transform_scale).real
     assert np.all(np.abs(diff) <= [2e-11, 1e-13, 2e-15])
+
+
+def test_support_box():
+    # w vanishes outside the box: the bump's |z_j| < scale, the appendix
+    # weight's block |x| <= rx, |y| <= ry; a Gaussian declares none
+    assert GaussianWeight(1.0, 4).support_box() is None
+    for w in (ProductBump(0.8, 6), AppendixExample(6)):
+        box = np.array(w.support_box())
+        Z = RNG.uniform(-1.5, 1.5, size=(4000, 6)) * box
+        outside = np.any(np.abs(Z) > box, axis=1)
+        assert np.all(w.eval_array(Z[outside]) == 0.0)
+    assert ProductBump(0.8, 6).support_box() == [0.8] * 6
+    assert AppendixExample(6).support_box() == [math.sqrt(0.5)] * 6
