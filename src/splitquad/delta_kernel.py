@@ -176,8 +176,9 @@ def _ramanujan_from_sieves(q: np.ndarray, phi: np.ndarray, mu: np.ndarray, t: in
     """c_q(t) at each q of the int64 array q as exact floats (|c_q| <= q <
     2^53), given the phi and mu sieves on 0..max(q): one gcd pass.  It beats
     the divisor row of exp_sums._ramanujan_row over a 401-level delta sweep
-    at q <= 60 (3.0-3.3 ms against 8.4-9.7 ms, best of 9, 2-core VM), which
-    wins at X = 1e5, t = 36 or 100 (0.23-0.27 ms against 4.0-4.2 ms)."""
+    at q <= 60 (2.1-2.2 ms against 4.7-5.1 ms, best of 25 in each of three
+    runs, 2-core VM), which wins at X = 1e5, t = 36 or 100 (0.13-0.26 ms
+    against 3.7-4.7 ms)."""
     t = abs(int(t))
     # g = gcd(q, t); a t past int64 is first reduced mod each q
     tq = t if t < 2 ** 63 else np.array([t % v for v in q.tolist()], dtype=np.int64)

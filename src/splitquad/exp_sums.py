@@ -45,17 +45,22 @@ mpmath is imported; its tail bound covers the omitted zeta factors and the
 rounding, about 1e-15 relative.
 
 Primes come from one numpy sieve of Eratosthenes.  The phi and mu sieves
-on 0..X loop only over the primes up to isqrt(X) and finish the one prime
-factor of each n above isqrt(X) in a vectorised pass.  The Dirichlet sum
-takes c_q(0) = phi(q) and, for t != 0, c_q(t) = sum_{d | (q, t)} d mu(q/d):
-one strided add per divisor d <= X of t.  Its float terms c_q / q^{d1} are
-added exactly: frexp splits each into an integer mantissa below 2^53 and an
-exponent, bincount adds the mantissas' 26-bit halves per exponent, and the
-bins fold into one Python int divided once by a power of 2, so the sum is
-correctly rounded, as math.fsum's is, at numpy speed.  Each term is an exact
-quotient only while q^{d1} < 2^53; past that float(q) ** d1 is rounded
-first.  A single q is factored by trial division, and a p given from outside
-is checked by a deterministic Miller-Rabin test.
+on 0..X loop only over the primes up to isqrt(X) and hold little more than
+their int32 arrays.  The phi sieve divides a copy of each n in place,
+exactly, by every power of those primes that divides n, which leaves the
+one prime factor of n above isqrt(X) or 1; the mu sieve finds that factor
+as |m[n]| < n, in cache-sized blocks.  The Dirichlet sum takes c_q(0) = phi(q) and, for
+t != 0, c_q(t) = sum_{d | (q, t)} d mu(q/d): a copy of mu, then one
+strided add per further divisor d <= X of t.  Its float terms
+c_q / q^{d1} are added exactly: each chunk of them is split, error-free,
+into parts that are integers below 2^38 times a power of 2 (error-free
+extraction, Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008), numpy
+adds each part exactly, and the parts fold into one Python int divided
+once by a power of 2, so the sum is correctly rounded, as math.fsum's is,
+at numpy speed.  Each term is an exact quotient only while q^{d1} < 2^53;
+past that float(q) ** d1 is rounded first.  A single q is factored by trial
+division, and a p given from outside is checked by a deterministic
+Miller-Rabin test.
 """
 
 from __future__ import annotations
@@ -74,7 +79,9 @@ FACTORED_Q_CAP = 10 ** 6  # the float unit sum of S_q_factored, about 4.5 us a s
 TRIAL_CAP = 10 ** 6       # trial divisors tried before a cofactor must be prime
 SIEVE_CAP = 10 ** 8       # largest sieve: two int32 arrays of 0.4 GB
 FIX_BITS = 192            # fraction bits of the Euler-product accumulator
-SUM_CHUNK = 2 ** 14       # Dirichlet-sum terms built and binned per numpy pass
+SUM_CHUNK = 2 ** 14       # Dirichlet-sum terms built and split per numpy pass
+SPLIT_BITS = 38           # width of each part split off a chunk of terms
+SIEVE_BLOCK = 2 ** 15     # entries per block of the mu sieve's finishing pass
 
 # Miller-Rabin to the 13 prime bases up to 41 is exact below MR_EXACT_BELOW
 # (Sorenson and Webster, Math. Comp. 86, 2017); the first 12 bases pass the
@@ -82,10 +89,8 @@ SUM_CHUNK = 2 ** 14       # Dirichlet-sum terms built and binned per numpy pass
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 MR_EXACT_BELOW = 3317044064679887385961981
 
-# frexp exponents of finite doubles lie in [-1073, 1024]; bin e + _EXP_OFFSET
-_EXP_OFFSET = 1074
-_EXP_BINS = 1024 + _EXP_OFFSET + 1
 _U = 2.0 ** -53           # unit roundoff of float64
+_TINY_EXP = -1074         # every double is a multiple of 2^_TINY_EXP
 
 
 def e_q(x, q):
@@ -564,28 +569,30 @@ def _check_sieve(X: int):
 def _phi_sieve(X: int) -> np.ndarray:
     """Euler phi on 0..X as int32, one pass per prime power p^k with p <= isqrt(X).
 
-    Those passes build, by multiplication only, the part s[n] of n made of
-    such primes and f[n] = phi(s[n]); n // s[n] is 1 or the one prime factor
-    of n above isqrt(X), applied in one dense pass.
+    f[n] collects phi of the part of n made of those primes, by multiplication
+    only.  r[n] starts at n and each pass divides it by p in place, exactly,
+    as p^k | n (a shift for p = 2), so it ends at 1 or at the one prime
+    factor of n above isqrt(X), and phi(n) = f[n] max(r[n] - 1, 1).  The two
+    int32 arrays are all the memory it holds, 8 bytes per n.
     """
     _check_sieve(X)
     f = np.ones(X + 1, dtype=np.int32)
-    s = np.ones(X + 1, dtype=np.int32)
+    r = np.arange(X + 1, dtype=np.int32)
     for p in _primes_upto(math.isqrt(max(X, 0))):
-        f[p::p] *= p - 1
-        s[p::p] *= p
-        pk = p * p
+        if p > 2:                       # phi(2) = 1
+            f[p::p] *= p - 1
+        pk = p
         while pk <= X:
-            f[pk::pk] *= p
-            s[pk::pk] *= p
+            if pk > p:
+                f[pk::pk] *= p
+            if p == 2:
+                r[pk::pk] >>= 1
+            else:
+                r[pk::pk] //= p
             pk *= p
-    # n // s[n] by a float division, exact as s[n] | n < 2^53, and faster
-    # than int32 //; in place, so that the pass holds one array at a time
-    big = np.arange(X + 1, dtype=float)
-    big /= s
-    big -= 1
-    np.maximum(big, 1, out=big)
-    f *= big.astype(np.int32)
+    r -= 1
+    np.maximum(r, 1, out=r)
+    f *= r
     f[:1] = 0
     return f
 
@@ -595,33 +602,39 @@ def _mu_sieve(X: int) -> np.ndarray:
 
     m[n] collects -p for each of those p dividing n, and 0 once some p^2
     does; a squarefree n with |m[n]| < n has one more prime factor, above
-    isqrt(X), which flips the sign.
+    isqrt(X), which flips the sign.  That finishing pass runs over blocks of
+    SIEVE_BLOCK entries, so that its temporaries stay in cache and the sieve
+    holds little more than its own 4 bytes per n.
     """
     _check_sieve(X)
     m = np.ones(X + 1, dtype=np.int32)
     for p in _primes_upto(math.isqrt(max(X, 0))):
         m[p::p] *= -p
         m[p * p::p * p] = 0
-    big = np.abs(m) < np.arange(X + 1, dtype=np.int32)
-    np.sign(m, out=m)
-    m -= 2 * m * big
+    for a in range(0, X + 1, SIEVE_BLOCK):
+        b = m[a:a + SIEVE_BLOCK]
+        big = np.abs(b) < np.arange(a, a + b.size, dtype=np.int32)
+        np.sign(b, out=b)
+        b -= 2 * b * big
     return m
 
 
 def _ramanujan_row(phi: np.ndarray | None, mu: np.ndarray | None, t: int, X: int) -> np.ndarray:
     """c_q(t) for q = 1..X as exact int32: phi(q) at t = 0, else the divisor
-    sum of d mu(q/d) over d | t, one strided add per divisor d <= X.  It beats
+    sum of d mu(q/d) over d | t, which starts from a copy of mu (the divisor
+    d = 1) and adds one strided row per further divisor d <= X.  It beats
     the gcd pass of delta_kernel._ramanujan_from_sieves at X = 1e5, t = 36 or
-    100 (0.23-0.27 ms against 4.0-4.2 ms, best of 9, 2-core VM), which wins
-    over a 401-level delta sweep at q <= 60 (3.0-3.3 ms against 8.4-9.7 ms)."""
+    100 (0.13-0.26 ms against 3.7-4.7 ms, best of 25 in each of three runs,
+    2-core VM), which wins over a 401-level delta sweep at q <= 60 (2.1-2.2 ms
+    against 4.7-5.1 ms)."""
     if t == 0:
         return phi[1:X + 1]
     t = abs(int(t))
     q = np.arange(1, min(X, t) + 1, dtype=np.int64)
     # a t past int64 is reduced mod each candidate divisor in Python
     r = t % q if t < 2 ** 63 else np.array([t % v for v in q.tolist()], dtype=np.int64)
-    c = np.zeros(X, dtype=np.int32)
-    for d in (np.flatnonzero(r == 0) + 1).tolist():
+    c = mu[1:X + 1].copy()
+    for d in (np.flatnonzero(r[1:] == 0) + 2).tolist():
         c[d - 1::d] += d * mu[1:X // d + 1]
     return c
 
@@ -630,41 +643,61 @@ def _term_sum(c: np.ndarray, d1: int) -> float:
     """sum over q = 1..len(c) of c[q-1] / q^d1, correctly rounded, so equal
     bit for bit to math.fsum of the same terms.
 
-    The terms are built in chunks of SUM_CHUNK.  frexp writes each as
-    M 2^(e-53) with M = m 2^53 an integer, |M| < 2^53; its halves M >> 26
-    (floor(m 2^27)) and M & (2^26 - 1) are added per exponent by bincount,
-    whose float bin sums stay below 2^41 within a chunk and so are exact,
-    into int64 bins exact up to about 2^36 terms.  The bins fold into one
-    Python int N and the sum is N / 2^k, which int / int rounds correctly.
+    The terms r are built in chunks of SUM_CHUNK and each chunk is split,
+    error-free, into parts that numpy adds exactly.  Each term of a chunk is
+    below 2^top (top from frexp of the largest |r|) and a multiple of 2^lo:
+    every double is a multiple of 2^_TINY_EXP, which is lo for a float row.
+    For an integer row a nonzero term is at least 1 / q^d1 > 2^-E, where
+    2^E exceeds the chunk's largest q^d1; the quotient is rounded
+    monotonically and 2^-E is a double, so the term is at least 2^-E and a
+    multiple of its ulp, at least 2^(-E-52); lo is the larger of that and
+    2^_TINY_EXP.  While top - lo > SPLIT_BITS, with k = top - SPLIT_BITS,
+    h = trunc(r 2^-k) is an integer below 2^SPLIT_BITS: the scaling is exact
+    unless it lands below 2^-1022, where h is 0 either way.  h 2^k is a
+    double below 2^top, and r - h 2^k is exact, being below 2^k and a
+    multiple of ulp(r) <= 2^(top-53), which divides 2^k; it is still a
+    multiple of 2^lo, as k > lo, and below 2^k, the next top.  Once
+    top - lo <= SPLIT_BITS the residual is r = h 2^lo with h an integer below
+    2^SPLIT_BITS.  Every part thus holds at most SUM_CHUNK integers below
+    2^SPLIT_BITS, whose float sum stays below 2^52 and is exact in any order.
+    The parts fold into one Python int N and the sum is N 2^kmin, which
+    int / int rounds correctly.  The sigma rows need 1-2 splits a chunk; a
+    float row that spans every exponent needs about 55.
     Each division c / q^d1 is itself correctly rounded while q^d1 < 2^53,
     as int / int is; there q^d1 is built by products, exact as pow is, and
     past it the float q ** d1 is rounded first.
     """
-    hi = np.zeros(_EXP_BINS, dtype=np.int64)
-    lo = np.zeros(_EXP_BINS, dtype=np.int64)
+    parts = []
+    base = np.arange(1, min(c.size, SUM_CHUNK) + 1, dtype=float)
     for i in range(0, c.size, SUM_CHUNK):
-        q = np.arange(i + 1, min(i + SUM_CHUNK, c.size) + 1, dtype=float)
+        q = base[:c.size - i] + i
         qd = q.copy()
         for _ in range(d1 - 1):
             qd *= q
         big = np.searchsorted(qd, 2.0 ** 53)         # the products round from here on
         qd[big:] = q[big:] ** d1
-        terms = c[i:i + SUM_CHUNK] / qd
-        m, e = np.frexp(terms)       # frexp(0) = (0, 0): a zero term adds nothing
-        e += _EXP_OFFSET
-        m *= 2.0 ** 27
-        top = np.floor(m)
-        m -= top
-        m *= 2.0 ** 26
-        hi += np.bincount(e, weights=top, minlength=_EXP_BINS).astype(np.int64)
-        lo += np.bincount(e, weights=m, minlength=_EXP_BINS).astype(np.int64)
-    bins = np.flatnonzero(hi | lo).tolist()
-    if not bins:
+        if c.dtype.kind == "f":
+            lo = _TINY_EXP
+        else:
+            # a q^d1 past the float range is inf, and its terms are 0
+            lo = max(-math.frexp(min(qd[-1], 2.0 ** 1023))[1] - 52, _TINY_EXP)
+        r = np.divide(c[i:i + SUM_CHUNK], qd, out=qd)
+        largest = max(r.max(), -r.min())
+        if largest == 0:
+            continue
+        top = math.frexp(largest)[1]
+        while top - lo > SPLIT_BITS:
+            k = top - SPLIT_BITS
+            h = np.trunc(np.ldexp(r, -k, out=q), out=q)
+            parts.append((k, int(h.sum())))
+            r -= np.ldexp(h, k, out=h)
+            top = k
+        parts.append((lo, int(np.ldexp(r, -lo, out=q).sum())))
+    if not parts:
         return 0.0
-    b0 = bins[0]
-    N = sum(((int(hi[b]) << 26) + int(lo[b])) << (b - b0) for b in bins)
-    k = _EXP_OFFSET + 53 - b0        # bin b holds the multiples of 2^(b - k)
-    return N / (1 << k) if k >= 0 else float(N << -k)
+    kmin = min(k for k, _ in parts)
+    N = sum(v << (k - kmin) for k, v in parts)
+    return N / (1 << -kmin) if kmin <= 0 else float(N << kmin)
 
 
 def sigma_dirichlet(X: int, d: int, t: int) -> SigmaReport:

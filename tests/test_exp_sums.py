@@ -1,6 +1,7 @@
 import bisect
 import functools
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -560,10 +561,16 @@ def _phi_mu_sieves_literal(X):
     return phi, mu
 
 
-@pytest.mark.parametrize("X", [0, 1, 2, 3, 4, 48, 49, 50, 120, 121, 4093,
-                               10 ** 5, 3 * 10 ** 5])
+# around each power of 2 (the shifts of p = 2) and each edge of the mu
+# sieve's finishing blocks
+_SIEVE_EDGES = {2 ** k + e for k in range(1, 14) for e in (-1, 0, 1)} \
+    | {es.SIEVE_BLOCK - 1, es.SIEVE_BLOCK, es.SIEVE_BLOCK + 1, 2 * es.SIEVE_BLOCK}
+
+
+@pytest.mark.parametrize("X", sorted({0, 1, 2, 3, 4, 48, 49, 50, 120, 121, 4093,
+                                      10 ** 5, 3 * 10 ** 5} | _SIEVE_EDGES))
 def test_phi_mu_sieves_match_all_primes_loop(X):
-    # squares of primes and their neighbours, where n // s[n] is p or 1
+    # squares of primes and their neighbours, where the cofactor is p or 1
     phi, mu = es._phi_sieve(X), es._mu_sieve(X)
     ref_phi, ref_mu = _phi_mu_sieves_literal(X)
     assert np.array_equal(phi, ref_phi) and np.array_equal(mu, ref_mu)
@@ -599,10 +606,12 @@ def test_phi_and_mu_sieves_match_rest_sieve(X):
     assert np.array_equal(es._mu_sieve(X), ref_mu)
 
 
-@pytest.mark.parametrize("t", [0, 1, -1, 12, 32, 36, 100, 144, 720720])
-def test_divisor_row_matches_gcd_pass(t):
+@pytest.mark.parametrize("X,t", [pytest.param(5000, t, id=str(t))
+                                 for t in (0, 1, -1, 12, 32, 36, 100, 144, 720720)]
+                         + [pytest.param(3 * 10 ** 5, t, id=f"{t}-X300000")
+                            for t in (1, -1, 36, 720720)])
+def test_divisor_row_matches_gcd_pass(X, t):
     # c_q(t) = sum_{d | (q, t)} d mu(q/d) against mu(q/g) phi(q) / phi(q/g)
-    X = 5000
     phi, mu = es._phi_sieve(X), es._mu_sieve(X)
     assert np.array_equal(es._ramanujan_row(phi, mu, t, X),
                           _ramanujan_from_sieves(np.arange(1, X + 1), phi, mu, t))
@@ -662,11 +671,42 @@ def test_term_sum_equals_fsum(c, d1):
     assert es._term_sum(row, d1).hex() == _fsum_terms(row, d1).hex()
 
 
+@st.composite
+def _sparse_rows(draw):
+    """Rows of up to three chunks and a few terms, zero but for int64 values
+    up to 2^62 or floats up to 2^1000 at arbitrary positions, often at the
+    last entry of a chunk or the first of the next."""
+    n = draw(st.integers(1, 3 * es.SUM_CHUNK + 7))
+    edges = [i for i in (es.SUM_CHUNK - 1, es.SUM_CHUNK, 2 * es.SUM_CHUNK) if i < n]
+    positions = st.integers(0, n - 1) | st.sampled_from(edges or [n - 1])
+    floats = draw(st.booleans())
+    values = st.floats(-2.0 ** 1000, 2.0 ** 1000) if floats \
+        else st.integers(-2 ** 62, 2 ** 62)
+    row = np.zeros(n, dtype=float if floats else np.int64)
+    for i, v in draw(st.dictionaries(positions, values, max_size=40)).items():
+        row[i] = v
+    return row
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_rows(), st.sampled_from([3, 4, 5]))
+def test_term_sum_equals_fsum_across_chunks(row, d1):
+    assert es._term_sum(row, d1).hex() == _fsum_terms(row, d1).hex()
+
+
 def _full_range_row():
     """Floats at every binary exponent of float64, alternating in sign, the
     largest first, so the terms run from about 2^1023 down to 2^-1074."""
     e = np.arange(1023, -1075, -1)
     return np.ldexp(np.where(e % 2 == 0, 0.75, -0.625), e)
+
+
+def _full_range_chunks_row():
+    """Three chunks and 7 entries whose exponents cycle through 975..-1074 in
+    steps of 7 (a cycle of 2050 entries), so that every chunk's terms run
+    from near the largest a chunk admits down to the subnormals."""
+    i = np.arange(3 * es.SUM_CHUNK + 7)
+    return np.ldexp(np.where(i % 2 == 0, 0.75, -0.625), 975 - i * 7 % 2050)
 
 
 _EXACT_ROWS = {
@@ -680,6 +720,7 @@ _EXACT_ROWS = {
     "subnormal": np.array([5e-324, -8 * 5e-324, 27 * 3e-320, 64 * 1e-310]),
     "full-range": _full_range_row(),
     "full-range-reversed": _full_range_row()[::-1].copy(),
+    "full-range-chunks": _full_range_chunks_row(),
     # more than one chunk of the int32 rows sigma_dirichlet sums
     "chunks": np.where(RNG.random(50000) < 0.2, 0,
                        RNG.integers(-2 ** 31, 2 ** 31, 50000)).astype(np.int32),
@@ -693,6 +734,26 @@ def test_term_sum_equals_fsum_fixed_rows(name, d1):
     assert es._term_sum(row, d1).hex() == _fsum_terms(row, d1).hex()
     if name == "half-way" and d1 == 3:
         assert es._term_sum(row, d1) == 1 + 2.0 ** -52
+
+
+def _peak_bytes(call):
+    """Peak traced allocation of call(), numpy's arrays included."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sieves_and_sum_peak_memory():
+    # the sieves hold little beyond their int32 arrays, so SIEVE_CAP costs
+    # what its comment says; the sum holds a few chunks, not the row
+    X = 10 ** 6
+    assert _peak_bytes(lambda: es._phi_sieve(X)) <= 12 * X
+    assert _peak_bytes(lambda: es._mu_sieve(X)) <= 8 * X
+    row = es._ramanujan_row(None, es._mu_sieve(X), 36, X)
+    assert _peak_bytes(lambda: es._term_sum(row, 3)) < 1.5e6
 
 
 @pytest.mark.parametrize("t", [0, 1, 72])
