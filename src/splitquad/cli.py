@@ -7,15 +7,9 @@ orderings, so identical inputs give byte-identical output.  Exit codes:
 A JSON config file (--config) mirrors the flags; explicit flags win.
 Each command takes only the keys it reads: count d1, L, m, weight, eps,
 budget; predict d1, L, m, weight, quadrature {angular}; verify d1, m,
-weight, L_list, eps, budget, quadrature {angular}; sigma-infty and i-grid
-only quadrature {angular}.  Any other key is a usage error.
-
-sigma_infty of the Gaussians and the product bump is the theta integral
-(sing_integral.i_theta), for any d1 >= 2, and that of appendix-example the
-projection on the weight's default rule.  quadrature.angular, an integral
-number >= 4, is checked and accepted but changes no printed number: no
-weight's sigma_infty reads it (appendix-example is biradial and takes a
-single direction).
+weight, L_list, eps, budget.  Any other key is a usage error.  predict
+accepts quadrature.angular (an integral number >= 4), which changes no
+printed number, only because perfbench/predict_quadrature.json passes it.
 """
 
 from __future__ import annotations
@@ -66,10 +60,9 @@ class ConvergenceRow:
 
 
 # key -> (type, default); null or absent means the default.  L_list is
-# checked by _L_values and quadrature is an object of _QUADRATURE keys.
+# checked by _L_values and quadrature is an object whose one key is angular.
 _SCHEMA = {"d1": (int, None), "L": (float, None), "m": (float, 0.0), "weight": (str, None),
            "eps": (float, 1e-8), "budget": (int, counter.DEFAULT_BUDGET)}
-_QUADRATURE = {"angular": (int, None)}
 _KINDS = {int: "an integer", float: "a number", str: "a string"}
 
 
@@ -97,11 +90,11 @@ def _typed_keys(raw: dict, schema: dict, prefix: str = "", untyped=()) -> dict:
             for k, (kind, default) in schema.items()}
 
 
-def _merge_config(config_path, flags: dict, required=(), config_only=()) -> dict:
+def _merge_config(config_path, flags: dict, required=()) -> dict:
     """The config file's keys overridden by the flags that are set, each
     key converted to its type once, with its default filled in.  The keys
-    are those of flags and config_only; a key in required must come from
-    a flag or the file."""
+    are those of flags (a key with no flag is passed as None); a key in
+    required must come from a flag or the file."""
     cfg = {}
     if config_path:
         with open(config_path) as fh:
@@ -117,15 +110,13 @@ def _merge_config(config_path, flags: dict, required=(), config_only=()) -> dict
     missing = [f"--{k.replace('_', '-')}" for k in required if cfg.get(k) is None]
     if missing:
         raise click.UsageError(f"missing {', '.join(missing)} (as a flag or a config key)")
-    keys = [*flags, *config_only]
-    cfg.update(_typed_keys(cfg, {k: _SCHEMA[k] for k in keys if k in _SCHEMA},
-                           untyped=[k for k in keys if k not in _SCHEMA]))
-    if "quadrature" in keys:
+    cfg.update(_typed_keys(cfg, {k: _SCHEMA[k] for k in flags if k in _SCHEMA},
+                           untyped=[k for k in flags if k not in _SCHEMA]))
+    if "quadrature" in flags:
         sub = cfg.get("quadrature") or {}
         if not isinstance(sub, dict):
             raise click.UsageError(f"config key quadrature must be an object, got {sub!r}")
-        cfg["quadrature"] = _typed_keys(sub, _QUADRATURE, "quadrature.")
-        angular = cfg["quadrature"]["angular"]
+        angular = _typed_keys(sub, {"angular": (int, None)}, "quadrature.")["angular"]
         if angular is not None and angular < 4:
             raise click.UsageError(f"quadrature.angular must be >= 4, got {angular}")
     return cfg
@@ -216,8 +207,8 @@ def count(d1, L, m, weight, eps, budget, config_path):
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 def predict(d1, L, m, weight, config_path):
     """Main-term prediction sigma_infty * sigma * L^{d-2} for both sigma variants."""
-    cfg = _merge_config(config_path, dict(d1=d1, L=L, m=m, weight=weight),
-                        ("d1", "L", "weight"), ("quadrature",))
+    cfg = _merge_config(config_path, dict(d1=d1, L=L, m=m, weight=weight, quadrature=None),
+                        ("d1", "L", "weight"))
 
     def run():
         mv, Lv = cfg["m"], cfg["L"]
@@ -256,7 +247,7 @@ def verify(d1, m, weight, L_list, eps, budget, config_path):
     """Convergence table N_L vs prediction across L, with error-exponent fit."""
     cfg = _merge_config(config_path, dict(d1=d1, m=m, weight=weight, L_list=L_list,
                                           eps=eps, budget=budget),
-                        ("d1", "weight", "L_list"), ("quadrature",))
+                        ("d1", "weight", "L_list"))
 
     def run():
         Ls = _L_values(cfg["L_list"])
@@ -345,11 +336,8 @@ def sigma_p_cmd(p, d, t):
 @click.option("--weight", type=str, required=True)
 @click.option("--check/--no-check", default=False,
               help="cross-check against a refined quadrature")
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-def sigma_infty_cmd(d1, m, weight, check, config_path):
+def sigma_infty_cmd(d1, m, weight, check):
     """Singular integral sigma_infty = I(m; w)."""
-    _merge_config(config_path, {}, config_only=("quadrature",))   # checked, read by no rule
-
     def run():
         w = parse_weight(weight, 2 * d1)
         val = sing_integral.sigma_infty(w, m, check=check)
@@ -364,11 +352,8 @@ def sigma_infty_cmd(d1, m, weight, check, config_path):
 @click.option("--t-min", type=float, required=True)
 @click.option("--t-max", type=float, required=True)
 @click.option("--n", type=int, default=33)
-@click.option("--config", "config_path", type=click.Path(exists=True), default=None)
-def i_grid(d1, weight, t_min, t_max, n, config_path):
+def i_grid(d1, weight, t_min, t_max, n):
     """Sample the level-set integral I(t; w) on a uniform t grid (CSV t,I)."""
-    _merge_config(config_path, {}, config_only=("quadrature",))   # checked, read by no rule
-
     def run():
         w = parse_weight(weight, 2 * d1)
         grid = sing_integral.build_i_grid(w, t_min, t_max, n)
@@ -442,6 +427,19 @@ def _check_sums():
     yield ("local density equals truncated sigma_p series", 0.0, ok)
 
 
+def _two_radius_appendix(t: float) -> float:
+    """I(t) of appendix-example, F(|x|^2) g(|y|^2), at d1 = 3, where x.y is
+    flat on the sphere: 2 pi^2 int g(v) int_{uv > t^2} F(u) du dv, u = |x|^2
+    and v = |y|^2, by nested adaptive quadrature over the profiles' supports."""
+    from scipy.integrate import quad        # scipy loads only when needed
+    from .weights import _F, _G
+    opts = dict(epsabs=0.0, epsrel=1e-13, limit=200)
+
+    def inner(v):
+        return float(_G(v)) * quad(lambda u: float(_F(u)), min(t * t / v, 0.5), 0.5, **opts)[0]
+    return 2.0 * math.pi ** 2 * quad(inner, 0.25, 0.5, **opts)[0]
+
+
 def _check_integral():
     from .weights import AppendixExample, GaussianWeight
     # sigma_infty of a Gaussian is the theta integral; the projections share
@@ -452,19 +450,15 @@ def _check_integral():
     ws = GaussianWeight(1.0, 6, np.array([0.1, -0.2, 0.05, 0.0, 0.15, -0.1]))
     es = abs(sing_integral.sigma_infty(ws, 0.25) - sing_integral.i_y_projection(ws, 0.25))
     yield ("shifted Gaussian I(0.25) theta integral vs y-projection", es, es <= 1e-6)
-    from mpmath import besselk
-    ref = float(4 * math.pi * besselk(1, 2 * math.pi))
-    e1 = abs(sing_integral.i_x_projection(w, 1.0) - ref)
+    from scipy.special import k1            # scipy loads only when needed
+    e1 = abs(sing_integral.i_x_projection(w, 1.0) - 4 * math.pi * float(k1(2 * math.pi)))
     yield ("Gaussian I(1) vs 4*pi*K1(2*pi)", e1, e1 <= 1e-6)
     # appendix-example's projections go through _fibre_rule (at t=0.5 both
-    # are 0, hence t=0.25); the reference shares neither the projection nor
-    # the nodes with the value checked
-    a = AppendixExample(6)
-    ref = sing_integral.i_x_projection(a, 0.25, sing_integral.default_config(a)
-                                       .refined().refined())
-    da = abs(sing_integral.i_y_projection(a, 0.25) - ref)
-    yield ("appendix-example y-projection vs twice-refined x-projection at t=0.25",
-           da, da <= 2e-6)
+    # are 0, hence t=0.25); the two-radius reference shares no rule with them
+    da = abs(sing_integral.i_y_projection(AppendixExample(6), 0.25)
+             - _two_radius_appendix(0.25))
+    yield ("appendix-example y-projection vs two-radius integral at t=0.25",
+           da, da <= 1e-8)
 
 
 _SUITES = {"kernel": _check_kernel, "sums": _check_sums, "integral": _check_integral}

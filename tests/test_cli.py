@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 from splitquad import exp_sums
-from splitquad.cli import main
+from splitquad.cli import _two_radius_appendix, main
 
 RUNNER = CliRunner()
 
@@ -139,11 +139,15 @@ _BAD_CONFIG = {
     "config quadrature.angular a string": (("predict", "--d1", "3", "--L", "4", *_G),
                                            '{"quadrature": {"angular": "x"}}'),
     "config budget 0": (("count", "--d1", "3", "--L", "2", *_G), '{"budget": 0}'),
-    # no sigma_infty reads quadrature.angular, but it keeps its range check
+    # predict reads no quadrature setting, but accepts quadrature.angular, with
+    # its range check, because perfbench/predict_quadrature.json passes it
     "config quadrature.angular 3": (("predict", "--d1", "3", "--L", "4", *_G),
                                     '{"quadrature": {"angular": 3}}'),
+    # sigma-infty and i-grid take no config file
     "config sigma-infty quadrature.angular 3": (("sigma-infty", "--d1", "3", *_G),
                                                 '{"quadrature": {"angular": 3}}'),
+    "config verify quadrature": (("verify", "--d1", "3", "--L-list", "2,4", *_G),
+                                 '{"quadrature": {"angular": 8}}'),
     "config unknown key": (("predict", "--d1", "3", "--L", "4", *_G), '{"Q": 10}'),
     "config unknown quadrature key": (("predict", "--d1", "3", "--L", "4", *_G),
                                       '{"quadrature": {"angualr": 8}}'),
@@ -153,7 +157,8 @@ _BAD_CONFIG = {
                                    '{"cutoffs": {"q": 100000, "primes": 10000}}'),
     "config deleted key quadrature.r_max": (("predict", "--d1", "3", "--L", "4", *_G),
                                             '{"quadrature": {"r_max": 3.0}}'),
-    # a key the command does not read, though another command reads it
+    # a key the command does not read, though another command reads it (or,
+    # for sigma-infty and i-grid, no config file at all)
     "config sigma-infty m": (("sigma-infty", "--d1", "3", *_G), '{"m": 0.5}'),
     "config i-grid d1": (("i-grid", "--d1", "3", *_G, "--t-min", "0", "--t-max", "1"),
                          '{"d1": 3}'),
@@ -183,13 +188,11 @@ def test_bad_input_is_a_usage_error(case, tmp_path):
 _READS = {
     "count": ({"--d1": "3", "--L": "2", "--weight": "gaussian:a=1.0"},
               {"d1", "L", "m", "weight", "eps", "budget"}),
+    # quadrature only because perfbench/predict_quadrature.json passes it
     "predict": ({"--d1": "3", "--L": "4", "--weight": "gaussian:a=1.0"},
                 {"d1", "L", "m", "weight", "quadrature"}),
     "verify": ({"--d1": "3", "--L-list": "2,4", "--weight": "gaussian:a=1.0"},
-               {"d1", "m", "weight", "L_list", "eps", "budget", "quadrature"}),
-    "sigma-infty": ({"--d1": "3", "--weight": "gaussian:a=1.0"}, {"quadrature"}),
-    "i-grid": ({"--d1": "3", "--weight": "gaussian:a=1.0", "--t-min": "0", "--t-max": "1"},
-               {"quadrature"}),
+               {"d1", "m", "weight", "L_list", "eps", "budget"}),
 }
 # a malformed value of every key some command reads
 _MALFORMED = {"d1": "x", "L": "x", "m": "x", "weight": 1, "eps": "x", "budget": "x",
@@ -400,15 +403,15 @@ _MAIN_TERM_GOLDEN = {
 
 
 @pytest.mark.parametrize("args", sorted(_MAIN_TERM_GOLDEN))
-def test_main_term_golden_stdout(args, tmp_path):
+def test_main_term_golden_stdout(args):
     # the rows printed while predict and verify each assembled the main term
     # themselves; sigma_infty of a Gaussian comes from the theta integral,
-    # which the config's angular order (a projection-rule setting) leaves alone;
-    # sigma_remark5 is the product over all primes (exp_sums.sigma_remark5),
+    # which the quadrature.angular of perfbench/predict_quadrature.json, the
+    # one config predict accepts it from, leaves alone (verify takes no such
+    # key); sigma_remark5 is the product over all primes (exp_sums.sigma_remark5),
     # 1.305968274168 where the product to p <= 10^4 printed 1.305955455905
-    cfg = tmp_path / "quadrature.json"
-    cfg.write_text(json.dumps({"quadrature": {"angular": 8}}))
-    r = run(*args.split(), "--config", str(cfg))
+    bench = Path(__file__).resolve().parents[1] / "perfbench" / "predict_quadrature.json"
+    r = run(*args.split(), *(("--config", str(bench)) if args.startswith("predict") else ()))
     assert r.exit_code == 0
     assert r.output == _MAIN_TERM_GOLDEN[args]
 
@@ -473,16 +476,19 @@ def test_sigma_infty_golden_stdout(args):
                                     "gaussian:a=1.5:shift=0.2,-0.1,0.05,0.15,0.1,-0.25",
                                     "bump:scale=1.0", "appendix-example",
                                     "appendix-example:variant=generic"])
-def test_sigma_infty_ignores_quadrature_angular(weight, tmp_path):
-    # the key is checked and accepted, but no weight's sigma_infty reads it:
-    # appendix-example is biradial and takes a single direction
+def test_sigma_infty_and_i_grid_take_no_config(weight, tmp_path):
+    # no weight's I(t) reads a quadrature setting (appendix-example is
+    # biradial and takes a single direction), so neither command takes a
+    # config file: the one that set quadrature.angular exits 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"quadrature": {"angular": 4}}))
-    for m in ("0", "0.25"):
-        args = ("sigma-infty", "--d1", "3", "--m", m, "--weight", weight)
-        plain, tuned = run(*args), run(*args, "--config", str(cfg))
-        assert plain.exit_code == tuned.exit_code == 0
-        assert tuned.output == plain.output
+    for args in (("sigma-infty", "--d1", "3", "--m", "0.25", "--weight", weight),
+                 ("i-grid", "--d1", "3", "--weight", weight, "--t-min", "0",
+                  "--t-max", "0.25", "--n", "2")):
+        assert run(*args).exit_code == 0
+        r = RUNNER.invoke(main, [*args, "--config", str(cfg)])
+        assert r.exit_code == 2 and r.stdout == ""
+        assert "No such option '--config'" in r.stderr
 
 
 def test_i_grid_prints_exact_zeros_past_the_bump_support():
@@ -683,9 +689,9 @@ def test_sigma_p_prime_test_bound_exit_code():
 
 
 def test_cli_import_loads_no_sympy_or_scipy():
-    # scipy is imported inside its two users and mpmath inside qc check's
-    # integral suite; sympy only by the tests; numpy.polynomial (the
-    # Gauss-Legendre nodes) only when a quadrature runs
+    # scipy is imported inside its users (smear, coarea_check and qc check's
+    # integral suite); sympy and mpmath only by the tests; numpy.polynomial
+    # (the Gauss-Legendre nodes) only when a quadrature runs
     import splitquad
     src = str(Path(splitquad.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -722,6 +728,23 @@ def test_predict_verify_load_no_mpmath_scipy_or_sympy():
     assert out.splitlines()[-1] == "[]"
 
 
+def test_check_all_loads_no_mpmath():
+    # qc check takes K1 and the appendix-example reference from scipy, so
+    # mpmath is a test dependency only
+    import splitquad
+    src = str(Path(splitquad.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    code = ("import sys\n"
+            "from splitquad.cli import main\n"
+            "main.main(args=['check', '--suite', 'all'], prog_name='qc', standalone_mode=False)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('sympy', 'mpmath')))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert "# all checks passed" in out
+    assert out.splitlines()[-1] == "[]"
+
+
 def test_check_suites():
     r = run("check", "--suite", "kernel")
     assert r.exit_code == 0
@@ -742,9 +765,18 @@ def test_check_suite_all_runs_every_check():
         "PASS [integral] Gaussian I(0) theta integral vs x-projection",
         "PASS [integral] shifted Gaussian I(0.25) theta integral vs y-projection",
         "PASS [integral] Gaussian I(1) vs 4*pi*K1(2*pi)",
-        "PASS [integral] appendix-example y-projection vs twice-refined x-projection at t=0.25",
+        "PASS [integral] appendix-example y-projection vs two-radius integral at t=0.25",
     ]
     assert "FAIL" not in r.output and r.output.endswith("# all checks passed\n")
+
+
+@pytest.mark.parametrize("t, ref", [(0.0, 0.1216000085748122025),
+                                    (0.25, 0.056093964934740565165)])
+def test_two_radius_appendix_reference_vs_mpmath(t, ref):
+    # qc check's reference for appendix-example's I(t), against a 25-digit
+    # mpmath tanh-sinh of the same nested integral (at t = 0 the value
+    # 2 pi^2 int F int g of ROADMAP item 10)
+    assert abs(_two_radius_appendix(t) / ref - 1) <= 1e-13
 
 
 def test_config_d1_not_integral_names_the_value(tmp_path):

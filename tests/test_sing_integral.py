@@ -56,13 +56,13 @@ def test_decay_in_t():
 
 
 def test_apex_cutoff_convergence():
-    w = GaussianWeight(1.0, 6)
-    cfg = si.default_config(w)
-    from dataclasses import replace
-    cfg2 = replace(cfg, r_min=cfg.r_min / 2.0)
-    for t in (0.0, 1.0):
-        assert abs(si.i_x_projection(w, t, cfg) -
-                   si.i_x_projection(w, t, cfg2)) <= 1e-6
+    # I(0) = 2/a^2 for the isotropic Gaussian at d1 = 3.  The radial rule's
+    # apex panel [0, 1e-6 r_max] brings the x-projection to within 1.3e-15
+    # relative of it at a = 0.5, 1, 2; without that panel it read 3.5e-11
+    # to 4.2e-11 low
+    for a in (0.5, 1.0, 2.0):
+        val = si.i_x_projection(GaussianWeight(a, 6), 0.0)
+        assert abs(val * a * a / 2.0 - 1.0) <= 1e-13, a
 
 
 def test_d1_capability():
@@ -219,10 +219,51 @@ def test_i_function_grid_validation():
 
 
 def test_quadrature_config_validation():
-    with pytest.raises(ArgumentError):
-        si.QuadratureConfig(r_min=-1.0)
-    with pytest.raises(ArgumentError):
-        si.QuadratureConfig(angular_order=2)
+    for bad in (dict(r_max=-1.0), dict(r_max=math.nan), dict(r_max=2.0, angular_order=2),
+                dict(r_max=2.0, refinements=-1)):
+        with pytest.raises(ArgumentError):
+            si.QuadratureConfig(**bad)
+
+
+# float.hex of the projections as the six-field QuadratureConfig gave them:
+# (weight, t, refinements) -> value; the rule is now three fields and fixed
+# radial and fibre orders, and must give the same bits
+_PROJECTION_BITS = {
+    ("appendix-4", 0.0, 0): "0x1.d2357691d452cp-4",
+    ("appendix-4", 0.0, 1): "0x1.d23575aee7662p-4",
+    ("appendix-4", 0.25, 0): "0x1.1faa9c77fdef2p-4",
+    ("appendix-4", 0.25, 1): "0x1.1faa95baf0e17p-4",
+    ("appendix-6", 0.0, 0): "0x1.f212dad2828d2p-4",
+    ("appendix-6", 0.0, 1): "0x1.f212d9bb80c98p-4",
+    ("appendix-6", 0.0, 2): "0x1.f212d9c078560p-4",
+    ("appendix-6", 0.25, 0): "0x1.cb8592347e0b9p-5",
+    ("appendix-6", 0.25, 1): "0x1.cb85921cb7598p-5",
+    ("appendix-6", 0.25, 2): "0x1.cb85921cb8b3cp-5",
+    ("appendix-8", 0.25, 0): "0x1.031afba0956fap-5",
+    ("appendix-8", 0.25, 1): "0x1.031afba4f82a4p-5",
+    ("gaussian", 0.0, 0): "0x1.fffffffffffffp+0",
+    ("gaussian", 0.5, 0): "0x1.b465d10021cd6p-3",
+    ("gaussian", 1.0, 0): "0x1.966b8e0a7f9d3p-7",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_PROJECTION_BITS),
+                         ids=lambda k: f"{k[0]}-t{k[1]}-refined{k[2]}")
+def test_x_projection_bits_unchanged(key):
+    name, t, refinements = key
+    w = GaussianWeight(1.0, 6) if name == "gaussian" else AppendixExample(int(name[-1]))
+    cfg = si.default_config(w)
+    for _ in range(refinements):
+        cfg = cfg.refined()
+    assert si.i_x_projection(w, t, cfg).hex() == _PROJECTION_BITS[key]
+
+
+def test_perfbench_mirror_oracle_bits_unchanged():
+    # perfbench's predict_shifted oracle: the y-projection of the seed-1
+    # shifted Gaussian at t = 0.5 with angular_order 8 (predict_quadrature.json)
+    w = GaussianWeight(1.0, 6, _perfbench_shift(1))
+    cfg = replace(si.default_config(w), angular_order=8)
+    assert si.i_y_projection(w, 0.5, cfg).hex() == "0x1.24c3e0f7ab9cfp-2"
 
 
 def test_coarea_trivial_zero():
@@ -328,7 +369,7 @@ def test_theta_integral_matches_projection(seed):
 @pytest.mark.parametrize("t", [0.0, 0.3, -0.3, 1.0])
 def test_theta_integral_d1_2_vs_mpmath(t):
     # the projection agrees too; at t = 0 that needs its apex panel
-    # [0, r_min], without which it came out 6.3e-6 low
+    # [0, 1e-6 r_max], without which it came out 6.3e-6 low
     s = 0.25 * np.sin(np.arange(4) + 1.0)
     w = GaussianWeight(1.5, 4, s)
     val, bound = si.i_theta(w, t)
@@ -421,7 +462,7 @@ def test_i_is_exactly_zero_past_a_bounded_support():
 
 @pytest.mark.parametrize("d1", [2, 3])
 def test_apex_panel_mirror_projections_agree_at_zero(d1):
-    # at t = 0 the radial rule's apex panel [0, r_min] carries a share of
+    # at t = 0 the radial rule's apex panel [0, 1e-6 r_max] carries a share of
     # I(0) that the x- and y-projections weigh differently; without it they
     # differed by 3.7e-6 relative at d1 = 2
     a = AppendixExample(2 * d1)
